@@ -32,9 +32,6 @@ class PartialAction:
     maps: np.ndarray  # |S| x degree, entries in {-1} u {0..degree-1}
     labels: tuple | None = None
 
-    def apply(self, p: int, s: int) -> int:
-        return int(self.maps[s, p])
-
     def is_total(self) -> bool:
         return bool((self.maps >= 0).all())
 

@@ -8,6 +8,7 @@ semigroup is not Rhodes semisimple (mindeg), 3 oracle timeout or not-found.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -27,12 +28,15 @@ ENV_BUDGET = "SGMINDEG_TIME_BUDGET_SECS"
 
 def _budget_from_env() -> float:
     raw = os.environ.get(ENV_BUDGET)
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET_SECS
+    if not raw:
+        return DEFAULT_BUDGET_SECS
+    try:
+        budget = float(raw)
+    except ValueError:
+        budget = math.nan
+    if not budget >= 0:  # also rejects nan
+        raise ValueError(f"{ENV_BUDGET} must be a non-negative number of seconds, got {raw!r}")
+    return budget
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -90,7 +94,6 @@ def _cmd_mindeg(args: argparse.Namespace) -> int:
     try:
         rep = min_partial_degree(
             s,
-            jobs=args.jobs,
             resolve_total_with_oracle=args.total,
             oracle_budget=budget,
         )
@@ -101,7 +104,7 @@ def _cmd_mindeg(args: argparse.Namespace) -> int:
     left = None
     if args.left:
         try:
-            left = left_degrees(s, oracle_budget=budget, jobs=args.jobs)
+            left = left_degrees(s, rep.m, oracle_budget=budget)
         except NotRhodesSemisimple as exc:
             print(f"error computing left degrees: {exc}", file=sys.stderr)
             return 2
@@ -181,7 +184,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else _budget_from_env()
     theory_m = None
     try:
-        theory_m = min_partial_degree(s, jobs=args.jobs).m
+        theory_m = min_partial_degree(s).m
         print(f"theory m: {theory_m}")
     except NotRhodesSemisimple:
         print("theory m: not available (not Rhodes semisimple)")
@@ -221,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--left", action="store_true", help="also compute the opposite semigroup")
     p.add_argument("--total", action="store_true", help="resolve the total degree by oracle if needed")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_mindeg)
 
     p = sub.add_parser("oracle", help="brute-force minimal embedding search")
@@ -244,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--max-degree", type=int, default=8)
     p.add_argument("--budget", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_check)
     return ap
 

@@ -74,3 +74,7 @@ class NotRhodesSemisimple(SemigroupError):
 
 class BadParameters(SemigroupError):
     """A builder family received invalid parameters."""
+
+
+class InvariantViolated(SemigroupError):
+    """A computed result failed its own certificate check; this is a bug."""

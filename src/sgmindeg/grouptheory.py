@@ -8,11 +8,12 @@ scope are small (S_6 with 56 subgroup classes is the intended ceiling).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import ReesCoordinatization, check_associativity, closure_mask
-from .errors import GroupTooLarge, NotSubgroup
+from .errors import GroupTooLarge, InvariantViolated, NotSubgroup
 
 SUBGROUP_ENUM_CAP = 720
 
@@ -64,12 +65,6 @@ class SubgroupClass:
 class SubgroupLattice:
     group: GroupTable
     classes: tuple[SubgroupClass, ...]  # sorted by (order, canonical tuple)
-
-    def class_of_whole_group(self) -> int:
-        return len(self.classes) - 1
-
-    def trivial_class(self) -> int:
-        return 0
 
 
 def _canonical_rep(g: GroupTable, members: np.ndarray) -> tuple[int, ...]:
@@ -222,25 +217,28 @@ def min_degree_faithful_on(
     g: GroupTable,
     normal: tuple[int, ...] | np.ndarray,
     lattice: SubgroupLattice,
+    cost: Callable[[int], int] | None = None,
 ) -> tuple[int, tuple[int, ...]]:
-    """Minimize sum of [G:H_i] over sets of pairwise non-conjugate subgroup
+    """Minimize the summed cost over sets of pairwise non-conjugate subgroup
     classes whose cores intersect the given normal subgroup trivially.
 
-    Returns (degree, class positions in the lattice).  A trivial normal
-    subgroup gives degree 0 with the empty witness; callers decide whether an
-    empty collection is admissible.
+    ``cost`` maps a class position in the lattice to a positive cost; the
+    default is the index [G:H].  It is called only for classes whose core does
+    not contain the normal subgroup.  Returns (cost, class positions in the
+    lattice).  A trivial normal subgroup gives cost 0 with the empty witness;
+    callers decide whether an empty collection is admissible.
     """
+    if cost is None:
+        cost = lambda ci: lattice.classes[ci].index
     m = g.order
     n_mask = np.zeros(m, dtype=bool)
     n_mask[np.asarray(list(normal), dtype=np.int64)] = True
     if not n_mask[0]:
         raise NotSubgroup("normal subgroup must contain the identity")
     members = np.flatnonzero(n_mask)
-    for x in range(m):
-        conj = np.zeros(m, dtype=bool)
-        conj[g.conjugate_set(members, x)] = True
-        if not np.array_equal(conj, n_mask):
-            raise NotSubgroup("subgroup is not normal")
+    xs = np.arange(m)[:, None]
+    if not n_mask[g.table[g.table[g.inv[xs], members], xs]].all():  # x^-1 N x <= N for all x
+        raise NotSubgroup("subgroup is not normal")
     if n_mask.sum() == 1:
         return 0, ()
 
@@ -252,7 +250,7 @@ def min_degree_faithful_on(
         core_mask[np.asarray(cl.core, dtype=np.int64)] = True
         if (core_mask & n_mask).sum() == n_mask.sum():
             continue  # core contains N: can never shrink the residual
-        costs.append(cl.index)
+        costs.append(cost(ci))
         cores.append(core_mask)
         ids.append(ci)
     order = sorted(range(len(ids)), key=lambda i: (costs[i], ids[i]))
@@ -269,23 +267,24 @@ def min_degree_faithful_on(
     best_cost = [sum(costs) + 1]
     best_set: list[tuple[int, ...] | None] = [None]
 
-    def rec(i: int, residual: np.ndarray, cost: int, chosen: tuple[int, ...]) -> None:
+    def rec(i: int, residual: np.ndarray, spent: int, chosen: tuple[int, ...]) -> None:
         if residual.sum() == 1:
-            if cost < best_cost[0]:
-                best_cost[0] = cost
+            if spent < best_cost[0]:
+                best_cost[0] = spent
                 best_set[0] = chosen
             return
         if i == k:
             return
-        if cost + costs[i] >= best_cost[0]:
+        if spent + costs[i] >= best_cost[0]:
             return  # at least one more class is needed; costs are sorted
         if (residual & suffix[i]).sum() > 1:
             return  # remaining cores cannot finish the job
         shrunk = residual & cores[i]
         if shrunk.sum() < residual.sum():
-            rec(i + 1, shrunk, cost + costs[i], chosen + (ids[i],))
-        rec(i + 1, residual, cost, chosen)
+            rec(i + 1, shrunk, spent + costs[i], chosen + (ids[i],))
+        rec(i + 1, residual, spent, chosen)
 
     rec(0, n_mask.copy(), 0, ())
-    assert best_set[0] is not None, "no faithful collection found"
+    if best_set[0] is None:
+        raise InvariantViolated("no faithful collection found")
     return best_cost[0], tuple(sorted(best_set[0]))

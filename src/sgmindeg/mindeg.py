@@ -10,8 +10,8 @@ trusted blindly.
 
 from __future__ import annotations
 
+import functools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +38,7 @@ from .core import (
     opposite,
     rees_coordinatize,
 )
-from .errors import NotIrreducible, NotRhodesSemisimple
+from .errors import InvariantViolated, NotIrreducible, NotRhodesSemisimple, SemigroupError
 from .grouptheory import (
     GroupAction,
     GroupTable,
@@ -94,11 +94,11 @@ def dj(
     """Minimum Green's-quotient size over admissible G_J-sets for one
     RM-irreducible J-class.
 
-    Fast paths: a trivial maximal subgroup with pairwise distinct sandwich
-    rows gives b_count outright; the row-separation condition reduces to
-    b_count times the minimal degree faithful on the invisible subgroup.  The
+    Under the row-separation (column) condition the quotient size is b_count
+    times the number of points of the G_J-set, so the search runs on subgroup
+    indices; otherwise each orbit costs its own tensor quotient size.  The
     empty G_J-set is never admissible, so a trivial invisible subgroup still
-    costs one orbit."""
+    costs one orbit, the cheapest."""
     j = r.jclass
     row = report.per_class[j]
     if not row.rm_irreducible:
@@ -109,73 +109,26 @@ def dj(
     if lattice is None:
         lattice = subgroup_classes(gt)
 
-    cc = column_condition(r)
-    if not force_general:
-        if gt.order == 1 and cc:
-            return DjResult(
-                d=r.b_count,
-                witness_classes=(lattice.class_of_whole_group(),),
-                fast_path="aggm",
-            )
-        if cc:
-            n0, wit = min_degree_faithful_on(gt, mj_pos, lattice)
-            if n0 == 0:
-                n0, wit = 1, (lattice.class_of_whole_group(),)
-            return DjResult(d=r.b_count * n0, witness_classes=wit, fast_path="column_condition")
+    if column_condition(r) and not force_general:
+        scale = r.b_count
+        fast_path = "aggm" if gt.order == 1 else "column_condition"
 
-    m = gt.order
-    q_cache: dict[int, int] = {}
+        def cost(ci: int) -> int:
+            return lattice.classes[ci].index
 
-    def q(ci: int) -> int:
-        if ci not in q_cache:
-            q_cache[ci] = tensor_quotient_size(coset_action(gt, lattice.classes[ci].rep), r)
-        return q_cache[ci]
+    else:
+        scale = 1
+        fast_path = "general_search"
 
-    n_mask = np.zeros(m, dtype=bool)
-    n_mask[list(mj_pos)] = True
-    if n_mask.sum() == 1:
-        # any single orbit is admissible; repeats only add cost
-        best = min(range(len(lattice.classes)), key=lambda ci: (q(ci), ci))
-        return DjResult(d=q(best), witness_classes=(best,), fast_path="general_search")
+        @functools.cache
+        def cost(ci: int) -> int:
+            return tensor_quotient_size(coset_action(gt, lattice.classes[ci].rep), r)
 
-    cand = []
-    for ci, cl in enumerate(lattice.classes):
-        core_mask = np.zeros(m, dtype=bool)
-        core_mask[np.asarray(cl.core, dtype=np.int64)] = True
-        if (core_mask & n_mask).sum() < n_mask.sum():
-            cand.append((q(ci), ci, core_mask))
-    cand.sort(key=lambda tup: (tup[0], tup[1]))
-    costs = [cst for cst, _, _ in cand]
-    ids = [ci for _, ci, _ in cand]
-    cores = [cm for _, _, cm in cand]
-    k = len(cand)
-    suffix = [np.ones(m, dtype=bool)] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] & cores[i]
-
-    best_cost = [sum(costs) + 1]
-    best_set: list[tuple[int, ...] | None] = [None]
-
-    def rec(i: int, residual: np.ndarray, cost: int, chosen: tuple[int, ...]) -> None:
-        if residual.sum() == 1:
-            if cost < best_cost[0]:
-                best_cost[0] = cost
-                best_set[0] = chosen
-            return
-        if i == k or cost + costs[i] >= best_cost[0]:
-            return
-        if (residual & suffix[i]).sum() > 1:
-            return
-        shrunk = residual & cores[i]
-        if shrunk.sum() < residual.sum():
-            rec(i + 1, shrunk, cost + costs[i], chosen + (ids[i],))
-        rec(i + 1, residual, cost, chosen)
-
-    rec(0, n_mask.copy(), 0, ())
-    assert best_set[0] is not None, "no admissible subgroup-class set found"
-    return DjResult(
-        d=best_cost[0], witness_classes=tuple(sorted(best_set[0])), fast_path="general_search"
-    )
+    d, wit = min_degree_faithful_on(gt, mj_pos, lattice, cost)
+    if not wit:
+        best = min(range(len(lattice.classes)), key=lambda ci: (cost(ci), ci))
+        d, wit = cost(best), (best,)
+    return DjResult(d=scale * d, witness_classes=wit, fast_path=fast_path)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +151,6 @@ class JClassDegree:
     fast_path: str
     d: int
     witness_subgroups: tuple[SubgroupWitness, ...]
-    witness_class_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -286,7 +238,6 @@ def _resolve_total(
 def min_partial_degree(
     s: FiniteSemigroup,
     *,
-    jobs: int = 1,
     resolve_total_with_oracle: bool = False,
     oracle_budget: float | None = None,
     force_general: bool = False,
@@ -300,9 +251,9 @@ def min_partial_degree(
     if not ok:
         raise NotRhodesSemisimple([list(c) for c in cong.classes])
     report = rm_irreducible_classes(s, g)
-    irr = report.irreducible_ids()
 
-    def work(j: int):
+    rows = []
+    for j in report.irreducible_ids():
         r = rees_coordinatize(s, g, j)
         gt = GroupTable.of_rees(r)
         lattice = subgroup_classes(gt)
@@ -312,15 +263,11 @@ def min_partial_degree(
         )
         tens = tensor_action(x, r)
         quot, _ = greens_quotient(s, tens, r.e)
-        assert quot.degree == res.d, "fast-path degree disagrees with the assembled quotient"
-        return j, r, lattice, res, quot
-
-    if jobs > 1 and len(irr) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(work, irr))
-    else:
-        rows = [work(j) for j in irr]
-    rows.sort(key=lambda t: t[0])
+        if quot.degree != res.d:
+            raise InvariantViolated(
+                f"J-class {j}: d_J = {res.d} but the assembled quotient has degree {quot.degree}"
+            )
+        rows.append((j, r, lattice, res, quot))
 
     blocks = [quot for _, _, _, _, quot in rows]
     if blocks:
@@ -328,8 +275,10 @@ def min_partial_degree(
     else:
         witness = PartialAction(degree=0, maps=np.empty((s.size, 0), dtype=np.int32))
     faithful, pair = is_faithful(s, witness)
-    assert faithful, f"assembled witness action is not faithful, offending pair {pair}"
-    assert faithful_by_criterion(s, witness, g, report, check_preconditions=False)
+    if not faithful:
+        raise InvariantViolated(f"assembled witness action is not faithful, offending pair {pair}")
+    if not faithful_by_criterion(s, witness, g, report, check_preconditions=False):
+        raise InvariantViolated("assembled witness action fails the faithfulness criterion")
 
     per = []
     for j, r, lattice, res, quot in rows:
@@ -348,11 +297,11 @@ def min_partial_degree(
                     )
                     for ci in res.witness_classes
                 ),
-                witness_class_ids=res.witness_classes,
             )
         )
     m = sum(c.d for c in per)
-    assert m == witness.degree
+    if m != witness.degree:
+        raise InvariantViolated(f"sum of d_J is {m} but the witness has degree {witness.degree}")
     total = _resolve_total(s, m, witness, resolve_total_with_oracle, oracle_budget)
     return MinDegReport(
         size=s.size,
@@ -383,13 +332,12 @@ def _oracle_report(s: FiniteSemigroup, max_degree: int, budget: float | None) ->
         OracleQuery(semigroup=s, mode="partial", min_n=1, max_n=max_degree, budget_secs=budget)
     )
     if res.status != "found":
-        from .errors import SemigroupError
-
         raise SemigroupError(
             f"oracle fallback did not resolve the degree: {res.status} up to {max_degree}"
         )
     hom = close_embedding(s, res.witness)
-    assert hom is not None
+    if hom is None:
+        raise InvariantViolated("oracle witness does not close to an embedding")
     maps = np.full((s.size, res.degree), -1, dtype=np.int32)
     for el, pm in hom.items():
         maps[el] = pm
@@ -409,25 +357,21 @@ def _oracle_report(s: FiniteSemigroup, max_degree: int, budget: float | None) ->
 
 def left_degrees(
     s: FiniteSemigroup,
+    right_m: int | None,
     *,
     oracle_max_degree: int | None = None,
     oracle_budget: float | None = None,
-    jobs: int = 1,
 ) -> LeftDegreeReport:
     """Minimal degree report for the opposite semigroup (left actions of S).
 
-    Falls back to the brute-force oracle when the opposite semigroup is not
-    Rhodes semisimple; the search is capped at 2^m(S) - 1 when m(S) is known.
-    Checks the bound l(S) <= 2^m(S) - 1 whenever both sides are computed."""
-    right_m: int | None
-    try:
-        right_m = min_partial_degree(s, jobs=jobs).m
-    except NotRhodesSemisimple:
-        right_m = None
-
+    ``right_m`` is m(S) as computed by min_partial_degree, or None when S is
+    not Rhodes semisimple.  Falls back to the brute-force oracle when the
+    opposite semigroup is not Rhodes semisimple; the search is capped at
+    2^m(S) - 1 when m(S) is known.  Checks the bound l(S) <= 2^m(S) - 1
+    whenever both sides are known."""
     sop = opposite(s)
     try:
-        left = min_partial_degree(sop, jobs=jobs)
+        left = min_partial_degree(sop)
     except NotRhodesSemisimple:
         cap = oracle_max_degree
         if cap is None and right_m is not None:
@@ -439,5 +383,8 @@ def left_degrees(
     bound_ok = None
     if right_m is not None:
         bound_ok = left.m <= 2**right_m - 1
-        assert bound_ok, f"left degree {left.m} violates the 2^m - 1 bound for m = {right_m}"
+        if not bound_ok:
+            raise InvariantViolated(
+                f"left degree {left.m} violates the 2^m - 1 bound for m = {right_m}"
+            )
     return LeftDegreeReport(left=left, right_m=right_m, bound_ok=bound_ok)

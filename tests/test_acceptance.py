@@ -159,7 +159,7 @@ def test_criterion_6_oracle_agreement():
         assert theory == oracle_partial(s, cap), f"{label}: theory != oracle"
     # the AGGM example also has l(S) = 3, resolved on the opposite side
     ag = builders.aggm_01(2, 3, [frozenset({0, 1})]).semigroup
-    lr = left_degrees(ag)
+    lr = left_degrees(ag, min_partial_degree(ag).m)
     assert (lr.right_m, lr.left.m) == (2, 3)
     assert lr.left.m == oracle_partial(opposite(ag), 4)
     report("criterion 6 PASS: oracle equals theory on the m <= 4 corpus (incl. AGGM m = 2, l = 3)")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +74,14 @@ def test_oracle_budget_env(tmp_path, capsys, monkeypatch):
     assert "timeout" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("raw", ["abc", "nan", "-1"])
+def test_bad_budget_env_exit_1(tmp_path, capsys, monkeypatch, raw):
+    path = write_sgt(tmp_path, builders.binary_relations(2), "b2.sgt")
+    monkeypatch.setenv("SGMINDEG_TIME_BUDGET_SECS", raw)
+    assert main(["mindeg", path]) == 1
+    assert "SGMINDEG_TIME_BUDGET_SECS" in capsys.readouterr().err
+
+
 def test_analyze(tmp_path, capsys):
     path = write_sgt(tmp_path, builders.symmetric_inverse(2), "sim2.sgt")
     assert main(["analyze", path]) == 0
@@ -134,3 +143,26 @@ def test_make_rees_output_total_pipeline(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["m"] == 5
     assert doc["total_degree"]["exact"] == 5
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, family, flags",
+    [
+        ("binary_relations_2", ["binary_relations", "2"], []),
+        ("matrix_monoid_2_3", ["matrix_monoid", "2", "3"], []),
+        ("sigma_square_3_102", ["sigma_square", "3", "1,0,2"], []),
+        ("sigma_square_4_1230", ["sigma_square", "4", "1,2,3,0"], []),
+        ("chain_semilattice_3", ["chain_semilattice", "3"], []),
+        ("symmetric_inverse_3", ["symmetric_inverse", "3"], []),
+        ("aggm_01_2_3_01_left", ["aggm_01", "2", "3", "0,1"], ["--left"]),
+    ],
+)
+def test_mindeg_json_matches_golden(tmp_path, capsys, name, family, flags):
+    # `sgmindeg make <family> | sgmindeg mindeg --json [flags]`, byte for byte
+    path = str(tmp_path / f"{name}.sgt")
+    assert main(["make", *family, "-o", path]) == 0
+    assert main(["mindeg", "--json", *flags, path]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()

@@ -141,23 +141,32 @@ def test_min_degree_s3_on_a3():
 
 
 def test_min_degree_matches_bruteforce_on_small_groups():
-    # exhaustive subset check against the branch and bound
+    # exhaustive subset check against the branch and bound, with the index
+    # cost and with a cost that is not the index, on N = G and on a proper N
     for sg in [builders.cyclic(12).semigroup, builders.symmetric_group(4).semigroup]:
         g = GroupTable.from_table(sg.table)
         lat = subgroup_classes(g)
-        n = tuple(range(g.order))
-        deg, _ = min_degree_faithful_on(g, n, lat)
-        best = None
         k = len(lat.classes)
-        for mask in range(1, 1 << k):
-            chosen = [lat.classes[i] for i in range(k) if mask >> i & 1]
-            inter = set(range(g.order))
-            for c in chosen:
-                inter &= set(c.core)
-            if inter == {0}:
-                cost = sum(c.index for c in chosen)
-                best = cost if best is None else min(best, cost)
-        assert deg == best
+        proper = min(
+            (c.rep for c in lat.classes if c.core == c.rep and 1 < len(c.rep) < g.order), key=len
+        )
+        index_cost = lambda ci: lat.classes[ci].index
+        order_cost = lambda ci: len(lat.classes[ci].rep) + 1
+        for n in (tuple(range(g.order)), proper):
+            assert min_degree_faithful_on(g, n, lat) == min_degree_faithful_on(g, n, lat, index_cost)
+            for cost in (index_cost, order_cost):
+                deg, wit = min_degree_faithful_on(g, n, lat, cost)
+                assert deg == sum(cost(ci) for ci in wit)
+                best = None
+                for mask in range(1, 1 << k):
+                    chosen = [i for i in range(k) if mask >> i & 1]
+                    inter = set(n)
+                    for i in chosen:
+                        inter &= set(lat.classes[i].core)
+                    if inter == {0}:
+                        total = sum(cost(i) for i in chosen)
+                        best = total if best is None else min(best, total)
+                assert deg == best
 
 
 def test_min_degree_rejects_non_normal():

@@ -8,7 +8,7 @@ import pytest
 from sgmindeg import builders
 from sgmindeg.congruence import rm_irreducible_classes
 from sgmindeg.core import from_table, greens, rees_coordinatize
-from sgmindeg.errors import NotIrreducible, NotRhodesSemisimple
+from sgmindeg.errors import InvariantViolated, NotIrreducible, NotRhodesSemisimple
 from sgmindeg.grouptheory import (
     GroupTable,
     coproduct_group_actions,
@@ -150,32 +150,35 @@ def test_min_partial_degree_trivial():
     assert rep.total.exact == 0  # the empty action is total on zero points
 
 
-def test_jobs_flag_deterministic():
-    s = builders.symmetric_inverse(3).semigroup
-    a = min_partial_degree(s, jobs=1)
-    b = min_partial_degree(s, jobs=4)
-    assert a.m == b.m
-    assert np.array_equal(a.witness.maps, b.witness.maps)
-    assert a.to_json() == b.to_json()
+def test_wrong_quotient_size_is_caught(monkeypatch):
+    # a search cost that disagrees with the assembled quotient must not pass
+    # silently, also under python -O
+    import sgmindeg.mindeg as md
+
+    true_size = md.tensor_quotient_size
+    monkeypatch.setattr(md, "tensor_quotient_size", lambda x, r: true_size(x, r) + 1)
+    s = builders.sigma_square(3, (1, 0, 2)).semigroup
+    with pytest.raises(InvariantViolated):
+        min_partial_degree(s)
 
 
 def test_left_degrees_aggm_example():
     s = builders.aggm_01(2, 3, [frozenset({0, 1})]).semigroup
-    lr = left_degrees(s)
+    lr = left_degrees(s, min_partial_degree(s).m)
     assert lr.right_m == 2
     assert lr.left.m == 3
     assert lr.bound_ok
 
 
 def test_left_degrees_inverse_symmetric(sim2):
-    lr = left_degrees(sim2)
+    lr = left_degrees(sim2, min_partial_degree(sim2).m)
     assert lr.left.m == 2 and lr.right_m == 2
 
 
 def test_left_degrees_commutative_identical():
     s = builders.cyclic(6).semigroup
-    lr = left_degrees(s)
     right = min_partial_degree(s)
+    lr = left_degrees(s, right.m)
     assert lr.left.m == right.m == 5
     assert lr.left.to_json() == right.to_json()
 
@@ -185,8 +188,10 @@ def test_left_degrees_oracle_fallback():
     # so an explicit cap is required, and the oracle resolves the left degree
     s = builders.rectangular_group(builders.cyclic(2).semigroup, 2, 2).semigroup
     with pytest.raises(NotRhodesSemisimple):
-        left_degrees(s)
-    lr = left_degrees(s, oracle_max_degree=4)
+        min_partial_degree(s)
+    with pytest.raises(NotRhodesSemisimple):
+        left_degrees(s, None)
+    lr = left_degrees(s, None, oracle_max_degree=4)
     assert lr.left.source == "oracle"
     # the semigroup is isomorphic to its opposite; the oracle refutes degree 3
     assert lr.left.m == 4

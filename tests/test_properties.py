@@ -306,7 +306,7 @@ def battery_theory_vs_oracle(corpus, limit=60):
 
 
 def battery_left_degree_bound(corpus, limit=25):
-    from sgmindeg.mindeg import left_degrees
+    from sgmindeg.mindeg import left_degrees, min_partial_degree
     from sgmindeg.errors import NotRhodesSemisimple
 
     checked = 0
@@ -314,7 +314,11 @@ def battery_left_degree_bound(corpus, limit=25):
         if checked >= limit:
             break
         try:
-            lr = left_degrees(s)
+            right_m = min_partial_degree(s).m
+        except NotRhodesSemisimple:
+            right_m = None
+        try:
+            lr = left_degrees(s, right_m)
         except NotRhodesSemisimple:
             continue
         assert lr.bound_ok is None or lr.bound_ok
