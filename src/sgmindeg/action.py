@@ -20,7 +20,7 @@ from .core import (
     greens,
     small_generating_set,
 )
-from .errors import NotIdempotent, NotRhodesSemisimple, NotSemisimpleAction
+from .errors import InvariantViolated, NotIdempotent, NotRhodesSemisimple, NotSemisimpleAction
 from .grouptheory import GroupAction
 
 UNDEF = -1
@@ -141,7 +141,7 @@ def orbits(
 
     The apex is the unique minimal J-class acting nonemptily on the orbit
     (with the action restricted to the orbit); uniqueness and regularity are
-    asserted, a violation indicates a bug."""
+    checked, a violation indicates a bug."""
     if g is None:
         g = greens(s)
     d = omega.degree
@@ -179,9 +179,11 @@ def orbits(
         acting = np.flatnonzero(inside.any(axis=1))
         jset = sorted(set(int(j) for j in g.jclass_of[acting]))
         minimal = [j for j in jset if not any(g.jorder_lt[j2, j] for j2 in jset if j2 != j)]
-        assert len(minimal) == 1, f"orbit has {len(minimal)} minimal acting J-classes"
+        if len(minimal) != 1:
+            raise InvariantViolated(f"orbit has {len(minimal)} minimal acting J-classes")
         apex = minimal[0]
-        assert g.regular[apex], "apex J-class must be regular"
+        if not g.regular[apex]:
+            raise InvariantViolated("apex J-class must be regular")
         out.append(Orbit(points=pts_tuple, kind="transitive", apex=apex, invariant=invariant))
     return OrbitDecomposition(orbit_of=orbit_of, orbits=tuple(out))
 
@@ -272,7 +274,8 @@ def faithful_by_criterion(
             if m == e:
                 continue
             moved = omega.maps[m, fixed]
-            assert (moved >= 0).all(), "group element must act totally on the e_J-image"
+            if not (moved >= 0).all():
+                raise InvariantViolated("group element must act totally on the e_J-image")
             if (moved == fixed).all():
                 return False
     return True
@@ -411,7 +414,7 @@ def greens_quotient(
         c = class_of[p]
         expected = qmaps[:, c] if c >= 0 else np.full(n, UNDEF, dtype=np.int32)
         if not np.array_equal(mapped[:, p], expected):
-            raise AssertionError("Green's congruence is not an action congruence")
+            raise InvariantViolated("Green's congruence is not an action congruence")
     return PartialAction(degree=k, maps=qmaps), class_of
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     EmptyGeneratorSet,
     IndexOutOfRange,
+    InvariantViolated,
     NonAssociative,
     NotRegular,
     SizeLimitExceeded,
@@ -51,22 +52,33 @@ class FiniteSemigroup:
         return int(self.table[s, s]) == s
 
 
-def closure_mask(table: np.ndarray, seed: Iterable[int]) -> np.ndarray:
-    """Boolean mask of the subsemigroup generated by ``seed`` under ``table``."""
+def closure_mask(
+    table: np.ndarray,
+    seed: Iterable[int],
+    base: np.ndarray | None = None,
+    stop: int | None = None,
+) -> np.ndarray:
+    """Boolean mask of the subsemigroup generated by ``seed`` under ``table``.
+
+    ``base``, if given, must be a closed mask; the result is then the closure
+    of ``base`` and ``seed``, and each round multiplies only members by the
+    elements new in the previous round.  With ``stop``, the loop returns as
+    soon as that element is in the mask, which may then be incomplete.
+    """
     n = table.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    frontier = [s for s in dict.fromkeys(int(x) for x in seed)]
-    mask[frontier] = True
-    while frontier:
+    mask = np.zeros(n, dtype=bool) if base is None else base.copy()
+    hit = np.zeros(n, dtype=bool)
+    hit[np.fromiter(seed, dtype=np.int64)] = True
+    frontier = np.flatnonzero(hit & ~mask)
+    while len(frontier):
+        mask[frontier] = True
+        if stop is not None and mask[stop]:
+            break
         members = np.flatnonzero(mask)
-        fr = np.asarray(frontier)
-        prods = np.concatenate(
-            [table[np.ix_(members, fr)].ravel(), table[np.ix_(fr, members)].ravel()]
-        )
-        new = np.unique(prods)
-        new = new[~mask[new]]
-        mask[new] = True
-        frontier = new.tolist()
+        hit = np.zeros(n, dtype=bool)
+        hit[table[np.ix_(members, frontier)]] = True
+        hit[table[np.ix_(frontier, members)]] = True
+        frontier = np.flatnonzero(hit & ~mask)
     return mask
 
 
@@ -78,12 +90,13 @@ def small_generating_set(table: np.ndarray) -> list[int]:
     for e in range(n):
         if not covered[e]:
             gens.append(e)
-            covered = closure_mask(table, gens)
+            covered = closure_mask(table, [e], base=covered)
+    # gens generates everything, so gens minus g still does exactly when g is in <rest>
     for g in list(gens):
         if len(gens) == 1:
             break
         rest = [x for x in gens if x != g]
-        if closure_mask(table, rest).all():
+        if closure_mask(table, rest, stop=g)[g]:
             gens = rest
     return gens
 
@@ -394,7 +407,8 @@ def rees_coordinatize(
                 sandwich[bi, ai] = gpos[prod] + 1
     if not (sandwich.any(axis=0).all() and sandwich.any(axis=1).all()):
         raise NotRegular(f"sandwich matrix of J-class {j} has a zero row or column")
-    assert sandwich[0, 0] == 1, "normalization C[b0][a0] = identity failed"
+    if sandwich[0, 0] != 1:
+        raise InvariantViolated("normalization C[b0][a0] = identity failed")
 
     triple_to_elem = np.empty((na, m, nb), dtype=np.int32)
     elem_to_triple: dict[int, tuple[int, int, int]] = {}
@@ -454,7 +468,7 @@ def _verify_rees_multiplication(
         c = rc.sandwich[b_arr[lo:hi][:, None], a_arr[None, :]]
         nz = c != 0
         if not (g.jclass_of[prods[~nz]] != rc.jclass).all():
-            raise AssertionError("Rees law: product with zero sandwich entry stayed in J")
+            raise InvariantViolated("Rees law: product with zero sandwich entry stayed in J")
         gx = np.broadcast_to(g_arr[lo:hi][:, None], prods.shape)[nz]
         gy = np.broadcast_to(g_arr[None, :], prods.shape)[nz]
         gmid = rc.group_mul[gx, c[nz] - 1]
@@ -463,4 +477,4 @@ def _verify_rees_multiplication(
         by = np.broadcast_to(b_arr[None, :], prods.shape)[nz]
         expect = rc.triple_to_elem[ax, gall, by]
         if not np.array_equal(expect, prods[nz]):
-            raise AssertionError("Rees law: coordinate product disagrees with the table")
+            raise InvariantViolated("Rees law: coordinate product disagrees with the table")

@@ -49,8 +49,8 @@ class GroupTable:
     def of_rees(r: ReesCoordinatization) -> "GroupTable":
         return GroupTable(table=r.group_mul, inv=r.group_inv)
 
-    def conjugate_set(self, members: np.ndarray, x: int) -> np.ndarray:
-        """x^-1 H x as a sorted array of positions."""
+    def conjugate_set(self, members: np.ndarray, x: int | np.ndarray) -> np.ndarray:
+        """x^-1 H x as a sorted array of positions; a column of x gives one row per x."""
         return np.sort(self.table[self.table[self.inv[x], members], x])
 
 
@@ -68,25 +68,8 @@ class SubgroupLattice:
 
 
 def _canonical_rep(g: GroupTable, members: np.ndarray) -> tuple[int, ...]:
-    best: tuple[int, ...] | None = None
-    for x in range(g.order):
-        cand = tuple(int(v) for v in g.conjugate_set(members, x))
-        if best is None or cand < best:
-            best = cand
-    return best  # type: ignore[return-value]
-
-
-def _core_of(g: GroupTable, members: np.ndarray) -> tuple[int, ...]:
-    mask = np.zeros(g.order, dtype=bool)
-    mask[members] = True
-    core = mask.copy()
-    for x in range(g.order):
-        conj = np.zeros(g.order, dtype=bool)
-        conj[g.conjugate_set(members, x)] = True
-        core &= conj
-        if core.sum() == 1:
-            break
-    return tuple(int(v) for v in np.flatnonzero(core))
+    conj = g.conjugate_set(members, np.arange(g.order)[:, None])
+    return tuple(conj[np.lexsort(conj.T[::-1])[0]].tolist())  # least conjugate
 
 
 def subgroup_classes(g: GroupTable, cap: int = SUBGROUP_ENUM_CAP) -> SubgroupLattice:
@@ -95,51 +78,48 @@ def subgroup_classes(g: GroupTable, cap: int = SUBGROUP_ENUM_CAP) -> SubgroupLat
     Every subgroup arises from a chain of single-generator extensions starting
     at a cyclic subgroup, and extending a class representative H by double
     coset representatives of H covers all extensions of the class up to
-    conjugacy.
+    conjugacy.  Every conjugate of a class is registered as a packed bitmask,
+    so meeting any member of a known class again costs one set lookup.
     """
     m = g.order
     if m > cap:
         raise GroupTooLarge(f"group order {m} exceeds cap {cap}")
     t = g.table
 
-    found: dict[tuple[int, ...], np.ndarray] = {}
-    queue: list[np.ndarray] = []
+    seen: set[bytes] = set()
+    classes: list[SubgroupClass] = []
+    queue: list[np.ndarray] = []  # class representatives as masks
 
-    def register(members: np.ndarray) -> None:
-        canon = _canonical_rep(g, members)
-        if canon not in found:
-            arr = np.array(canon, dtype=np.int64)
-            found[canon] = arr
-            queue.append(arr)
+    def register(mask: np.ndarray) -> None:
+        if np.packbits(mask).tobytes() in seen:
+            return
+        conj = g.conjugate_set(np.flatnonzero(mask), np.arange(m)[:, None])
+        conj_masks = np.zeros((m, m), dtype=bool)
+        conj_masks[np.arange(m)[:, None], conj] = True
+        seen.update(row.tobytes() for row in np.packbits(conj_masks, axis=1))
+        least = np.lexsort(conj.T[::-1])[0]
+        core = np.flatnonzero(conj_masks.all(axis=0))  # intersection of all conjugates
+        rep = tuple(conj[least].tolist())
+        classes.append(SubgroupClass(rep=rep, index=m // len(rep), core=tuple(core.tolist())))
+        queue.append(conj_masks[least])
 
     for x in range(m):
-        members = np.flatnonzero(closure_mask(t, [x]))
-        register(members)
+        register(closure_mask(t, [x]))
 
-    qi = 0
-    while qi < len(queue):
-        h = queue[qi]
-        qi += 1
-        if len(h) == m:
+    for in_h in queue:  # register() appends to the queue while it is walked
+        if in_h.all():
             continue
-        in_h = np.zeros(m, dtype=bool)
-        in_h[h] = True
+        h = np.flatnonzero(in_h)
         used = in_h.copy()
         for x in range(m):
             if used[x]:
                 continue
-            k = np.flatnonzero(closure_mask(t, list(h) + [x]))
-            register(k)
+            register(closure_mask(t, [x], base=in_h))
             hx = t[h, x]  # H x
             used[t[np.ix_(hx, h)].ravel()] = True  # mark the double coset H x H
             used[hx] = True
 
-    classes = []
-    for canon in sorted(found, key=lambda c: (len(c), c)):
-        members = found[canon]
-        classes.append(
-            SubgroupClass(rep=canon, index=m // len(canon), core=_core_of(g, members))
-        )
+    classes.sort(key=lambda c: (len(c.rep), c.rep))
     return SubgroupLattice(group=g, classes=tuple(classes))
 
 

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .core import FiniteSemigroup, PartialMap, closure_mask, compose_maps, small_generating_set
-from .errors import EmptyGeneratorSet, SemigroupError
+from .errors import EmptyGeneratorSet, InvariantViolated, SemigroupError
 
 DEFAULT_BUDGET_SECS = 60.0
 MODES = ("partial", "total", "partial_bijection")
@@ -84,7 +84,8 @@ def monogenic_type_of_map(m: PartialMap) -> tuple[int, int]:
 def generating_set(s: FiniteSemigroup) -> list[int]:
     """Greedy irredundant generating set, verified by closure."""
     gens = small_generating_set(s.table)
-    assert closure_mask(s.table, gens).all()
+    if not closure_mask(s.table, gens).all():
+        raise InvariantViolated("generating set does not generate the semigroup")
     return gens
 
 
@@ -245,7 +246,8 @@ def brute_min_degree(query: OracleQuery) -> OracleResult:
                 elapsed=budget.elapsed(),
             )
         if witness is not None:
-            assert verify_embedding(s, witness)
+            if not verify_embedding(s, witness):
+                raise InvariantViolated(f"degree-{n} witness is not an embedding")
             return OracleResult(
                 status="found",
                 degree=n,

@@ -15,7 +15,7 @@ def pytest_addoption(parser):
         "--run-long",
         action="store_true",
         default=False,
-        help="run long extended tests (S_6 subgroup lattice cases, ~3 min)",
+        help="run long extended tests (S_6 subgroup lattice cases, ~25 s)",
     )
 
 

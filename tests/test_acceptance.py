@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s`; the S_6 exceptional cases
-need `--run-long` (the S_6 subgroup lattice takes about 40 s per case).
+need `--run-long` (the three S_6 cases take 22-26 s together on 2 cores).
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from sgmindeg import builders
+from sgmindeg import builders, oracle
 from sgmindeg.cli import main
+from sgmindeg.errors import InvariantViolated
 from sgmindeg.fileio import dump_sgt
 
 
@@ -65,6 +66,18 @@ def test_oracle_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "degree: 4" in out
     assert main(["oracle", path, "--mode", "total", "--max-degree", "3"]) == 3
+
+
+def test_rejected_oracle_witness_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "verify_embedding", lambda s, images: False)
+    built = builders.rectangular_band(2, 2)
+    query = oracle.OracleQuery(semigroup=built.semigroup, mode="total", max_n=5)
+    with pytest.raises(InvariantViolated):
+        oracle.brute_min_degree(query)
+    path = write_sgt(tmp_path, built, "rb.sgt")
+    assert main(["oracle", path, "--mode", "total", "--max-degree", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "witness" in err and "Traceback" not in err
 
 
 def test_oracle_budget_env(tmp_path, capsys, monkeypatch):

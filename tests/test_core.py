@@ -7,6 +7,7 @@ from conftest import NULL2
 from sgmindeg import builders
 from sgmindeg.core import (
     check_associativity,
+    closure_mask,
     from_partial_maps,
     from_table,
     greens,
@@ -232,10 +233,40 @@ def test_generating_set_is_irredundant_and_generates():
     for b in [builders.full_transformation(3), builders.binary_relations(2)]:
         t = b.semigroup.table
         gens = small_generating_set(t)
-        from sgmindeg.core import closure_mask
-
         assert closure_mask(t, gens).all()
         for g0 in gens:
             rest = [x for x in gens if x != g0]
             if rest:
                 assert not closure_mask(t, rest).all()
+
+
+@pytest.mark.parametrize(
+    "built, gens",
+    [
+        (lambda: builders.symmetric_inverse(4), [92, 97, 116, 124]),
+        (lambda: builders.binary_relations(3), [80, 84, 92, 98, 238]),
+        (lambda: builders.matrix_monoid(3, 2), [83, 86, 92]),
+        (lambda: builders.partial_transformation(4), [193, 198, 214, 269, 294]),
+    ],
+    ids=["SIM_4", "B_3", "M_3_F2", "PT_4"],
+)
+def test_generating_set_pinned(built, gens):
+    # the oracle assigns images to exactly these generators, so the lists must not drift
+    assert small_generating_set(built().semigroup.table) == gens
+
+
+def test_closure_base_and_stop_match_full_closure(random_corpus):
+    # random magmas (mostly non-associative) plus the associative random corpus
+    rng = np.random.default_rng(31)
+    tables = [rng.integers(0, n, size=(n, n)) for n in rng.integers(1, 10, size=300)]
+    tables += [s.table for s, _ in random_corpus]
+    for t in tables:
+        n = t.shape[0]
+        a = rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist()
+        s = rng.choice(n, size=rng.integers(0, 3), replace=True).tolist()
+        base = closure_mask(t, a)
+        full = closure_mask(t, a + s)
+        assert np.array_equal(closure_mask(t, s, base=base), full)
+        g = int(rng.integers(n))
+        assert closure_mask(t, s, stop=g)[g] == closure_mask(t, s)[g]
+        assert closure_mask(t, s, base=base, stop=g)[g] == full[g]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sgmindeg import builders
+from sgmindeg.core import from_partial_maps
 from sgmindeg.errors import GroupTooLarge, NotSubgroup
 from sgmindeg.grouptheory import (
     GroupTable,
@@ -22,6 +23,12 @@ def gt_of(semigroup):
 def perm_indices(n, pred):
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     return tuple(i for i, p in enumerate(perms) if pred(p))
+
+
+def perm_group(degree, gens):
+    """The permutation group generated by gens, identity first."""
+    s, _ = from_partial_maps(degree, [tuple(range(degree))] + list(gens))
+    return GroupTable.from_table(s.table)
 
 
 def parity(p):
@@ -65,6 +72,31 @@ def test_subgroups_s5_class_count():
         builders.symmetric_group(5).semigroup.table, validate=False
     )
     assert len(subgroup_classes(g).classes) == 19
+
+
+C2 = builders.cyclic(2).semigroup
+S3 = builders.symmetric_group(3).semigroup
+
+
+@pytest.mark.parametrize(
+    "group, count",
+    [
+        (lambda: GroupTable.from_table(builders.direct_product(builders.direct_product(C2, C2), C2).table), 16),
+        (lambda: perm_group(8, [tuple((i + 1) % 8 for i in range(8)), tuple(-i % 8 for i in range(8))]), 11),
+        (lambda: perm_group(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]), 9),
+        (lambda: GroupTable.from_table(builders.direct_product(S3, S3).table), 22),
+    ],
+    ids=["C2^3", "D_8(order16)", "A_5", "S3xS3"],
+)
+def test_subgroup_class_counts_and_cores(group, count):
+    # published numbers of conjugacy classes of subgroups
+    g = group()
+    lat = subgroup_classes(g)
+    assert len(lat.classes) == count
+    every_x = np.arange(g.order)[:, None]
+    for c in lat.classes:
+        assert set(c.core) <= set(c.rep)
+        assert (g.conjugate_set(np.asarray(c.core), every_x) == np.asarray(c.core)).all()
 
 
 def test_subgroups_cores_are_normal():
