@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import PartialAction
-from .core import FiniteSemigroup, PartialMap, compose_maps, from_table
-from .errors import BadParameters
+from .core import FiniteSemigroup, PartialMap, from_table
+from .errors import BadParameters, InvariantViolated
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,20 @@ class BuiltSemigroup:
 def _semigroup_from_all_maps(
     all_maps: list[PartialMap], degree: int, label: str
 ) -> BuiltSemigroup:
-    index = {m: i for i, m in enumerate(all_maps)}
     n = len(all_maps)
-    table = np.empty((n, n), dtype=np.int32)
-    for a, ma in enumerate(all_maps):
-        for b, mb in enumerate(all_maps):
-            table[a, b] = index[compose_maps(ma, mb)]
+    act = np.array(all_maps, dtype=np.int32).reshape(n, degree)
+    # Undefined becomes the extra point `degree`, fixed by every map.
+    ext = np.hstack([np.where(act < 0, degree, act), np.full((n, 1), degree, dtype=np.int32)])
+    # products[a, b, p] = ext[b, ext[a, p]]: apply a first, then b
+    products = ext[np.arange(n)[None, :, None], ext[:, None, :degree]]
+    # a map is found by its images read as base-(degree + 1) digits
+    weights = (degree + 1) ** np.arange(degree - 1, -1, -1, dtype=np.int64)
+    lookup = np.full((degree + 1) ** degree, -1, dtype=np.int32)
+    lookup[ext[:, :degree] @ weights] = np.arange(n, dtype=np.int32)
+    table = lookup[products @ weights]
+    if (table < 0).any():
+        raise InvariantViolated(f"the maps of {label} are not closed under composition")
     s = from_table(table, validate=False)  # composition is associative
-    act = np.array([list(m) for m in all_maps], dtype=np.int32).reshape(n, degree)
     return BuiltSemigroup(
         semigroup=s, natural_action=PartialAction(degree=degree, maps=act), label=label
     )

@@ -2,16 +2,26 @@
 
 Searches for an injective homomorphism of an abstract semigroup into PT_n,
 T_n, or the partial bijections on n points by assigning images to a small
-generating set, one full map at a time.  Pruning comes from propagating the
-multiplication table through the partially built homomorphism and from
-matching the index/period of each generator.  Point-relabeling symmetry is
-broken by a canonical fresh-point rule on the first assigned generator.
+generating set, one full map at a time.  A generator's candidate images are
+only the maps of its monogenic type (index, period): they are built point by
+point, and a partial map is dropped as soon as no completion of it can have
+that type.  Each list of candidates is built once per degree and only as far
+as the search reads it.  Pruning between generators comes from propagating
+the multiplication table through the partially built homomorphism.
+Point-relabeling symmetry is broken by a canonical fresh-point rule on the
+first assigned generator.
+
+The search's node count (``OracleResult.nodes``) is the number of point
+assignments made while building candidate maps plus the number of candidate
+maps tried as a generator's image.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from math import gcd
 
 from .core import FiniteSemigroup, PartialMap, closure_mask, compose_maps, small_generating_set
 from .errors import EmptyGeneratorSet, InvariantViolated, SemigroupError
@@ -46,11 +56,11 @@ class _Budget:
         self.start = time.monotonic()
         self.nodes = 0
 
-    def tick(self) -> bool:
+    def tick(self) -> None:
+        """Count one node; raise _Timeout once the deadline has passed."""
         self.nodes += 1
         if self.nodes % 256 == 0 and time.monotonic() > self.deadline:
-            return False
-        return True
+            raise _Timeout
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
@@ -89,36 +99,113 @@ def generating_set(s: FiniteSemigroup) -> list[int]:
     return gens
 
 
-def _candidate_maps(n: int, mode: str, fresh_rule: bool):
-    """Lexicographic enumeration of maps on n points; undefined sorts first.
+def _prime_powers(p: int) -> list[int]:
+    """The prime powers q^e exactly dividing p."""
+    out, q = [], 2
+    while p > 1:
+        if p % q == 0:
+            qe = 1
+            while p % q == 0:
+                p //= q
+                qe *= q
+            out.append(qe)
+        q += 1
+    return out
 
-    With fresh_rule, a value may exceed by at most one the largest point index
-    seen so far in the scan (positions up to the current one count as seen).
-    Any embedding can be relabeled to satisfy the rule on its first generator,
-    so applying it there is a sound symmetry break.
+
+def _maps_of_type(
+    n: int, mode: str, mtype: tuple[int, int], fresh_rule: bool, tick: Callable[[], None]
+) -> Iterator[PartialMap]:
+    """The maps on n points of monogenic type ``mtype`` = (index, period), in
+    lexicographic order with undefined sorting first.
+
+    map[0], map[1], ... are assigned in turn.  With fresh_rule, a value may
+    exceed by at most one the largest point index seen so far in the scan
+    (positions up to the current one count as seen).  Any embedding can be
+    relabeled to satisfy the rule on its first generator, so applying it there
+    is a sound symmetry break.  In partial_bijection mode no defined value
+    repeats.  ``tick`` is called on every point assignment.
+
+    Undefined acts as a fixed sink point.  A map's period is the lcm of its
+    cycle lengths, and its index is max(1, largest height), a point's height
+    being its number of steps to a cycle or the sink.  A prefix is dropped when
+    it has closed a cycle whose length does not divide the period, when a
+    point's height is known and exceeds the index, or when the prime powers of
+    the period missing from the closed cycles' lcm sum to more than the points
+    that could still lie on a new cycle.  Every complete map is checked
+    exactly, so the output is the type's maps and nothing else.
     """
-    values_base = list(range(n))
+    index, period = mtype
+    powers = _prime_powers(period)
+    values = ([-1] if mode != "total" else []) + list(range(n))
     cur = [0] * n
+    used = [False] * n
 
-    def rec(pos: int, maxseen: int, used: set[int]):
+    def feasible(k: int) -> bool:
+        """False when no completion of cur[:k] has type (index, period)."""
+        # -2 unvisited, -3 on the current walk, -1 open (the walk ends at an
+        # unassigned point), >= 0 the known height
+        height = [-2] * k
+        cycle_lcm, closed, known = 1, 0, 0
+        for x in range(k):
+            if height[x] != -2:
+                continue
+            path = []
+            y = x
+            while 0 <= y < k and height[y] == -2:
+                height[y] = -3
+                path.append(y)
+                y = cur[y]
+            if y < 0:
+                base = 0
+            elif y >= k:
+                base = -1
+            elif height[y] == -3:
+                start = path.index(y)
+                length = len(path) - start
+                if period % length:
+                    return False
+                cycle_lcm = cycle_lcm * length // gcd(cycle_lcm, length)
+                closed += length
+                for z in path[start:]:
+                    height[z] = 0
+                del path[start:]
+                base = 0
+            else:
+                base = height[y]
+            for z in reversed(path):
+                if base >= 0:
+                    base += 1
+                    if base > index:
+                        return False
+                    known += 1
+                height[z] = base
+        return sum(q for q in powers if cycle_lcm % q) <= n - closed - known
+
+    def rec(pos: int, maxseen: int) -> Iterator[PartialMap]:
         if pos == n:
-            yield tuple(cur)
+            m = tuple(cur)
+            if monogenic_type_of_map(m) == mtype:
+                yield m
             return
         ms = max(maxseen, pos)
-        vals = ([-1] if mode != "total" else []) + values_base
-        for v in vals:
+        for v in values:
             if v >= 0:
                 if fresh_rule and v > ms + 1:
+                    break
+                if mode == "partial_bijection" and used[v]:
                     continue
-                if mode == "partial_bijection" and v in used:
-                    continue
-                used.add(v)
+            tick()
             cur[pos] = v
-            yield from rec(pos + 1, max(ms, v), used)
+            if pos + 1 < n and not feasible(pos + 1):
+                continue
             if v >= 0:
-                used.discard(v)
+                used[v] = True
+            yield from rec(pos + 1, max(ms, v))
+            if v >= 0:
+                used[v] = False
 
-    yield from rec(0, -1, set())
+    return rec(0, -1)
 
 
 def close_embedding(
@@ -178,6 +265,19 @@ def verify_embedding(s: FiniteSemigroup, images: dict[int, PartialMap]) -> bool:
     return hom is not None and len(hom) == s.size
 
 
+def _replay(items: list[PartialMap], source: Iterator[PartialMap]) -> Iterator[PartialMap]:
+    """Iterate ``items``, extending it from ``source`` once past its end."""
+    k = 0
+    while True:
+        if k == len(items):
+            nxt = next(source, None)
+            if nxt is None:
+                return
+            items.append(nxt)
+        yield items[k]
+        k += 1
+
+
 def _search_degree(
     s: FiniteSemigroup,
     gens: list[int],
@@ -186,7 +286,18 @@ def _search_degree(
     budget: _Budget,
 ) -> dict[int, PartialMap] | None:
     gen_types = [monogenic_type_of_element(s, g) for g in gens]
+    # Candidates of the later generators, by type: each map is built once per
+    # degree, and only when the search first reads that far.
+    pulled: dict[tuple[int, int], tuple[list[PartialMap], Iterator[PartialMap]]] = {}
     assigned: dict[int, PartialMap] = {}
+
+    def candidates(i: int) -> Iterator[PartialMap]:
+        if i == 0:
+            return _maps_of_type(n, mode, gen_types[0], True, budget.tick)
+        t = gen_types[i]
+        if t not in pulled:
+            pulled[t] = ([], _maps_of_type(n, mode, t, False, budget.tick))
+        return _replay(*pulled[t])
 
     def rec(i: int) -> dict[int, PartialMap] | None:
         if i == len(gens):
@@ -194,11 +305,8 @@ def _search_degree(
             if hom is not None and len(hom) == s.size:
                 return dict(assigned)
             return None
-        for cand in _candidate_maps(n, mode, fresh_rule=(i == 0)):
-            if not budget.tick():
-                raise _Timeout
-            if monogenic_type_of_map(cand) != gen_types[i]:
-                continue
+        for cand in candidates(i):
+            budget.tick()
             assigned[gens[i]] = cand
             if close_embedding(s, assigned) is not None:
                 found = rec(i + 1)

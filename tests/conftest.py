@@ -7,7 +7,7 @@ import pytest
 
 from sgmindeg import builders
 from sgmindeg.action import PartialAction
-from sgmindeg.core import from_partial_maps
+from sgmindeg.core import from_partial_maps, from_table
 
 
 def pytest_addoption(parser):
@@ -117,3 +117,20 @@ def b2():
 @pytest.fixture(scope="session")
 def s2_rb22():
     return builders.rectangular_group(builders.cyclic(2).semigroup, 2, 2).semigroup
+
+
+@pytest.fixture(scope="session")
+def clifford_c4_c2():
+    """Chain of groups C_4 -> C_2 with linking map a -> a mod 2 (m = 6)."""
+    n = 6
+    t = np.zeros((n, n), dtype=int)
+    for a in range(4):
+        for b in range(4):
+            t[a, b] = (a + b) % 4
+        for h in range(2):
+            t[a, 4 + h] = 4 + (a + h) % 2
+            t[4 + h, a] = 4 + (h + a) % 2
+    for h in range(2):
+        for k in range(2):
+            t[4 + h, 4 + k] = 4 + (h + k) % 2
+    return from_table(t)

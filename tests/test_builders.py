@@ -8,7 +8,7 @@ import pytest
 from sgmindeg import builders
 from sgmindeg.builders import FamilySpec, build
 from sgmindeg.congruence import ggm_congruence_at
-from sgmindeg.core import check_associativity, greens, opposite, rees_coordinatize
+from sgmindeg.core import check_associativity, compose_maps, greens, opposite, rees_coordinatize
 from sgmindeg.errors import BadParameters
 
 
@@ -139,3 +139,24 @@ def test_natural_actions_are_faithful():
     ]:
         assert is_faithful(b.semigroup, b.natural_action)[0]
         assert check_compatibility(b.semigroup, b.natural_action)
+
+
+def _table_by_pairs(maps):
+    index = {m: i for i, m in enumerate(maps)}
+    return [[index[compose_maps(f, g)] for g in maps] for f in maps]
+
+
+@pytest.mark.parametrize(
+    "family, sizes",
+    [
+        (builders.full_transformation, (1, 2, 3, 4)),
+        (builders.partial_transformation, (1, 2, 3, 4)),
+        (builders.symmetric_inverse, (1, 2, 3, 4)),
+        (builders.symmetric_group, (1, 2, 3, 4, 5, 6)),
+    ],
+)
+def test_map_family_tables_match_pairwise_composition(family, sizes):
+    for n in sizes:
+        b = family(n)
+        maps = [tuple(int(v) for v in row) for row in b.natural_action.maps]
+        assert b.semigroup.table.tolist() == _table_by_pairs(maps), b.label

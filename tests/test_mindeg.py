@@ -198,29 +198,13 @@ def test_left_degrees_oracle_fallback():
     assert lr.right_m is None and lr.bound_ok is None
 
 
-def clifford_c4_over_c2():
-    """Chain of groups C_4 -> C_2 with linking map a -> a mod 2."""
-    n = 6
-    t = np.zeros((n, n), dtype=int)
-    for a in range(4):
-        for b in range(4):
-            t[a, b] = (a + b) % 4
-        for h in range(2):
-            t[a, 4 + h] = 4 + (a + h) % 2
-            t[4 + h, a] = 4 + (h + a) % 2
-    for h in range(2):
-        for k in range(2):
-            t[4 + h, 4 + k] = 4 + (h + k) % 2
-    return from_table(t)
-
-
-def test_clifford_chain_with_proper_invisible_subgroup():
+def test_clifford_chain_with_proper_invisible_subgroup(clifford_c4_c2):
     # the top class has M_J = ker(C_4 -> C_2), a proper nontrivial normal
     # subgroup: the C_2-stabilizer orbit is inadmissible (its core meets M_J)
     # and the regular orbit is forced, giving d = 4; the bottom group adds 2
     from sgmindeg.oracle import OracleQuery, brute_min_degree
 
-    s = clifford_c4_over_c2()
+    s = clifford_c4_c2
     g = greens(s)
     rep = rm_irreducible_classes(s, g)
     assert rep.irreducible_ids() == [0, 1]

@@ -7,6 +7,7 @@ from sgmindeg.core import from_partial_maps, opposite
 from sgmindeg.errors import SemigroupError
 from sgmindeg.oracle import (
     OracleQuery,
+    _maps_of_type,
     brute_min_degree,
     close_embedding,
     generating_set,
@@ -145,3 +146,96 @@ def test_close_embedding_detects_conflicts():
     # an order-2 image cannot represent an order-4 generator injectively
     assert close_embedding(s, {1: (1, 0)}) is None or len(close_embedding(s, {1: (1, 0)})) < 4
     assert verify_embedding(s, {1: (1, 2, 3, 0)})
+
+
+def _all_maps_reference(n, mode, fresh_rule):
+    """Every map on n points, undefined sorting first, under the fresh-point
+    and partial-bijection rules: the enumeration the oracle filtered by type
+    before it built maps of one type point by point."""
+    cur = [0] * n
+
+    def rec(pos, maxseen, used):
+        if pos == n:
+            yield tuple(cur)
+            return
+        ms = max(maxseen, pos)
+        for v in ([-1] if mode != "total" else []) + list(range(n)):
+            if v >= 0:
+                if fresh_rule and v > ms + 1:
+                    continue
+                if mode == "partial_bijection" and v in used:
+                    continue
+                used.add(v)
+            cur[pos] = v
+            yield from rec(pos + 1, max(ms, v), used)
+            if v >= 0:
+                used.discard(v)
+
+    yield from rec(0, -1, set())
+
+
+def test_maps_of_type_equals_filtered_enumeration():
+    ticks = []
+    for n in range(6):
+        for mode in ("partial", "total", "partial_bijection"):
+            for fresh_rule in (False, True):
+                every = list(_all_maps_reference(n, mode, fresh_rule))
+                types = {monogenic_type_of_map(m) for m in every} | {(1, 7), (3, 2)}
+                for t in sorted(types):
+                    want = [m for m in every if monogenic_type_of_map(m) == t]
+                    got = list(_maps_of_type(n, mode, t, fresh_rule, lambda: ticks.append(1)))
+                    assert got == want, (n, mode, fresh_rule, t)
+    assert ticks
+
+
+# Answers of the full search from degree 1, recorded before the candidate maps
+# were built by type; the search order is unchanged, so the witness is too.
+PINNED = {
+    "clifford_c4_c2": (6, {1: (1, 0, 3, 4, 5, 2), 4: (0, 1, -1, -1, -1, -1)}),
+    "sigma_square_3_102": (
+        5,
+        {1: (1, 1, 2, 4, 4), 2: (0, 0, 3, 2, 2), 12: (0, 3, 2, 3, 0)},
+    ),
+    "sigma_square_2_10": (4, {1: (0, 0, 2, 2), 4: (3, 1, 1, 3)}),
+    "C_7": (7, {1: (1, 2, 3, 4, 5, 6, 0)}),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(clifford_c4_c2):
+    return {
+        "clifford_c4_c2": clifford_c4_c2,
+        "sigma_square_3_102": builders.sigma_square(3, (1, 0, 2)).semigroup,
+        "sigma_square_2_10": builders.sigma_square(2, (1, 0)).semigroup,
+        "C_7": builders.cyclic(7).semigroup,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_witnesses(pinned_inputs, name):
+    m, witness = PINNED[name]
+    res = brute_min_degree(
+        OracleQuery(semigroup=pinned_inputs[name], mode="partial", min_n=1, max_n=m, budget_secs=200)
+    )
+    assert (res.status, res.degree, res.searched_up_to) == ("found", m, m)
+    assert res.witness == witness
+
+
+@pytest.mark.parametrize("name, lo, hi", [("sigma_square_3_102", 1, 4), ("sigma_square_2_10", 2, 4)])
+def test_nodes_add_up_per_degree(pinned_inputs, name, lo, hi):
+    s = pinned_inputs[name]
+    whole = brute_min_degree(OracleQuery(semigroup=s, min_n=lo, max_n=hi, budget_secs=200))
+    singles = [
+        brute_min_degree(OracleQuery(semigroup=s, min_n=n, max_n=n, budget_secs=200))
+        for n in range(lo, hi + 1)
+    ]
+    assert whole.nodes == sum(r.nodes for r in singles)
+    assert [r.status for r in singles][:-1] == ["not_found"] * (hi - lo)
+    assert singles[-1].status == whole.status
+
+
+def test_budget_stops_a_long_degree(clifford_c4_c2):
+    res = brute_min_degree(
+        OracleQuery(semigroup=clifford_c4_c2, mode="partial", min_n=6, max_n=6, budget_secs=0.0)
+    )
+    assert res.status == "timeout" and res.searched_up_to == 5
