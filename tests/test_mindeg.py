@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
 import pytest
 
 from sgmindeg import builders
