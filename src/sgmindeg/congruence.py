@@ -80,7 +80,7 @@ def ggm_congruence_at(s: FiniteSemigroup, g: GreensStructure, j: int) -> Congrue
     # through both sides iff the rows of their left-translates match.
     right = s.table[:, jelems]  # (u, y) -> u y
     rowsig = np.where(g.jclass_of[right] == j, right, -1)
-    _, row_id = np.unique(rowsig, axis=0, return_inverse=True)
+    row_id, _ = _partition_from_keys(rowsig)
     prods = s.table[jelems, :]  # (x, s) -> x s
     sig = row_id[prods].T  # one row per element s: (row_id(x s))_x
     class_of, classes = _partition_from_keys(sig)

@@ -7,6 +7,7 @@ computed from this one representation and is immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -131,7 +132,10 @@ def _scan_identity_zero(table: np.ndarray) -> tuple[int | None, int | None]:
 
 def from_table(table: Sequence[Sequence[int]] | np.ndarray, validate: bool = True) -> FiniteSemigroup:
     """Build a semigroup from a square table of element indices."""
-    arr = np.array(table, dtype=np.int32)
+    try:
+        arr = np.asarray(table, dtype=np.int64)
+    except OverflowError as exc:
+        raise IndexOutOfRange(f"table entry is out of range: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise IndexOutOfRange(f"table must be square, got shape {arr.shape}")
     n = arr.shape[0]
@@ -142,6 +146,7 @@ def from_table(table: Sequence[Sequence[int]] | np.ndarray, validate: bool = Tru
         raise IndexOutOfRange(
             f"table entry at ({bad[0]}, {bad[1]}) = {arr[bad[0], bad[1]]} is out of range 0..{n - 1}"
         )
+    arr = arr.astype(np.int32)  # in range 0..n-1, so narrowing cannot wrap
     if validate:
         check_associativity(arr)
     identity, zero = _scan_identity_zero(arr)
@@ -248,18 +253,18 @@ class GreensStructure:
 
 def _partition_from_keys(keys: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     """Group elements by identical key rows; class ids ordered by lowest member."""
-    if keys.ndim == 1:
-        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    else:
-        _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    relabel = np.empty(len(first), dtype=np.int64)
-    relabel[order] = np.arange(len(first))
-    class_of = relabel[inv]
-    classes: list[list[int]] = [[] for _ in range(len(first))]
-    for e, c in enumerate(class_of):
+    rows = np.ascontiguousarray(keys[:, None] if keys.ndim == 1 else keys)
+    buf, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+    ids: dict[bytes, int] = {}
+    class_of: list[int] = []
+    classes: list[list[int]] = []
+    for e in range(len(rows)):
+        c = ids.setdefault(buf[e * width : (e + 1) * width], len(ids))
+        if c == len(classes):
+            classes.append([])
         classes[c].append(e)
-    return class_of, tuple(tuple(c) for c in classes)
+        class_of.append(c)
+    return np.array(class_of, dtype=np.int64), tuple(tuple(c) for c in classes)
 
 
 def greens(s: FiniteSemigroup) -> GreensStructure:
@@ -387,39 +392,27 @@ def rees_coordinatize(
 
     h_e = sorted(x for x in jelems if g.rclass_of[x] == rid and g.lclass_of[x] == lid)
     group = [e] + [x for x in h_e if x != e]
-    gpos = {x: i for i, x in enumerate(group)}
     m = len(group)
+    # gpos[x] = position of x in group (-1 outside it)
+    gpos = np.full(s.size, -1, dtype=np.int32)
+    gpos[group] = np.arange(m, dtype=np.int32)
 
-    group_mul = np.empty((m, m), dtype=np.int32)
-    for i, x in enumerate(group):
-        for k, y in enumerate(group):
-            group_mul[i, k] = gpos[int(t[x, y])]
-    group_inv = np.empty(m, dtype=np.int32)
-    for i in range(m):
-        group_inv[i] = int(np.flatnonzero(group_mul[i] == 0)[0])
+    group_mul = gpos[t[np.ix_(group, group)]]
+    group_inv = np.argmax(group_mul == 0, axis=1).astype(np.int32)
 
     nb, na = len(b_ids), len(a_ids)
-    sandwich = np.zeros((nb, na), dtype=np.int32)
-    for bi, q in enumerate(q_reps):
-        for ai, r in enumerate(r_reps):
-            prod = int(t[q, r])
-            if g.jclass_of[prod] == j:
-                sandwich[bi, ai] = gpos[prod] + 1
+    prods = t[np.ix_(q_reps, r_reps)]
+    sandwich = np.where(g.jclass_of[prods] == j, gpos[prods] + 1, 0).astype(np.int32)
     if not (sandwich.any(axis=0).all() and sandwich.any(axis=1).all()):
         raise NotRegular(f"sandwich matrix of J-class {j} has a zero row or column")
     if sandwich[0, 0] != 1:
         raise InvariantViolated("normalization C[b0][a0] = identity failed")
 
-    triple_to_elem = np.empty((na, m, nb), dtype=np.int32)
-    elem_to_triple: dict[int, tuple[int, int, int]] = {}
-    for ai, r in enumerate(r_reps):
-        rg = t[r, group]
-        for gi in range(m):
-            row = t[rg[gi], q_reps]
-            for bi in range(nb):
-                x = int(row[bi])
-                triple_to_elem[ai, gi, bi] = x
-                elem_to_triple[x] = (ai, gi, bi)
+    # triple_to_elem[a, g, b] = r_a * group[g] * q_b
+    triple_to_elem = t[t[np.ix_(r_reps, group)][:, :, None], np.asarray(q_reps)[None, None, :]]
+    elem_to_triple = dict(
+        zip(triple_to_elem.ravel().tolist(), itertools.product(range(na), range(m), range(nb)))
+    )
     if len(elem_to_triple) != len(jelems) or set(elem_to_triple) != set(jelems):
         raise NotRegular(f"Rees coordinates of J-class {j} are not a bijection")
 

@@ -1,5 +1,6 @@
 """Text formats: .sgt multiplication tables, .pgen partial-map generators,
-.rees Rees matrix descriptions.  Lines starting with '#' are comments."""
+.rees Rees matrix descriptions.  Lines starting with '#' are comments; a '#'
+inside a data line is an error."""
 
 from __future__ import annotations
 
@@ -20,15 +21,36 @@ def _data_lines(text: str) -> list[str]:
     return out
 
 
+def _sgt_row_error(rows: list[str], n: int) -> str:
+    """Name the first data row that does not parse on its own or lacks n entries."""
+    for i, ln in enumerate(rows, 1):
+        try:
+            width = np.loadtxt([ln], dtype=np.int64, ndmin=2, comments=None).shape[1]
+        except ValueError:
+            return f".sgt data row {i} has an entry that is not an integer in 0..{n - 1}"
+        if width != n:
+            return f".sgt data row {i} has {width} entries, expected {n}"
+    return f".sgt rows do not form a {n} x {n} table"
+
+
 def parse_sgt(text: str) -> FiniteSemigroup:
     lines = _data_lines(text)
     if not lines:
         raise BadParameters("empty .sgt input")
-    n = int(lines[0])
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise BadParameters(f".sgt header must be the element count, got {lines[0]!r}") from None
+    if n < 1:
+        raise BadParameters(f".sgt element count must be positive, got {n}")
     if len(lines) != n + 1:
         raise BadParameters(f".sgt expects {n} table rows, found {len(lines) - 1}")
-    rows = [[int(tok) for tok in ln.split()] for ln in lines[1 : n + 1]]
-    return from_table(rows)
+    rows = lines[1:]
+    try:
+        table = np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        raise BadParameters(_sgt_row_error(rows, n)) from None
+    return from_table(table)
 
 
 def dump_sgt(s: FiniteSemigroup, header: str | None = None) -> str:
@@ -36,8 +58,7 @@ def dump_sgt(s: FiniteSemigroup, header: str | None = None) -> str:
     if header:
         lines.append(f"# {header}")
     lines.append(str(s.size))
-    for row in s.table:
-        lines.append(" ".join(str(int(v)) for v in row))
+    lines.extend(" ".join(map(str, row)) for row in s.table.tolist())
     return "\n".join(lines) + "\n"
 
 

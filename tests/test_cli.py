@@ -121,6 +121,15 @@ def test_check_agreement(tmp_path, capsys):
     assert "agreement: yes" in out
 
 
+def test_check_trivial_semigroup(tmp_path, capsys):
+    # m = 0: the empty action is faithful, so the oracle must start at degree 0
+    p = tmp_path / "one.sgt"
+    p.write_text("1\n0\n")
+    assert main(["check", str(p), "--max-degree", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "theory m: 0" in out and "oracle m: 0" in out and "agreement: yes" in out
+
+
 def test_analyze_non_semisimple(tmp_path, capsys):
     path = write_sgt(tmp_path, builders.full_transformation(2), "t2.sgt")
     assert main(["analyze", path]) == 0
@@ -148,6 +157,31 @@ def test_make_unknown_family_exit_1(capsys):
 
 def test_bad_file_exit_1(capsys):
     assert main(["analyze", "/nonexistent/file.sgt"]) == 1
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("2\n0 0\n0 2147483648\n", "2147483648 is out of range 0..1"),  # 2^31
+        ("2\n0 0\n0 4294967296\n", "4294967296 is out of range 0..1"),  # 2^32: 0 in int32
+        ("2\n0 0\n0 100000000000000000000000\n", "row 2"),  # 10^23, beyond int64
+        ("2\n0 0\n0 -1\n", "-1 is out of range 0..1"),
+        ("2\n0 0\n0 1.5\n", "row 2"),
+        ("2\n0 x\n0 0\n", "row 1"),
+        ("2\n0 0\n0\n", "row 2 has 1 entries, expected 2"),  # ragged
+        ("2\n0 0\n0 0 0\n", "row 2 has 3 entries, expected 2"),  # one wide row
+        ("2\n0 0 0\n0 0 0\n", "square"),  # every row wide
+        ("2\n0 0 # zero row\n0 0\n", "row 1"),  # only whole lines are comments
+        ("two\n0 0\n0 0\n", "header"),
+        ("0\n", "positive"),
+    ],
+)
+def test_malformed_sgt_exit_1(tmp_path, capsys, text, fragment):
+    p = tmp_path / "bad.sgt"
+    p.write_text(text)
+    assert main(["mindeg", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err and "Traceback" not in err
 
 
 def test_make_rees_output_total_pipeline(tmp_path, capsys):

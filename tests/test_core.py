@@ -6,6 +6,7 @@ import pytest
 from conftest import NULL2
 from sgmindeg import builders
 from sgmindeg.core import (
+    _partition_from_keys,
     check_associativity,
     closure_mask,
     from_partial_maps,
@@ -48,6 +49,10 @@ def test_out_of_range():
         from_table([[0, 2], [1, 0]])
     with pytest.raises(IndexOutOfRange):
         from_table([[0, 1]])
+    # checked before narrowing to int32, so 2^32 cannot wrap to a valid 0
+    for big in (2**31, 2**32, 2**63, 10**23):
+        with pytest.raises(IndexOutOfRange):
+            from_table([[0, 0], [0, big]])
 
 
 def test_light_test_matches_full_scan():
@@ -149,6 +154,79 @@ def test_greens_opposite_swaps_r_and_l(random_corpus):
         assert np.array_equal(g.lclass_of, gop.rclass_of)
         assert np.array_equal(g.jclass_of, gop.jclass_of)
         assert np.array_equal(g.hclass_of, gop.hclass_of)
+
+
+def _partition_by_unique(keys):
+    """Reference: np.unique, then class ids relabelled by lowest member."""
+    if keys.ndim == 1:
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    relabel = np.empty(len(first), dtype=np.int64)
+    relabel[order] = np.arange(len(first))
+    class_of = relabel[inv.reshape(-1)]
+    classes = [[] for _ in range(len(first))]
+    for e, c in enumerate(class_of):
+        classes[c].append(e)
+    return class_of, tuple(tuple(c) for c in classes)
+
+
+def test_partition_from_keys_matches_unique_reference():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        cases.append(rng.integers(0, 4, size=n))  # 1-D
+        cases.append(rng.integers(-1, 3, size=(n, 3)).astype(np.int32))  # int32 with -1
+        cases.append(np.packbits(rng.random((n, 11)) < 0.3, axis=1))  # packed uint8
+        cases.append(rng.integers(0, 3, size=(n, 4))[:, ::2])  # non-contiguous view
+    cases += [np.array([[5, -1, 2]]), np.zeros((7, 3), dtype=np.int64), np.full(9, 3)]
+    for keys in cases:
+        class_of, classes = _partition_from_keys(keys)
+        ref_of, ref_classes = _partition_by_unique(keys)
+        assert class_of.dtype == np.int64 and np.array_equal(class_of, ref_of)
+        assert classes == ref_classes
+
+
+def _rees_tables_by_loops(s, rc):
+    """Reference: group_mul, group_inv, sandwich and both triple maps by per-entry loops."""
+    t, j = s.table, rc.jclass
+    g = greens(s)
+    gpos = {x: i for i, x in enumerate(rc.group)}
+    m = len(rc.group)
+    group_mul = np.array([[gpos[int(t[x, y])] for y in rc.group] for x in rc.group], dtype=np.int32)
+    group_inv = np.array([list(row).index(0) for row in group_mul], dtype=np.int32)
+    sandwich = np.zeros((rc.b_count, rc.a_count), dtype=np.int32)
+    for bi, q in enumerate(rc.q_reps):
+        for ai, r in enumerate(rc.r_reps):
+            if g.jclass_of[t[q, r]] == j:
+                sandwich[bi, ai] = gpos[int(t[q, r])] + 1
+    triple_to_elem = np.empty((rc.a_count, m, rc.b_count), dtype=np.int32)
+    elem_to_triple = {}
+    for ai, r in enumerate(rc.r_reps):
+        for gi, x in enumerate(rc.group):
+            for bi, q in enumerate(rc.q_reps):
+                triple_to_elem[ai, gi, bi] = t[t[r, x], q]
+                elem_to_triple[int(t[t[r, x], q])] = (ai, gi, bi)
+    return group_mul, group_inv, sandwich, triple_to_elem, elem_to_triple
+
+
+def test_rees_tables_match_loop_reference(builder_corpus):
+    for b in builder_corpus.values():
+        s = b.semigroup
+        g = greens(s)
+        for j in g.regular_jclasses():
+            rc = rees_coordinatize(s, g, j)
+            mul, inv, sandwich, triples, coords = _rees_tables_by_loops(s, rc)
+            for got, want in [
+                (rc.group_mul, mul),
+                (rc.group_inv, inv),
+                (rc.sandwich, sandwich),
+                (rc.triple_to_elem, triples),
+            ]:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert list(rc.elem_to_triple.items()) == list(coords.items())
 
 
 def test_rees_t2_constants():

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_small_semigroups
 from sgmindeg import builders
-from sgmindeg.errors import BadParameters
+from sgmindeg.errors import BadParameters, SemigroupError
 from sgmindeg.fileio import (
     dump_pgen,
     dump_rees,
@@ -32,6 +35,63 @@ def test_sgt_comments_and_errors():
         parse_sgt("")
     with pytest.raises(BadParameters):
         parse_sgt("2\n0 1\n")  # missing row
+
+
+FUZZ = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+FUZZ_CORPUS = [s for s, _ in random_small_semigroups(40)] + [
+    builders.symmetric_inverse(2).semigroup,
+    builders.full_transformation(3).semigroup,
+]
+# comment text: anything that str.splitlines does not break
+COMMENT = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=20)
+
+
+@FUZZ
+@given(
+    st.sampled_from(FUZZ_CORPUS),
+    COMMENT,
+    st.lists(st.sampled_from([" ", "  ", "\t", " \t "]), min_size=1, max_size=4),
+    st.lists(st.sampled_from(["", "   ", "#", "# x 1 2"]), max_size=3),
+)
+def test_sgt_roundtrip_fuzz(s, header, seps, extra_lines):
+    lines = dump_sgt(s, header=header).splitlines()
+    # re-space the data rows and sprinkle blank and comment lines between them
+    lines = [
+        ln if ln.startswith("#") else seps[i % len(seps)].join(ln.split())
+        for i, ln in enumerate(lines)
+    ]
+    for i, extra in enumerate(extra_lines):
+        lines.insert((3 * i) % (len(lines) + 1), extra)
+    back = parse_sgt("\n".join(lines))
+    assert back.table.dtype == s.table.dtype and np.array_equal(back.table, s.table)
+    assert (back.identity, back.zero) == (s.identity, s.zero)
+
+
+@FUZZ
+@given(
+    st.sampled_from(FUZZ_CORPUS),
+    st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.integers(0, 3),
+            st.sampled_from(["0", "1", "9", "-", "-1", ".", "#", "x", " ", "\n", "2147483648",
+                             "4294967296", "1" * 25, "\t", "e"]),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_sgt_mutations_fail_cleanly(s, edits):
+    text = dump_sgt(s)
+    for pos, cut, ins in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + ins + text[pos + cut :]
+    try:
+        back = parse_sgt(text)
+    except (SemigroupError, ValueError):
+        return
+    n = back.size
+    assert back.table.shape == (n, n) and back.table.min() >= 0 and back.table.max() < n
 
 
 def test_pgen_roundtrip(tmp_path):
