@@ -190,7 +190,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("theory m: not available (not Rhodes semisimple)")
     res = brute_min_degree(
         OracleQuery(
-            semigroup=s, mode="partial", min_n=0, max_n=args.max_degree, budget_secs=budget
+            semigroup=s, mode="partial", min_n=1, max_n=args.max_degree, budget_secs=budget
         )
     )
     print(f"oracle m: {res.degree if res.status == 'found' else res.status}")

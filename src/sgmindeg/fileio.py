@@ -4,6 +4,7 @@ inside a data line is an error."""
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,22 @@ def _data_lines(text: str) -> list[str]:
     return out
 
 
+def _load_int_rows(rows: list[str]) -> np.ndarray:
+    """Parse whitespace-separated decimal integers, one table row per string.
+
+    numpy 1.23-1.26 read a token such as '1.0' or '1e0' through float and only
+    warn; that warning is raised here, so such a token fails like 'x'."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
+
+
 def _sgt_row_error(rows: list[str], n: int) -> str:
     """Name the first data row that does not parse on its own or lacks n entries."""
     for i, ln in enumerate(rows, 1):
         try:
-            width = np.loadtxt([ln], dtype=np.int64, ndmin=2, comments=None).shape[1]
-        except ValueError:
+            width = _load_int_rows([ln]).shape[1]
+        except (ValueError, DeprecationWarning):
             return f".sgt data row {i} has an entry that is not an integer in 0..{n - 1}"
         if width != n:
             return f".sgt data row {i} has {width} entries, expected {n}"
@@ -47,8 +58,8 @@ def parse_sgt(text: str) -> FiniteSemigroup:
         raise BadParameters(f".sgt expects {n} table rows, found {len(lines) - 1}")
     rows = lines[1:]
     try:
-        table = np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:
+        table = _load_int_rows(rows)
+    except (ValueError, DeprecationWarning):
         raise BadParameters(_sgt_row_error(rows, n)) from None
     return from_table(table)
 

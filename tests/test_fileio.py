@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,31 @@ def test_sgt_comments_and_errors():
         parse_sgt("2\n0 1\n")  # missing row
 
 
+def test_sgt_accepts_what_str_split_and_int_accept():
+    # any whitespace str.split() splits on separates entries (\v and \f break lines, as
+    # str.splitlines does); signs and leading zeros are fine
+    for sep in ("\t", "\xa0", "\u2003", "\u3000", " \t "):
+        assert parse_sgt(f"2\n0{sep}0\n0{sep}1\n").table.tolist() == [[0, 0], [0, 1]]
+    assert parse_sgt("2\n+0 00\n-0 01\n").table.tolist() == [[0, 0], [0, 1]]
+
+
+def test_sgt_float_token_rejected_when_numpy_only_warns(monkeypatch):
+    # numpy 1.23-1.26 parse '1.0' into an int column through float and raise only
+    # a DeprecationWarning; simulate that on any numpy
+    real = np.loadtxt
+
+    def warning_loadtxt(rows, dtype=None, **kw):
+        if any("." in ln for ln in rows):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated", DeprecationWarning)
+            return real(rows, dtype=np.float64, **kw).astype(dtype)
+        return real(rows, dtype=dtype, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    with pytest.raises(BadParameters, match="row 2"):
+        parse_sgt("2\n0 0\n0 1.0\n")
+    assert parse_sgt("2\n0 0\n0 1\n").table.tolist() == [[0, 0], [0, 1]]
+
+
 FUZZ = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 FUZZ_CORPUS = [s for s, _ in random_small_semigroups(40)] + [
     builders.symmetric_inverse(2).semigroup,
@@ -50,7 +77,11 @@ COMMENT = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_si
 @given(
     st.sampled_from(FUZZ_CORPUS),
     COMMENT,
-    st.lists(st.sampled_from([" ", "  ", "\t", " \t "]), min_size=1, max_size=4),
+    st.lists(
+        st.sampled_from([" ", "  ", "\t", " \t ", "\xa0", "\u2003"]),
+        min_size=1,
+        max_size=4,
+    ),
     st.lists(st.sampled_from(["", "   ", "#", "# x 1 2"]), max_size=3),
 )
 def test_sgt_roundtrip_fuzz(s, header, seps, extra_lines):
