@@ -166,10 +166,8 @@ def _as_group(g: FiniteSemigroup) -> tuple[np.ndarray, int]:
     if g.identity is None:
         raise BadParameters("Rees construction needs a group; no identity found")
     t = g.table
-    m = g.size
-    for x in range(m):
-        if len(np.unique(t[x])) != m:
-            raise BadParameters("Rees construction needs a group; an element is not invertible")
+    if not (np.sort(t, axis=1) == np.arange(g.size)).all():  # every row a permutation
+        raise BadParameters("Rees construction needs a group; an element is not invertible")
     return t, g.identity
 
 
@@ -199,21 +197,14 @@ def rees_matrix(
 
     z = 1 if adjoin_zero else 0
     size = z + na * m * nb
-    idx = np.arange(size - z)
-    a_of = idx // (m * nb)
-    g_of = (idx // nb) % m
-    b_of = idx % nb
-
+    # (a, g, b)(a2, g2, b2) = (a, g c[b, a2] g2, b2), or the zero when c[b, a2] = 0
+    ar = np.arange(m)
+    gcg = gt[gt[ar[:, None, None], c - 1][..., None], ar]  # [g, b, a2, g2]
+    a = np.arange(na, dtype=np.int32)[:, None, None, None, None, None]
+    prods = (a * m + gcg[None, :, :, :, :, None]) * nb + (z + np.arange(nb, dtype=np.int32))
+    prods[:, :, c == 0] = 0
     table = np.zeros((size, size), dtype=np.int32)
-    for x in range(size - z):
-        cvals = c[b_of[x], a_of]  # sandwich entry between x and every y
-        nzmask = cvals > 0
-        gmid = gt[g_of[x], cvals[nzmask] - 1]
-        gall = gt[gmid, g_of[nzmask]]
-        dest = z + a_of[x] * (m * nb) + gall * nb + b_of[nzmask]
-        row = np.zeros(size - z, dtype=np.int32)
-        row[nzmask] = dest
-        table[x + z, z:] = row
+    table[z:, z:] = prods.reshape(size - z, size - z)
     label = f"M{'0' if adjoin_zero else ''}(|G|={m},{na}x{nb})"
     return BuiltSemigroup(semigroup=from_table(table, validate=True), natural_action=None, label=label)
 

@@ -8,6 +8,7 @@ semigroup is not Rhodes semisimple (mindeg), 3 oracle timeout or not-found.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -254,9 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: building costs ~20x a parse."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SemigroupError as exc:

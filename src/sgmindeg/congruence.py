@@ -149,16 +149,15 @@ def rm_irreducible_classes(
 
     per: dict[int, JClassIrreducibility] = {}
     for j in regs:
-        lower = [j2 for j2 in regs if g.jorder_lt[j2, j]]
-        plow = universal_congruence(n)
-        for j2 in lower:
-            plow = plow.meet(rm[j2])
+        lower = [rm[j2].class_of for j2 in regs if g.jorder_lt[j2, j]]
+        keys = np.array(lower, dtype=np.int64).reshape(len(lower), n).T  # a column per lower class
+        plow_ids, _ = _partition_from_keys(keys)  # the meet of their RM congruences
 
         witness = None
         first_by_class: dict[int, int] = {}
         rm_ids = rm[j].class_of
         for x in range(n):
-            c = int(plow.class_of[x])
+            c = int(plow_ids[x])
             if c not in first_by_class:
                 first_by_class[c] = x
             elif rm_ids[first_by_class[c]] != rm_ids[x]:
@@ -170,7 +169,7 @@ def rm_irreducible_classes(
         mj = tuple(
             int(x)
             for x in g.hclasses[h_e]
-            if plow.class_of[x] == plow.class_of[e]
+            if plow_ids[x] == plow_ids[e]
         )
         per[j] = JClassIrreducibility(
             jclass=j,

@@ -55,44 +55,59 @@ class FiniteSemigroup:
 
 def closure_mask(
     table: np.ndarray,
-    seed: Iterable[int],
+    gens: Iterable[int],
     base: np.ndarray | None = None,
     stop: int | None = None,
 ) -> np.ndarray:
-    """Boolean mask of the subsemigroup generated by ``seed`` under ``table``.
+    """Boolean mask of the products g1 g2 ... gk of elements of ``gens``.
 
-    ``base``, if given, must be a closed mask; the result is then the closure
-    of ``base`` and ``seed``, and each round multiplies only members by the
-    elements new in the previous round.  With ``stop``, the loop returns as
-    soon as that element is in the mask, which may then be incomplete.
+    The search only right-multiplies by generators: each round multiplies the
+    elements new in the previous round by every generator, so a closure of K
+    elements costs |K| * len(gens) lookups.  On an associative table the
+    result is the subsemigroup generated by ``gens``; on a non-associative one
+    it is the set of left-normed products ((g1 g2) ...) gk.
+
+    ``base``, if given, must be the closure of the generators in ``gens`` that
+    it already holds; the other generators and base times them seed the search.
+    With ``stop``, the loop returns as soon as that element is in the mask,
+    which may then be incomplete.  Products are deduplicated by marking a
+    boolean array: ``np.unique`` would load numpy's hash-based unique on its
+    first call in a process, a fixed cost paid by every short CLI run.
     """
     n = table.shape[0]
+    gens = np.fromiter(gens, dtype=np.int64)
     mask = np.zeros(n, dtype=bool) if base is None else base.copy()
+    new = gens[~mask[gens]]
     hit = np.zeros(n, dtype=bool)
-    hit[np.fromiter(seed, dtype=np.int64)] = True
+    hit[new] = True
+    if base is not None:
+        hit[table[np.flatnonzero(base)[:, None], new]] = True
     frontier = np.flatnonzero(hit & ~mask)
     while len(frontier):
         mask[frontier] = True
         if stop is not None and mask[stop]:
             break
-        members = np.flatnonzero(mask)
-        hit = np.zeros(n, dtype=bool)
-        hit[table[np.ix_(members, frontier)]] = True
-        hit[table[np.ix_(frontier, members)]] = True
+        hit[:] = False
+        hit[table[frontier[:, None], gens]] = True
         frontier = np.flatnonzero(hit & ~mask)
     return mask
 
 
 def small_generating_set(table: np.ndarray) -> list[int]:
-    """Greedy irredundant generating set of the table's magma, lowest indices first."""
+    """Greedy irredundant generating set of the table's magma, lowest indices first.
+
+    Every element is a product of the result under some bracketing: the first
+    pass covers the table by left-normed products, and the second drops a
+    generator only when it is a left-normed product of the others.
+    """
     n = table.shape[0]
     gens: list[int] = []
     covered = np.zeros(n, dtype=bool)
     for e in range(n):
         if not covered[e]:
             gens.append(e)
-            covered = closure_mask(table, [e], base=covered)
-    # gens generates everything, so gens minus g still does exactly when g is in <rest>
+            covered = closure_mask(table, gens, base=covered)
+    # gens generates everything, so gens minus g still does when g lies in <rest>
     for g in list(gens):
         if len(gens) == 1:
             break
@@ -106,7 +121,9 @@ def check_associativity(table: np.ndarray) -> None:
     """Raise NonAssociative with a witness triple if the table is not associative.
 
     Uses Light's test over a generating set, which is equivalent to the full
-    O(n^3) triple scan but far cheaper when few generators suffice.
+    O(n^3) triple scan but far cheaper when few generators suffice.  It is
+    sound on any magma: the elements a with (xa)y = x(ay) for all x, y are
+    closed under products, so they are everything once the generators pass.
     """
     gens = small_generating_set(table)
     for a in gens:

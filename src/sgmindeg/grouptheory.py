@@ -79,7 +79,9 @@ def subgroup_classes(g: GroupTable, cap: int = SUBGROUP_ENUM_CAP) -> SubgroupLat
     at a cyclic subgroup, and extending a class representative H by double
     coset representatives of H covers all extensions of the class up to
     conjugacy.  Every conjugate of a class is registered as a packed bitmask,
-    so meeting any member of a known class again costs one set lookup.
+    so meeting any member of a known class again costs one set lookup.  Each
+    class keeps the generators of its representative, so <H, x> is closed by
+    right-multiplying by those and x only.
     """
     m = g.order
     if m > cap:
@@ -88,9 +90,9 @@ def subgroup_classes(g: GroupTable, cap: int = SUBGROUP_ENUM_CAP) -> SubgroupLat
 
     seen: set[bytes] = set()
     classes: list[SubgroupClass] = []
-    queue: list[np.ndarray] = []  # class representatives as masks
+    queue: list[tuple[np.ndarray, np.ndarray]] = []  # class representatives: mask, generators
 
-    def register(mask: np.ndarray) -> None:
+    def register(mask: np.ndarray, gens: np.ndarray) -> None:
         if np.packbits(mask).tobytes() in seen:
             return
         conj = g.conjugate_set(np.flatnonzero(mask), np.arange(m)[:, None])
@@ -101,12 +103,12 @@ def subgroup_classes(g: GroupTable, cap: int = SUBGROUP_ENUM_CAP) -> SubgroupLat
         core = np.flatnonzero(conj_masks.all(axis=0))  # intersection of all conjugates
         rep = tuple(conj[least].tolist())
         classes.append(SubgroupClass(rep=rep, index=m // len(rep), core=tuple(core.tolist())))
-        queue.append(conj_masks[least])
+        queue.append((conj_masks[least], t[t[g.inv[least], gens], least]))  # least^-1 gens least
 
     for x in range(m):
-        register(closure_mask(t, [x]))
+        register(closure_mask(t, [x]), np.array([x]))
 
-    for in_h in queue:  # register() appends to the queue while it is walked
+    for in_h, gens in queue:  # register() appends to the queue while it is walked
         if in_h.all():
             continue
         h = np.flatnonzero(in_h)
@@ -114,7 +116,8 @@ def subgroup_classes(g: GroupTable, cap: int = SUBGROUP_ENUM_CAP) -> SubgroupLat
         for x in range(m):
             if used[x]:
                 continue
-            register(closure_mask(t, [x], base=in_h))
+            gens_hx = np.append(gens, x)
+            register(closure_mask(t, gens_hx, base=in_h), gens_hx)
             hx = t[h, x]  # H x
             used[t[np.ix_(hx, h)].ravel()] = True  # mark the double coset H x H
             used[hx] = True

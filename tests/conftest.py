@@ -10,28 +10,6 @@ from sgmindeg.action import PartialAction
 from sgmindeg.core import from_partial_maps, from_table
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--run-long",
-        action="store_true",
-        default=False,
-        help="run long extended tests (S_6 subgroup lattice cases, ~25 s)",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "long: extended tests behind --run-long")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--run-long"):
-        return
-    skip = pytest.mark.skip(reason="needs --run-long")
-    for item in items:
-        if "long" in item.keywords:
-            item.add_marker(skip)
-
-
 NULL2 = [[0, 0], [0, 0]]  # two-element null semigroup {0, a}, a^2 = 0
 
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-Run with `pytest tests/test_acceptance.py -v -s`; the S_6 exceptional cases
-need `--run-long` (the three S_6 cases take 22-26 s together on 2 cores).
+Run with `pytest tests/test_acceptance.py -v -s`; the three S_6 exceptional
+cases take about 9 s together on 2 cores.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 import test_properties as props
 from sgmindeg import builders
@@ -73,7 +72,6 @@ def test_criterion_3_diagonal_sandwich_family():
     report("criterion 3 PASS: mindeg M(S_n,2,2,[[1,1],[1,s]]) = 2n - |Fix(s)| for all s != 1, n = 3, 4")
 
 
-@pytest.mark.long
 def test_criterion_3_s6_exceptional_cases():
     cases = [
         ((1, 2, 3, 4, 5, 0), 11),  # 6-cycle

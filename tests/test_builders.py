@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -87,6 +88,50 @@ def test_rees_validation():
         builders.rees_matrix(g, [[0, 0], [1, 1]], adjoin_zero=True)
     with pytest.raises(BadParameters):
         builders.rees_matrix(g, [[1, 3], [1, 1]], adjoin_zero=False)
+    with pytest.raises(BadParameters, match="not invertible"):  # a monoid, not a group
+        builders.rees_matrix(builders.chain_semilattice(2).semigroup, [[1]], adjoin_zero=False)
+
+
+def _rees_table_by_rows(group, sandwich, adjoin_zero):
+    """Reference: the Rees matrix table one row at a time."""
+    gt = group.table
+    c = np.array(sandwich, dtype=np.int64)
+    m = group.size
+    nb, na = c.shape
+    z = 1 if adjoin_zero else 0
+    size = z + na * m * nb
+    idx = np.arange(size - z)
+    a_of, g_of, b_of = idx // (m * nb), (idx // nb) % m, idx % nb
+    table = np.zeros((size, size), dtype=np.int32)
+    for x in range(size - z):
+        cvals = c[b_of[x], a_of]  # sandwich entry between x and every y
+        nz = cvals > 0
+        gall = gt[gt[g_of[x], cvals[nz] - 1], g_of[nz]]
+        table[x + z, z:][nz] = z + a_of[x] * (m * nb) + gall * nb + b_of[nz]
+    return table
+
+
+@pytest.mark.parametrize(
+    "group, sandwich, adjoin_zero",
+    [
+        (lambda: builders.cyclic(4).semigroup, [[1, 1, 1], [1, 3, 1], [1, 1, 3]], False),
+        (lambda: builders.symmetric_group(3).semigroup, [[1, 0], [2, 4]], True),
+    ],
+    ids=["C4_3x3", "S3_zero"],
+)
+def test_rees_table_matches_row_by_row(group, sandwich, adjoin_zero):
+    g = group()
+    table = builders.rees_matrix(g, sandwich, adjoin_zero).semigroup.table
+    ref = _rees_table_by_rows(g, sandwich, adjoin_zero)
+    assert table.dtype == ref.dtype and table.tobytes() == ref.tobytes()
+
+
+def test_sigma_square_is_the_rees_sandwich():
+    for n, sigma in [(3, (1, 2, 0)), (4, (1, 0, 3, 2)), (5, (1, 2, 3, 4, 0))]:
+        perms = list(itertools.permutations(range(n)))
+        g = builders.symmetric_group(n).semigroup
+        ref = _rees_table_by_rows(g, [[1, 1], [1, perms.index(sigma) + 1]], False)
+        assert builders.sigma_square(n, sigma).semigroup.table.tobytes() == ref.tobytes()
 
 
 def test_rees_zero_and_size():

@@ -333,18 +333,83 @@ def test_generating_set_pinned(built, gens):
     assert small_generating_set(built().semigroup.table) == gens
 
 
+def _full_closure(t, seed):
+    """Reference: multiply all members by all members until nothing is new."""
+    mask = np.zeros(t.shape[0], dtype=bool)
+    mask[list(seed)] = True
+    while True:
+        members = np.flatnonzero(mask)
+        grown = mask.copy()
+        grown[t[np.ix_(members, members)]] = True
+        if np.array_equal(grown, mask):
+            return mask
+        mask = grown
+
+
+def _left_normed_closure(t, gens):
+    """Reference: every ((g1 g2) ...) gk, by a breadth-first walk in Python."""
+    seen = set(gens)
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = int(t[x, g])
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    mask = np.zeros(t.shape[0], dtype=bool)
+    mask[list(seen)] = True
+    return mask
+
+
+def _check_closure(t, a, s, reference, rng):
+    base = reference(t, a)
+    full = reference(t, a + s)
+    assert np.array_equal(closure_mask(t, a + s), full)
+    assert np.array_equal(closure_mask(t, a + s, base=base), full)
+    g = int(rng.integers(t.shape[0]))
+    assert closure_mask(t, a + s, stop=g)[g] == full[g]
+    assert closure_mask(t, a + s, base=base, stop=g)[g] == full[g]
+
+
 def test_closure_base_and_stop_match_full_closure(random_corpus):
-    # random magmas (mostly non-associative) plus the associative random corpus
     rng = np.random.default_rng(31)
-    tables = [rng.integers(0, n, size=(n, n)) for n in rng.integers(1, 10, size=300)]
-    tables += [s.table for s, _ in random_corpus]
+    tables = [s.table for s, _ in random_corpus]
+    tables += [
+        b.semigroup.table
+        for b in (
+            builders.full_transformation(3),
+            builders.partial_transformation(2),
+            builders.symmetric_inverse(3),
+            builders.symmetric_group(4),
+        )
+    ]
     for t in tables:
         n = t.shape[0]
         a = rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist()
         s = rng.choice(n, size=rng.integers(0, 3), replace=True).tolist()
-        base = closure_mask(t, a)
-        full = closure_mask(t, a + s)
-        assert np.array_equal(closure_mask(t, s, base=base), full)
-        g = int(rng.integers(n))
-        assert closure_mask(t, s, stop=g)[g] == closure_mask(t, s)[g]
-        assert closure_mask(t, s, base=base, stop=g)[g] == full[g]
+        _check_closure(t, a, s, _full_closure, rng)
+    # random magmas, mostly non-associative: the closure is the left-normed
+    # one, and base must be the closure of exactly the generators it holds,
+    # so the added ones are drawn from outside it
+    for n in rng.integers(1, 10, size=300):
+        t = rng.integers(0, n, size=(n, n))
+        a = rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist()
+        outside = np.flatnonzero(~_left_normed_closure(t, a))
+        s = rng.choice(outside, size=min(len(outside), rng.integers(0, 3)), replace=False).tolist()
+        _check_closure(t, a, s, _left_normed_closure, rng)
+
+
+def test_generating_paths_never_call_np_unique(monkeypatch):
+    # np.unique loads numpy's hash-based unique on its first call in a process
+    from sgmindeg.oracle import generating_set
+
+    s = builders.partial_transformation(3).semigroup
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", forbidden)
+    assert closure_mask(s.table, [1, 5, 9]).any()
+    assert small_generating_set(s.table)
+    assert generating_set(s)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -72,6 +73,23 @@ def test_subgroups_s5_class_count():
         builders.symmetric_group(5).semigroup.table, validate=False
     )
     assert len(subgroup_classes(g).classes) == 19
+
+
+@pytest.mark.parametrize(
+    "n, count, digest",
+    [
+        (4, 11, "5bec753815a487135e61745e2e060f4a9882af634b4f4f47184da77952979bc0"),
+        (5, 19, "1eafe4abd61530a40057f6686f2a8ea69d456442b7d044d282c2a0c0e7081a08"),
+        (6, 56, "17cf1900a2ab7e2d2cd76635f6c25c5064e09c4063a700d70511a9b56f5b0ec1"),
+    ],
+)
+def test_symmetric_group_lattice_pinned(n, count, digest):
+    # the classes as (rep, index, core) must not drift: the d_J search reads all three
+    g = GroupTable.from_table(builders.symmetric_group(n).semigroup.table, validate=False)
+    classes = subgroup_classes(g).classes
+    assert len(classes) == count
+    rows = repr([(c.rep, c.index, c.core) for c in classes])
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
 
 C2 = builders.cyclic(2).semigroup
