@@ -7,7 +7,6 @@ undefined or equal.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ from .core import (
     ReesCoordinatization,
     _partition_from_keys,
     greens,
-    small_generating_set,
 )
 from .errors import InvariantViolated, NotIdempotent, NotRhodesSemisimple, NotSemisimpleAction
 from .grouptheory import GroupAction
@@ -34,50 +32,6 @@ class PartialAction:
 
     def is_total(self) -> bool:
         return bool((self.maps >= 0).all())
-
-    def restriction_is_injective(self) -> bool:
-        """Every element acts by a partial bijection."""
-        for row in self.maps:
-            vals = row[row >= 0]
-            if len(np.unique(vals)) != len(vals):
-                return False
-        return True
-
-
-def compose_rows(first: np.ndarray, then: np.ndarray) -> np.ndarray:
-    out = np.where(first >= 0, then[first], UNDEF)
-    out[first < 0] = UNDEF
-    return out
-
-
-def check_compatibility(
-    s: FiniteSemigroup,
-    omega: PartialAction,
-    exhaustive: bool | None = None,
-    samples: int = 2000,
-    seed: int = 0,
-) -> bool:
-    """p(st) = (ps)t for all pairs; exhaustive for small sizes, sampled otherwise."""
-    n = s.size
-    if exhaustive is None:
-        exhaustive = n * n <= 40_000
-    t = s.table
-    m = omega.maps
-    if exhaustive:
-        pairs = ((a, b) for a in range(n) for b in range(n))
-    else:
-        rng = random.Random(seed)
-        pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(samples))
-    for a, b in pairs:
-        if not np.array_equal(m[t[a, b]], compose_rows(m[a], m[b])):
-            return False
-    return True
-
-
-def acts_monoidally(s: FiniteSemigroup, omega: PartialAction) -> bool:
-    if s.identity is None:
-        return False
-    return bool(np.array_equal(omega.maps[s.identity], np.arange(omega.degree)))
 
 
 def coproduct_actions(parts: list[PartialAction]) -> PartialAction:
@@ -318,84 +272,34 @@ def tensor_action(x: GroupAction, r: ReesCoordinatization) -> PartialAction:
 # Green's congruence and quotient
 
 
-def _relabel_by_first_occurrence(class_of: np.ndarray, num: int) -> np.ndarray:
-    relabel = np.full(num, -1, dtype=np.int64)
-    nxt = 0
-    for c in class_of:
-        if c >= 0 and relabel[c] < 0:
-            relabel[c] = nxt
-            nxt += 1
-    out = np.where(class_of >= 0, relabel[class_of], -1)
-    return out
-
-
-def greens_congruence_classes(
-    s: FiniteSemigroup, omega: PartialAction, e: int, method: str = "scan"
-) -> np.ndarray:
+def greens_congruence_classes(s: FiniteSemigroup, omega: PartialAction, e: int) -> np.ndarray:
     """Per-point class ids of the largest congruence restricting to equality
     on the e-image, or -1 for points equivalent to the undefined sink.
 
-    A point all of whose se-translates are undefined is identified with the
-    sink (the quotient deletes it); such points never occur in tensor actions.
+    Two points are equivalent when every t in S^1 e sends them to the same
+    point (or leaves both undefined); class ids follow first occurrence.  A
+    point all of whose se-translates are undefined is identified with the sink
+    (the quotient deletes it); such points never occur in tensor actions.
     """
     if not s.is_idempotent(e):
         raise NotIdempotent(f"element {e} is not idempotent")
-    d = omega.degree
-    if method == "scan":
-        translators = np.unique(np.concatenate([s.table[:, e], [e]]))
-        sig = omega.maps[translators, :].T  # point rows over t in S^1 e
-        sink = (sig < 0).all(axis=1)
-        class_of, _ = _partition_from_keys(sig)
-        class_of = class_of.copy()
-        class_of[sink] = -1
-        return _relabel_by_first_occurrence(class_of, d + 1)
-    if method == "fixpoint":
-        return _greens_congruence_fixpoint(s, omega, e)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _greens_congruence_fixpoint(s: FiniteSemigroup, omega: PartialAction, e: int) -> np.ndarray:
-    """Moore-style refinement over a generating set, with an explicit sink.
-
-    Start from the partition by the value of p.e and refine until stable under
-    every generator; the class containing the sink maps to -1."""
-    d = omega.degree
-    gens = small_generating_set(s.table)
-    ext = np.empty((len(gens), d + 1), dtype=np.int64)  # sink = point d
-    for i, ge in enumerate(gens):
-        row = omega.maps[ge]
-        ext[i, :d] = np.where(row >= 0, row, d)
-        ext[i, d] = d
-
-    init = np.empty(d + 1, dtype=np.int64)
-    row_e = omega.maps[e]
-    init[:d] = np.where(row_e >= 0, row_e, d)
-    init[d] = d
-    class_of, _ = _partition_from_keys(init.reshape(-1, 1))
-    while True:
-        keys = np.concatenate([class_of.reshape(-1, 1), class_of[ext].T], axis=1)
-        new_class, _ = _partition_from_keys(keys)
-        if len(np.unique(new_class)) == len(np.unique(class_of)):
-            break
-        class_of = new_class
-    sink_class = class_of[d]
-    out = class_of[:d].copy()
-    out[out == sink_class] = -1
-    keep = out >= 0
-    if keep.any():
-        out[keep] = _relabel_by_first_occurrence(out[keep], d + 1)
-    return out
+    translators = np.unique(np.concatenate([s.table[:, e], [e]]))
+    sig = omega.maps[translators, :].T  # point rows over t in S^1 e
+    class_of, _ = _partition_from_keys(sig)
+    sink = (sig < 0).all(axis=1)  # these points form one class; drop its id
+    sink_id = class_of[np.argmax(sink)] if sink.any() else omega.degree
+    return np.where(sink, -1, class_of - (class_of > sink_id))
 
 
 def greens_quotient(
-    s: FiniteSemigroup, omega: PartialAction, e: int, method: str = "scan"
+    s: FiniteSemigroup, omega: PartialAction, e: int
 ) -> tuple[PartialAction, np.ndarray]:
     """Quotient of the action by the Green's congruence at the idempotent e.
 
     Returns the quotient action and the point -> class map (-1 for points
     collapsed into the sink).  The restriction to the e-image embeds
     injectively into the quotient."""
-    class_of = greens_congruence_classes(s, omega, e, method=method)
+    class_of = greens_congruence_classes(s, omega, e)
     k = int(class_of.max()) + 1 if len(class_of) else 0
     reps = np.full(k, -1, dtype=np.int64)
     for p in range(omega.degree):

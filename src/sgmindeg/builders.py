@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import PartialAction
-from .core import FiniteSemigroup, PartialMap, from_table
-from .errors import BadParameters, InvariantViolated
+from .core import MAX_ELEMENTS, FiniteSemigroup, PartialMap, from_table
+from .errors import BadParameters, InvariantViolated, SizeLimitExceeded
 
 
 @dataclass(frozen=True)
@@ -185,9 +185,15 @@ def rees_matrix(
     c = np.array(sandwich, dtype=np.int64)
     if c.ndim != 2:
         raise BadParameters("sandwich matrix must be two-dimensional")
-    gt, _ = _as_group(group)
     m = group.size
     nb, na = c.shape
+    z = 1 if adjoin_zero else 0
+    size = z + na * m * nb
+    if size > MAX_ELEMENTS:
+        raise SizeLimitExceeded(
+            f"Rees matrix semigroup of {size} elements exceeds the limit of {MAX_ELEMENTS}"
+        )
+    gt, _ = _as_group(group)
     if c.min() < 0 or c.max() > m:
         raise BadParameters("sandwich entries must be 0 or 1-based group element indices")
     if not adjoin_zero and (c == 0).any():
@@ -195,8 +201,6 @@ def rees_matrix(
     if not (c.any(axis=0).all() and c.any(axis=1).all()):
         raise BadParameters("every sandwich row and column needs a nonzero entry")
 
-    z = 1 if adjoin_zero else 0
-    size = z + na * m * nb
     # (a, g, b)(a2, g2, b2) = (a, g c[b, a2] g2, b2), or the zero when c[b, a2] = 0
     ar = np.arange(m)
     gcg = gt[gt[ar[:, None, None], c - 1][..., None], ar]  # [g, b, a2, g2]
@@ -256,8 +260,8 @@ def aggm_01(n: int, k: int, subsets: list[frozenset[int]] | list[set[int]]) -> B
 
 def rectangular_band(m: int, n: int) -> BuiltSemigroup:
     """RB(m, n) on pairs (i, j) with (i, j)(k, l) = (i, l)."""
-    if m < 1 or n < 1 or m * n > 10_000:
-        raise BadParameters("rectangular_band needs positive sizes with m*n <= 10000")
+    if m < 1 or n < 1 or m * n > MAX_ELEMENTS:
+        raise BadParameters(f"rectangular_band needs positive sizes with m*n <= {MAX_ELEMENTS}")
     size = m * n
     i = np.arange(size) // n
     j = np.arange(size) % n

@@ -44,18 +44,6 @@ def universal_congruence(n: int) -> Congruence:
     return Congruence(class_of=np.zeros(n, dtype=np.int64), classes=(tuple(range(n)),))
 
 
-def is_compatible(s: FiniteSemigroup, cong: Congruence) -> bool:
-    """Full-scan test that the partition is a two-sided congruence."""
-    ids = cong.class_of
-    t = s.table
-    for u in s.elements():
-        if len(np.unique(np.stack([ids, ids[t[u]]], axis=1), axis=0)) != cong.num_classes:
-            return False
-        if len(np.unique(np.stack([ids, ids[t[:, u]]], axis=1), axis=0)) != cong.num_classes:
-            return False
-    return True
-
-
 def rm_congruence_at(s: FiniteSemigroup, g: GreensStructure, j: int) -> Congruence:
     """s ~ t iff for all x in J: xs in J <=> xt in J, with xs = xt when both stay in J.
 
@@ -85,18 +73,6 @@ def ggm_congruence_at(s: FiniteSemigroup, g: GreensStructure, j: int) -> Congrue
     sig = row_id[prods].T  # one row per element s: (row_id(x s))_x
     class_of, classes = _partition_from_keys(sig)
     return Congruence(class_of=class_of, classes=classes)
-
-
-def rm_meet(s: FiniteSemigroup, g: GreensStructure | None = None) -> Congruence:
-    """Intersection of the right-mapping congruences over all regular J-classes."""
-    if g is None:
-        g = greens(s)
-    cong = universal_congruence(s.size)
-    for j in g.regular_jclasses():
-        cong = cong.meet(rm_congruence_at(s, g, j))
-        if cong.is_equality():
-            break
-    return cong
 
 
 def is_rhodes_semisimple(

@@ -24,7 +24,11 @@ from .errors import (
 
 PartialMap = tuple[int, ...]  # length = degree, entries are points or -1 for undefined
 
-DEFAULT_CLOSURE_CAP = 200_000
+# Largest element count accepted from any input: the dense tables are n x n.
+MAX_ELEMENTS = 10_000
+
+# Rows of J per block when the Rees law is checked, so the temporaries stay small.
+_REES_CHECK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ def normalize_partial_map(m: Sequence[int], degree: int) -> PartialMap:
 def from_partial_maps(
     degree: int,
     generators: Sequence[Sequence[int]],
-    max_size: int = DEFAULT_CLOSURE_CAP,
+    max_size: int = MAX_ELEMENTS,
 ) -> tuple[FiniteSemigroup, list[PartialMap]]:
     """Close a set of partial maps on {0..degree-1} under composition.
 
@@ -262,10 +266,6 @@ class GreensStructure:
 
     def regular_jclasses(self) -> list[int]:
         return np.flatnonzero(self.regular).tolist()
-
-    def lower_jclasses(self, j: int) -> list[int]:
-        """J-class ids strictly below j."""
-        return np.flatnonzero(self.jorder_lt[:, j]).tolist()
 
 
 def _partition_from_keys(keys: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
@@ -358,15 +358,12 @@ class ReesCoordinatization:
     a_count: int
     b_count: int
     sandwich: np.ndarray
-    a_rclass_ids: tuple[int, ...]
-    b_lclass_ids: tuple[int, ...]
     r_reps: tuple[int, ...]  # representatives of R_a inside L_e
     q_reps: tuple[int, ...]  # representatives of L_b inside R_e
     triple_to_elem: np.ndarray  # shape (a_count, |G|, b_count)
     elem_to_triple: dict[int, tuple[int, int, int]]
     group_mul: np.ndarray  # |G| x |G| multiplication in group positions
     group_inv: np.ndarray  # |G| inverse positions
-    in_j: np.ndarray  # size-n bool mask
     in_r_e: np.ndarray  # size-n bool mask for the R-class of e
 
     @property
@@ -378,14 +375,13 @@ class ReesCoordinatization:
         return sorted(int(x) for x in self.triple_to_elem[0].ravel())
 
 
-def rees_coordinatize(
-    s: FiniteSemigroup, g: GreensStructure, j: int, verify: bool = True
-) -> ReesCoordinatization:
+def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoordinatization:
     """Coordinatize a regular J-class as a Rees matrix structure.
 
     The idempotent e is the lowest-index idempotent of J; A and B are listed
     with the classes of e first and then in lowest-element order, which makes
-    the sandwich matrix normalized: C[b0][a0] is the group identity.
+    the sandwich matrix normalized: C[b0][a0] is the group identity.  The
+    coordinates are checked against the table by the Rees multiplication law.
     """
     if not g.regular[j]:
         raise NotRegular(f"J-class {j} contains no idempotent")
@@ -433,10 +429,7 @@ def rees_coordinatize(
     if len(elem_to_triple) != len(jelems) or set(elem_to_triple) != set(jelems):
         raise NotRegular(f"Rees coordinates of J-class {j} are not a bijection")
 
-    n = s.size
-    in_j = np.zeros(n, dtype=bool)
-    in_j[jelems] = True
-    in_r_e = np.zeros(n, dtype=bool)
+    in_r_e = np.zeros(s.size, dtype=bool)
     in_r_e[triple_to_elem[0].ravel()] = True
 
     rc = ReesCoordinatization(
@@ -447,43 +440,38 @@ def rees_coordinatize(
         a_count=na,
         b_count=nb,
         sandwich=sandwich,
-        a_rclass_ids=tuple(a_ids),
-        b_lclass_ids=tuple(b_ids),
         r_reps=tuple(int(x) for x in r_reps),
         q_reps=tuple(int(x) for x in q_reps),
         triple_to_elem=triple_to_elem,
         elem_to_triple=elem_to_triple,
         group_mul=group_mul,
         group_inv=group_inv,
-        in_j=in_j,
         in_r_e=in_r_e,
     )
-    if verify:
-        _verify_rees_multiplication(s, g, rc)
+    _verify_rees_multiplication(s, g, rc)
     return rc
 
 
 def _verify_rees_multiplication(
-    s: FiniteSemigroup, g: GreensStructure, rc: ReesCoordinatization, chunk: int = 512
+    s: FiniteSemigroup, g: GreensStructure, rc: ReesCoordinatization
 ) -> None:
     """Check the Rees multiplication law against the full table on J x J."""
     t = s.table
     jelems = np.array(sorted(rc.elem_to_triple), dtype=np.int64)
     trip = np.array([rc.elem_to_triple[int(x)] for x in jelems], dtype=np.int64)
     a_arr, g_arr, b_arr = trip[:, 0], trip[:, 1], trip[:, 2]
-    k = len(jelems)
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        prods = t[np.ix_(jelems[lo:hi], jelems)]
-        c = rc.sandwich[b_arr[lo:hi][:, None], a_arr[None, :]]
+    for lo in range(0, len(jelems), _REES_CHECK_ROWS):
+        rows = slice(lo, lo + _REES_CHECK_ROWS)
+        prods = t[np.ix_(jelems[rows], jelems)]
+        c = rc.sandwich[b_arr[rows][:, None], a_arr[None, :]]
         nz = c != 0
         if not (g.jclass_of[prods[~nz]] != rc.jclass).all():
             raise InvariantViolated("Rees law: product with zero sandwich entry stayed in J")
-        gx = np.broadcast_to(g_arr[lo:hi][:, None], prods.shape)[nz]
+        gx = np.broadcast_to(g_arr[rows][:, None], prods.shape)[nz]
         gy = np.broadcast_to(g_arr[None, :], prods.shape)[nz]
         gmid = rc.group_mul[gx, c[nz] - 1]
         gall = rc.group_mul[gmid, gy]
-        ax = np.broadcast_to(a_arr[lo:hi][:, None], prods.shape)[nz]
+        ax = np.broadcast_to(a_arr[rows][:, None], prods.shape)[nz]
         by = np.broadcast_to(b_arr[None, :], prods.shape)[nz]
         expect = rc.triple_to_elem[ax, gall, by]
         if not np.array_equal(expect, prods[nz]):

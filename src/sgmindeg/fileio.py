@@ -1,6 +1,7 @@
 """Text formats: .sgt multiplication tables, .pgen partial-map generators,
 .rees Rees matrix descriptions.  Lines starting with '#' are comments; a '#'
-inside a data line is an error."""
+inside a data line is an error.  A semigroup may have at most
+core.MAX_ELEMENTS elements."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FiniteSemigroup, from_partial_maps, from_table
-from .errors import BadParameters
+from .core import MAX_ELEMENTS, FiniteSemigroup, from_partial_maps, from_table
+from .errors import BadParameters, SizeLimitExceeded
 
 
 def _data_lines(text: str) -> list[str]:
@@ -32,16 +33,21 @@ def _load_int_rows(rows: list[str]) -> np.ndarray:
         return np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
 
 
-def _sgt_row_error(rows: list[str], n: int) -> str:
-    """Name the first data row that does not parse on its own or lacks n entries."""
+def _int_rows(rows: list[str], what: str, width: int, hi: int) -> np.ndarray:
+    """``_load_int_rows``, raising BadParameters that names the first 1-based
+    row that does not parse on its own or lacks ``width`` entries."""
+    try:
+        return _load_int_rows(rows)
+    except (ValueError, DeprecationWarning):
+        pass
     for i, ln in enumerate(rows, 1):
         try:
-            width = _load_int_rows([ln]).shape[1]
+            found = _load_int_rows([ln]).shape[1]
         except (ValueError, DeprecationWarning):
-            return f".sgt data row {i} has an entry that is not an integer in 0..{n - 1}"
-        if width != n:
-            return f".sgt data row {i} has {width} entries, expected {n}"
-    return f".sgt rows do not form a {n} x {n} table"
+            raise BadParameters(f"{what} row {i} has an entry that is not an integer in 0..{hi}") from None
+        if found != width:
+            raise BadParameters(f"{what} row {i} has {found} entries, expected {width}")
+    raise BadParameters(f"{what} rows do not form a table of width {width}")
 
 
 def parse_sgt(text: str) -> FiniteSemigroup:
@@ -54,14 +60,11 @@ def parse_sgt(text: str) -> FiniteSemigroup:
         raise BadParameters(f".sgt header must be the element count, got {lines[0]!r}") from None
     if n < 1:
         raise BadParameters(f".sgt element count must be positive, got {n}")
+    if n > MAX_ELEMENTS:
+        raise SizeLimitExceeded(f".sgt element count {n} exceeds the limit of {MAX_ELEMENTS}")
     if len(lines) != n + 1:
         raise BadParameters(f".sgt expects {n} table rows, found {len(lines) - 1}")
-    rows = lines[1:]
-    try:
-        table = _load_int_rows(rows)
-    except (ValueError, DeprecationWarning):
-        raise BadParameters(_sgt_row_error(rows, n)) from None
-    return from_table(table)
+    return from_table(_int_rows(lines[1:], ".sgt data", n, n - 1))
 
 
 def dump_sgt(s: FiniteSemigroup, header: str | None = None) -> str:
@@ -77,13 +80,21 @@ def parse_pgen(text: str) -> tuple[FiniteSemigroup, list]:
     lines = _data_lines(text)
     if not lines:
         raise BadParameters("empty .pgen input")
-    degree = int(lines[0])
+    try:
+        degree = int(lines[0])
+    except ValueError:
+        degree = 0
+    if degree < 1:
+        raise BadParameters(f".pgen header must be a positive degree, got {lines[0]!r}")
     gens = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], 1):
         toks = ln.split()
         if len(toks) != degree:
-            raise BadParameters(f".pgen generator needs {degree} tokens, got {len(toks)}")
-        gens.append([-1 if tok == "-" else int(tok) for tok in toks])
+            raise BadParameters(f".pgen generator {i} needs {degree} tokens, got {len(toks)}")
+        try:
+            gens.append([-1 if tok == "-" else int(tok) for tok in toks])
+        except ValueError:
+            raise BadParameters(f".pgen generator {i} has a token that is not '-' or an integer") from None
     return from_partial_maps(degree, gens)
 
 
@@ -102,24 +113,31 @@ def parse_rees(text: str):
     lines = _data_lines(text)
     if not lines:
         raise BadParameters("empty .rees input")
-    fields = dict(part.split("=") for part in lines[0].split())
+    fields = {}
+    for part in lines[0].split():
+        key, _, value = part.partition("=")
+        try:
+            fields[key] = int(value)
+        except ValueError:
+            raise BadParameters(f".rees header field {part!r} is not key=int") from None
     try:
-        m, na, nb, zero = (
-            int(fields["G"]),
-            int(fields["A"]),
-            int(fields["B"]),
-            bool(int(fields["zero"])),
-        )
+        m, na, nb, zero = (fields[key] for key in ("G", "A", "B", "zero"))
     except KeyError as exc:
-        raise BadParameters(f".rees header missing field {exc}") from exc
+        raise BadParameters(f".rees header missing field {exc}") from None
+    if min(m, na, nb) < 1 or zero not in (0, 1):
+        raise BadParameters(f".rees header needs G, A, B >= 1 and zero 0 or 1, got {lines[0]!r}")
     if len(lines) != 1 + m + nb:
         raise BadParameters(f".rees expects {m} group rows and {nb} sandwich rows")
-    gtable = [[int(tok) for tok in ln.split()] for ln in lines[1 : 1 + m]]
-    sandwich = [[int(tok) for tok in ln.split()] for ln in lines[1 + m : 1 + m + nb]]
-    for row in sandwich:
-        if len(row) != na:
-            raise BadParameters(f".rees sandwich rows need {na} tokens")
-    return rees_matrix(from_table(gtable), np.array(sandwich), adjoin_zero=zero)
+    tables = []
+    for what, rows, width, hi in (
+        (".rees group table", lines[1 : 1 + m], m, m - 1),
+        (".rees sandwich", lines[1 + m :], na, m),
+    ):
+        table = _int_rows(rows, what, width, hi)
+        if table.shape[1] != width:
+            raise BadParameters(f"{what} row 1 has {table.shape[1]} entries, expected {width}")
+        tables.append(table)
+    return rees_matrix(from_table(tables[0]), tables[1], adjoin_zero=bool(zero))
 
 
 def dump_rees(group: FiniteSemigroup, sandwich: np.ndarray, zero: bool) -> str:

@@ -67,12 +67,7 @@ class SubgroupLattice:
     classes: tuple[SubgroupClass, ...]  # sorted by (order, canonical tuple)
 
 
-def _canonical_rep(g: GroupTable, members: np.ndarray) -> tuple[int, ...]:
-    conj = g.conjugate_set(members, np.arange(g.order)[:, None])
-    return tuple(conj[np.lexsort(conj.T[::-1])[0]].tolist())  # least conjugate
-
-
-def subgroup_classes(g: GroupTable, cap: int = SUBGROUP_ENUM_CAP) -> SubgroupLattice:
+def subgroup_classes(g: GroupTable) -> SubgroupLattice:
     """All subgroups up to conjugacy, by cyclic seeding and one-element extension.
 
     Every subgroup arises from a chain of single-generator extensions starting
@@ -84,8 +79,8 @@ def subgroup_classes(g: GroupTable, cap: int = SUBGROUP_ENUM_CAP) -> SubgroupLat
     right-multiplying by those and x only.
     """
     m = g.order
-    if m > cap:
-        raise GroupTooLarge(f"group order {m} exceeds cap {cap}")
+    if m > SUBGROUP_ENUM_CAP:
+        raise GroupTooLarge(f"group order {m} exceeds cap {SUBGROUP_ENUM_CAP}")
     t = g.table
 
     seen: set[bytes] = set()
@@ -137,24 +132,6 @@ class GroupAction:
     group: GroupTable
     npoints: int
     act: np.ndarray  # npoints x |G|
-
-    def orbit_reps(self) -> list[int]:
-        seen = np.zeros(self.npoints, dtype=bool)
-        reps = []
-        for p in range(self.npoints):
-            if not seen[p]:
-                reps.append(p)
-                seen[np.unique(self.act[p])] = True
-        return reps
-
-    def stabilizer(self, p: int) -> np.ndarray:
-        return np.flatnonzero(self.act[p] == p)
-
-    def kernel_mask(self) -> np.ndarray:
-        return (self.act == np.arange(self.npoints)[:, None]).all(axis=0)
-
-    def fixed_points(self, gpos: int) -> int:
-        return int((self.act[:, gpos] == np.arange(self.npoints)).sum())
 
 
 def _validate_subgroup(g: GroupTable, members: np.ndarray) -> None:

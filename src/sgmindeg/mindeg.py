@@ -32,7 +32,6 @@ from .congruence import (
 )
 from .core import (
     FiniteSemigroup,
-    GreensStructure,
     ReesCoordinatization,
     greens,
     opposite,
@@ -84,12 +83,9 @@ def tensor_quotient_size(x: GroupAction, r: ReesCoordinatization) -> int:
 
 
 def dj(
-    s: FiniteSemigroup,
-    g: GreensStructure,
     r: ReesCoordinatization,
     report: IrreducibilityReport,
     lattice: SubgroupLattice | None = None,
-    force_general: bool = False,
 ) -> DjResult:
     """Minimum Green's-quotient size over admissible G_J-sets for one
     RM-irreducible J-class.
@@ -109,7 +105,7 @@ def dj(
     if lattice is None:
         lattice = subgroup_classes(gt)
 
-    if column_condition(r) and not force_general:
+    if column_condition(r):
         scale = r.b_count
         fast_path = "aggm" if gt.order == 1 else "column_condition"
 
@@ -240,7 +236,6 @@ def min_partial_degree(
     *,
     resolve_total_with_oracle: bool = False,
     oracle_budget: float | None = None,
-    force_general: bool = False,
 ) -> MinDegReport:
     """Exact minimal degree of a faithful action by partial transformations.
 
@@ -257,7 +252,7 @@ def min_partial_degree(
         r = rees_coordinatize(s, g, j)
         gt = GroupTable.of_rees(r)
         lattice = subgroup_classes(gt)
-        res = dj(s, g, r, report, lattice, force_general=force_general)
+        res = dj(r, report, lattice)
         x = coproduct_group_actions(
             [coset_action(gt, lattice.classes[ci].rep) for ci in res.witness_classes]
         )

@@ -95,7 +95,7 @@ def test_criterion_4_single_diagonal_spotcheck():
     rep = rm_irreducible_classes(s, g)
     (j,) = rep.irreducible_ids()
     r = rees_coordinatize(s, g, j)
-    computed = dj(s, g, r, rep).d
+    computed = dj(r, rep).d
 
     # independent enumeration of n|X| - sum_x |{i : g_i in G_x}| over C_4-sets
     gt = GroupTable.from_table(c4.table)

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from reference import acts_monoidally, check_compatibility
 from sgmindeg import builders
 from sgmindeg.builders import FamilySpec, build
 from sgmindeg.congruence import ggm_congruence_at
 from sgmindeg.core import check_associativity, compose_maps, greens, opposite, rees_coordinatize
-from sgmindeg.errors import BadParameters
+from sgmindeg.errors import BadParameters, SizeLimitExceeded
 
 
 def test_sizes():
@@ -90,6 +91,9 @@ def test_rees_validation():
         builders.rees_matrix(g, [[1, 3], [1, 1]], adjoin_zero=False)
     with pytest.raises(BadParameters, match="not invertible"):  # a monoid, not a group
         builders.rees_matrix(builders.chain_semilattice(2).semigroup, [[1]], adjoin_zero=False)
+    trivial = builders.cyclic(1).semigroup
+    with pytest.raises(SizeLimitExceeded, match="10201 elements exceeds the limit of 10000"):
+        builders.rees_matrix(trivial, np.ones((101, 101)), False)  # checked before any allocation
 
 
 def _rees_table_by_rows(group, sandwich, adjoin_zero):
@@ -167,14 +171,12 @@ def test_family_dispatch():
 
 
 def test_natural_actions_are_monoidal():
-    from sgmindeg.action import acts_monoidally
-
     for b in [builders.full_transformation(3), builders.symmetric_inverse(2)]:
         assert acts_monoidally(b.semigroup, b.natural_action)
 
 
 def test_natural_actions_are_faithful():
-    from sgmindeg.action import check_compatibility, is_faithful
+    from sgmindeg.action import is_faithful
 
     for b in [
         builders.full_transformation(3),

@@ -168,10 +168,46 @@ def test_bad_file_exit_1(capsys):
         ("2\n0 0 # zero row\n0 0\n", "row 1"),  # only whole lines are comments
         ("two\n0 0\n0 0\n", "header"),
         ("0\n", "positive"),
+        ("10001\n", "element count 10001 exceeds the limit of 10000"),  # before any row is read
     ],
 )
 def test_malformed_sgt_exit_1(tmp_path, capsys, text, fragment):
     p = tmp_path / "bad.sgt"
+    p.write_text(text)
+    assert main(["mindeg", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, text, fragment",
+    [
+        ("bad.rees", "G=1 A=1 B=1 zero\n0\n1\n", "field 'zero' is not key=int"),
+        ("bad.rees", "G=1 A=1 B=x zero=0\n0\n1\n", "field 'B=x' is not key=int"),
+        ("bad.rees", "G=1 A=1 B=1\n0\n1\n", "missing field 'zero'"),
+        ("bad.rees", "G=-1 A=1 B=1 zero=0\n1\n", "G, A, B >= 1"),
+        ("bad.rees", "G=1 A=0 B=1 zero=0\n0\n\n", "G, A, B >= 1"),
+        ("bad.rees", "G=1 A=1 B=1 zero=2\n0\n1\n", "zero 0 or 1"),
+        ("bad.rees", "G=2 A=1 B=1 zero=0\n0 1\n1\n1\n", "group table row 2 has 1 entries, expected 2"),
+        ("bad.rees", "G=2 A=1 B=1 zero=0\n0 1\n1 x\n1\n", "group table row 2 has an entry that is not"),
+        ("bad.rees", "G=2 A=1 B=1 zero=0\n0 1 0\n1 0 1\n1\n", "group table row 1 has 3 entries"),
+        ("bad.rees", "G=1 A=2 B=2 zero=0\n0\n1 1\n1\n", "sandwich row 2 has 1 entries, expected 2"),
+        ("bad.rees", "G=1 A=2 B=1 zero=0\n0\n1\n", "sandwich row 1 has 1 entries, expected 2"),
+        ("bad.rees", "G=1 A=1 B=1 zero=0\n0\n1.0\n", "sandwich row 1 has an entry that is not"),
+        pytest.param(
+            "big.rees",
+            "G=1 A=101 B=101 zero=0\n0\n" + ("1 " * 101 + "\n") * 101,
+            "10201 elements exceeds the limit of 10000",  # checked before the table is built
+            id="big.rees-10201-elements",
+        ),
+        ("bad.pgen", "two\n0 1\n", "header must be a positive degree, got 'two'"),
+        ("bad.pgen", "-2\n0 1\n", "header must be a positive degree, got '-2'"),
+        ("bad.pgen", "2\n0 1\n1 x\n", "generator 2 has a token that is not"),
+        ("bad.pgen", "2\n0 1\n1\n", "generator 2 needs 2 tokens, got 1"),
+    ],
+)
+def test_malformed_rees_and_pgen_exit_1(tmp_path, capsys, name, text, fragment):
+    p = tmp_path / name
     p.write_text(text)
     assert main(["mindeg", str(p)]) == 1
     err = capsys.readouterr().err

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import io
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_small_semigroups
 from sgmindeg import builders
+from sgmindeg.cli import main
 from sgmindeg.errors import BadParameters, SemigroupError
 from sgmindeg.fileio import (
     dump_pgen,
@@ -98,25 +102,30 @@ def test_sgt_roundtrip_fuzz(s, header, seps, extra_lines):
     assert (back.identity, back.zero) == (s.identity, s.zero)
 
 
-@FUZZ
-@given(
-    st.sampled_from(FUZZ_CORPUS),
-    st.lists(
-        st.tuples(
-            st.integers(0, 10**6),
-            st.integers(0, 3),
-            st.sampled_from(["0", "1", "9", "-", "-1", ".", "#", "x", " ", "\n", "2147483648",
-                             "4294967296", "1" * 25, "\t", "e"]),
-        ),
+def edits(tokens):
+    """Up to four (position, characters cut, inserted token) edits of a text."""
+    return st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 3), st.sampled_from(tokens)),
         min_size=1,
         max_size=4,
-    ),
-)
-def test_sgt_mutations_fail_cleanly(s, edits):
-    text = dump_sgt(s)
+    )
+
+
+def mutate(text, edits):
     for pos, cut, ins in edits:
         pos %= len(text) + 1
         text = text[:pos] + ins + text[pos + cut :]
+    return text
+
+
+SGT_TOKENS = ["0", "1", "9", "-", "-1", ".", "#", "x", " ", "\n", "2147483648",
+              "4294967296", "1" * 25, "\t", "e"]
+
+
+@FUZZ
+@given(st.sampled_from(FUZZ_CORPUS), edits(SGT_TOKENS))
+def test_sgt_mutations_fail_cleanly(s, edits):
+    text = mutate(dump_sgt(s), edits)
     try:
         back = parse_sgt(text)
     except (SemigroupError, ValueError):
@@ -154,3 +163,47 @@ def test_rees_header_errors():
         parse_rees("G=1 A=1\n0\n1\n")
     with pytest.raises(BadParameters):
         parse_rees("G=1 A=2 B=1 zero=0\n0\n1\n")  # sandwich row too short
+
+
+def analyze_exit_code(text, fmt):
+    """`sgmindeg analyze --format <fmt> -` on the text: 0, or 1 with an error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        code = main(["analyze", "--format", fmt, "-"])
+    assert code == 0 or (code == 1 and err.getvalue().startswith("error: ")), err.getvalue()
+    return code
+
+
+# generator sets on at most 3 points, so every closure stays inside PT_3
+PGEN_CORPUS = [
+    dump_pgen(2, [(1, 0), (0, -1)]),
+    dump_pgen(3, [(1, 2, 0), (0, 0, -1)]),
+    dump_pgen(3, [(1, 0, 2), (1, 2, 0)]),
+    dump_pgen(1, [(-1,)]),
+]
+REES_CORPUS = [
+    dump_rees(builders.cyclic(2).semigroup, np.array([[1, 0], [2, 1]]), zero=True),
+    dump_rees(builders.symmetric_group(3).semigroup, np.array([[1, 1], [1, 2]]), zero=False),
+    dump_rees(builders.cyclic(1).semigroup, np.array([[1, 0, 1], [1, 1, 0]]), zero=True),
+]
+HEADER_TOKENS = ["0", "1", "2", "9", "-", "-1", "=", "G=", "A=0", "zero=", "x", " ", "\n",
+                 "#", "1.0", "1" * 25, "\t"]
+
+
+@FUZZ
+@given(st.sampled_from(PGEN_CORPUS), edits(HEADER_TOKENS))
+def test_pgen_mutations_fail_cleanly(text, edits):
+    analyze_exit_code(mutate(text, edits), "pgen")
+
+
+@FUZZ
+@given(st.sampled_from(REES_CORPUS), edits(HEADER_TOKENS))
+def test_rees_mutations_fail_cleanly(text, edits):
+    analyze_exit_code(mutate(text, edits), "rees")
+
+
+def test_unmutated_pgen_and_rees_analyze():
+    for text in PGEN_CORPUS:
+        assert analyze_exit_code(text, "pgen") == 0
+    for text in REES_CORPUS:
+        assert analyze_exit_code(text, "rees") == 0

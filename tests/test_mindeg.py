@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from reference import check_compatibility, restriction_is_injective
 from sgmindeg import builders
 from sgmindeg.congruence import rm_irreducible_classes
 from sgmindeg.core import from_table, greens, rees_coordinatize
@@ -12,6 +13,7 @@ from sgmindeg.grouptheory import (
     GroupTable,
     coproduct_group_actions,
     coset_action,
+    min_degree_faithful_on,
     subgroup_classes,
 )
 from sgmindeg.mindeg import (
@@ -22,13 +24,13 @@ from sgmindeg.mindeg import (
 )
 
 
-def dj_of(s, j=None, force_general=False):
+def dj_of(s, j=None):
     g = greens(s)
     rep = rm_irreducible_classes(s, g)
     if j is None:
         (j,) = rep.irreducible_ids()
     r = rees_coordinatize(s, g, j)
-    return dj(s, g, r, rep, force_general=force_general)
+    return dj(r, rep)
 
 
 def test_dj_b2(b2):
@@ -54,7 +56,22 @@ def test_dj_rejects_reducible(sim2):
     reducible = [j for j in rep.per_class if not rep.per_class[j].rm_irreducible][0]
     r = rees_coordinatize(sim2, g, reducible)
     with pytest.raises(NotIrreducible):
-        dj(sim2, g, r, rep)
+        dj(r, rep)
+
+
+def general_search_d(r, report):
+    """d_J with every subgroup class costed by its tensor quotient size; the
+    empty G_J-set is not admissible, so a trivial M_J costs the cheapest orbit."""
+    gt = GroupTable.of_rees(r)
+    lat = subgroup_classes(gt)
+    gpos = {el: i for i, el in enumerate(r.group)}
+    mj_pos = tuple(sorted(gpos[el] for el in report.per_class[r.jclass].mj))
+
+    def cost(ci):
+        return tensor_quotient_size(coset_action(gt, lat.classes[ci].rep), r)
+
+    d, wit = min_degree_faithful_on(gt, mj_pos, lat, cost=cost)
+    return d if wit else min(cost(ci) for ci in range(len(lat.classes)))
 
 
 def test_fast_path_consistency_with_general_search():
@@ -70,11 +87,9 @@ def test_fast_path_consistency_with_general_search():
         rep = rm_irreducible_classes(s, g)
         for j in rep.irreducible_ids():
             r = rees_coordinatize(s, g, j)
-            fast = dj(s, g, r, rep)
-            slow = dj(s, g, r, rep, force_general=True)
-            assert fast.d == slow.d
+            fast = dj(r, rep)
             assert fast.fast_path in ("aggm", "column_condition")
-            assert slow.fast_path == "general_search"
+            assert fast.d == general_search_d(r, rep)
 
 
 def test_dj_matches_multiset_search_on_tiny_instances():
@@ -89,7 +104,7 @@ def test_dj_matches_multiset_search_on_tiny_instances():
         rep = rm_irreducible_classes(s, g)
         (j,) = rep.irreducible_ids()
         r = rees_coordinatize(s, g, j)
-        res = dj(s, g, r, rep)
+        res = dj(r, rep)
         gt = GroupTable.of_rees(r)
         lat = subgroup_classes(gt)
         gpos = {el: i for i, el in enumerate(r.group)}
@@ -125,7 +140,7 @@ def test_min_partial_degree_sim2(sim2):
     rep = min_partial_degree(sim2)
     assert rep.m == 2
     # inverse semigroup: witness acts by partial bijections
-    assert rep.witness.restriction_is_injective()
+    assert restriction_is_injective(rep.witness)
 
 
 def test_min_partial_degree_chain3():
@@ -229,7 +244,7 @@ def test_brandt_over_c2_theory_and_oracle_agree():
     rep = min_partial_degree(s)
     assert rep.m == 4
     assert rep.per_class[0].fast_path == "column_condition"
-    assert rep.witness.restriction_is_injective()
+    assert restriction_is_injective(rep.witness)
     res = brute_min_degree(OracleQuery(semigroup=s, mode="partial", min_n=1, max_n=4))
     assert res.status == "found" and res.degree == 4
 
@@ -248,7 +263,7 @@ def test_total_degree_interval_and_oracle_resolution():
 
 
 def test_witness_action_verified(builder_corpus):
-    from sgmindeg.action import check_compatibility, is_faithful
+    from sgmindeg.action import is_faithful
 
     for b in builder_corpus.values():
         s = b.semigroup
@@ -263,8 +278,6 @@ def test_witness_action_verified(builder_corpus):
 
 def test_monotone_sanity_group_bound(builder_corpus):
     # m(S) >= classical minimal faithful degree of G_J whenever M_J = G_J
-    from sgmindeg.grouptheory import min_degree_faithful_on
-
     for b in builder_corpus.values():
         s = b.semigroup
         try:
