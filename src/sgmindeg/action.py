@@ -17,6 +17,7 @@ from .core import (
     ReesCoordinatization,
     _partition_from_keys,
     greens,
+    min_idempotent_of,
 )
 from .errors import InvariantViolated, NotIdempotent, NotRhodesSemisimple, NotSemisimpleAction
 from .grouptheory import GroupAction
@@ -58,11 +59,10 @@ def coproduct_actions(parts: list[PartialAction]) -> PartialAction:
 def schutzenberger_right(s: FiniteSemigroup, r: ReesCoordinatization) -> PartialAction:
     """Action of S on the R-class of e_J by right multiplication, undefined
     when the product leaves the R-class.  Point labels are element indices."""
-    points = np.asarray(r.r_class_of_e(), dtype=np.int64)
-    pos = np.full(s.size, UNDEF, dtype=np.int32)
+    points = np.sort(r.triple_to_elem[0], axis=None)
+    pos = np.full(s.size, UNDEF, dtype=np.int32)  # UNDEF outside the R-class
     pos[points] = np.arange(len(points))
-    prods = s.table[points, :]  # (point, s) -> point_elem * s
-    maps = np.where(r.in_r_e[prods], pos[prods], UNDEF).T.astype(np.int32)
+    maps = pos[s.table[points, :]].T  # (s, point) -> point_elem * s
     return PartialAction(degree=len(points), maps=maps, labels=tuple(int(x) for x in points))
 
 
@@ -203,7 +203,7 @@ def faithful_by_criterion(
     """Faithfulness of a semisimple action of a Rhodes semisimple semigroup,
     decided per irreducible J-class: the points with apex J are nonempty and
     their e_J-image is moved by every nontrivial element of M_J."""
-    from .congruence import is_rhodes_semisimple, min_idempotent_of
+    from .congruence import is_rhodes_semisimple
 
     if check_preconditions:
         ok, cong = is_rhodes_semisimple(s, g)
@@ -248,23 +248,16 @@ def tensor_action(x: GroupAction, r: ReesCoordinatization) -> PartialAction:
     s = r.semigroup
     n = s.size
     nb = r.b_count
-    npts = x.npoints * nb
+    r_e = r.triple_to_elem[0]  # r_e[h, b] = (a0, h, b)
     g_of = np.full(n, UNDEF, dtype=np.int32)
     b_of = np.full(n, UNDEF, dtype=np.int32)
-    for el, (_, gi, bi) in r.elem_to_triple.items():
-        g_of[el] = gi
-        b_of[el] = bi
-
-    maps = np.full((n, npts), UNDEF, dtype=np.int32)
-    for b in range(nb):
-        t_b = int(r.triple_to_elem[0, 0, b])
-        u = s.table[t_b, :]  # per element s: t_b s
-        valid = r.in_r_e[u]
-        h = g_of[u[valid]]
-        b2 = b_of[u[valid]]
-        for p in range(x.npoints):
-            dest = x.act[p, h] * nb + b2
-            maps[valid, p * nb + b] = dest
+    g_of[r_e] = np.arange(r.group_order, dtype=np.int32)[:, None]
+    b_of[r_e] = np.arange(nb, dtype=np.int32)
+    u = s.table[r_e[0]].T  # u[s, b] = t_b s
+    h = g_of[u]
+    dest = np.where(h >= 0, x.act[:, h] * nb + b_of[u], UNDEF)  # dest[p, s, b] = (p.h, b')
+    npts = x.npoints * nb
+    maps = dest.transpose(1, 0, 2).reshape(n, npts).astype(np.int32)  # column p * nb + b
     return PartialAction(degree=npts, maps=maps)
 
 

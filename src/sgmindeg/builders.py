@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import PartialAction
-from .core import MAX_ELEMENTS, FiniteSemigroup, PartialMap, from_table
+from .core import MAX_ELEMENTS, FiniteSemigroup, PartialMap, from_table, rees_law
 from .errors import BadParameters, InvariantViolated, SizeLimitExceeded
 
 
@@ -162,13 +162,13 @@ def matrix_monoid(n: int, q: int) -> BuiltSemigroup:
 # Rees matrix semigroups
 
 
-def _as_group(g: FiniteSemigroup) -> tuple[np.ndarray, int]:
+def _as_group(g: FiniteSemigroup) -> np.ndarray:
     if g.identity is None:
         raise BadParameters("Rees construction needs a group; no identity found")
     t = g.table
     if not (np.sort(t, axis=1) == np.arange(g.size)).all():  # every row a permutation
         raise BadParameters("Rees construction needs a group; an element is not invertible")
-    return t, g.identity
+    return t
 
 
 def rees_matrix(
@@ -193,7 +193,7 @@ def rees_matrix(
         raise SizeLimitExceeded(
             f"Rees matrix semigroup of {size} elements exceeds the limit of {MAX_ELEMENTS}"
         )
-    gt, _ = _as_group(group)
+    gt = _as_group(group)
     if c.min() < 0 or c.max() > m:
         raise BadParameters("sandwich entries must be 0 or 1-based group element indices")
     if not adjoin_zero and (c == 0).any():
@@ -201,14 +201,10 @@ def rees_matrix(
     if not (c.any(axis=0).all() and c.any(axis=1).all()):
         raise BadParameters("every sandwich row and column needs a nonzero entry")
 
-    # (a, g, b)(a2, g2, b2) = (a, g c[b, a2] g2, b2), or the zero when c[b, a2] = 0
-    ar = np.arange(m)
-    gcg = gt[gt[ar[:, None, None], c - 1][..., None], ar]  # [g, b, a2, g2]
-    a = np.arange(na, dtype=np.int32)[:, None, None, None, None, None]
-    prods = (a * m + gcg[None, :, :, :, :, None]) * nb + (z + np.arange(nb, dtype=np.int32))
-    prods[:, :, c == 0] = 0
+    prods = rees_law(gt, c, np.arange(size - z))
+    prods += z  # a zero product, -1, becomes element 0 (c has zeros only with adjoin_zero)
     table = np.zeros((size, size), dtype=np.int32)
-    table[z:, z:] = prods.reshape(size - z, size - z)
+    table[z:, z:] = prods
     label = f"M{'0' if adjoin_zero else ''}(|G|={m},{na}x{nb})"
     return BuiltSemigroup(semigroup=from_table(table, validate=True), natural_action=None, label=label)
 

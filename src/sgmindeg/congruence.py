@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteSemigroup, GreensStructure, ReesCoordinatization, _partition_from_keys, greens
+from .core import (
+    FiniteSemigroup,
+    GreensStructure,
+    ReesCoordinatization,
+    _partition_from_keys,
+    greens,
+    min_idempotent_of,
+)
 from .errors import NotInverse, NotRegular
 
 
@@ -105,10 +112,6 @@ class IrreducibilityReport:
 
     def irreducible_ids(self) -> list[int]:
         return sorted(j for j, row in self.per_class.items() if row.rm_irreducible)
-
-
-def min_idempotent_of(g: GreensStructure, j: int) -> int:
-    return min(x for x in g.idempotents if g.jclass_of[x] == j)
 
 
 def rm_irreducible_classes(

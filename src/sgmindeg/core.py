@@ -7,7 +7,6 @@ computed from this one representation and is immutable after construction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -207,32 +206,37 @@ def from_partial_maps(
         raise EmptyGeneratorSet("at least one generator map is required")
     gens = [normalize_partial_map(g, degree) for g in generators]
 
-    maps: list[PartialMap] = []
-    index: dict[PartialMap, int] = {}
-    for g in gens:
-        if g not in index:
-            index[g] = len(maps)
-            maps.append(g)
-    gen_maps = list(dict.fromkeys(gens))
+    gen_maps = list(dict.fromkeys(gens))  # element i is generator i
+    k = len(gen_maps)
+    maps: list[PartialMap] = list(gen_maps)
+    index = {h: i for i, h in enumerate(maps)}
+    right: list[list[int]] = []  # right[x][i] = x * generator i
+    derivation: list[tuple[int, int]] = []  # element b >= k first found as x * generator i
 
-    i = 0
-    while i < len(maps):
-        for g in gen_maps:
-            h = compose_maps(maps[i], g)
+    for x, f in enumerate(maps):  # maps grows while it is walked
+        row = []
+        for i, g in enumerate(gen_maps):
+            h = compose_maps(f, g)
             if h not in index:
+                if len(maps) >= max_size:
+                    raise SizeLimitExceeded(
+                        f"closure of the generators exceeds the limit of {max_size} elements"
+                    )
                 index[h] = len(maps)
                 maps.append(h)
-                if len(maps) > max_size:
-                    raise SizeLimitExceeded(
-                        f"closure exceeded {max_size} elements (raise max_size to override)"
-                    )
-        i += 1
+                derivation.append((x, i))
+            row.append(index[h])
+        right.append(row)
 
+    # column b of the table is y -> y b; for b = x * generator i that is
+    # y -> (y x) * generator i, and x < b, so fill columns in closure order
     n = len(maps)
-    table = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        for b in range(n):
-            table[a, b] = index[compose_maps(maps[a], maps[b])]
+    right_t = np.array(right, dtype=np.int32).T.copy()  # k x n
+    columns = np.empty((n, n), dtype=np.int32)  # columns[b] = table[:, b]
+    columns[:k] = right_t
+    for b, (x, i) in enumerate(derivation, start=k):
+        columns[b] = right_t[i][columns[x]]
+    table = columns.T.copy()
     # associativity holds by construction (map composition), skip revalidation
     return from_table(table, validate=False), maps
 
@@ -309,16 +313,13 @@ def greens(s: FiniteSemigroup) -> GreensStructure:
     hkeys = rclass_of * (lclass_of.max() + 1) + lclass_of
     hclass_of, hclasses = _partition_from_keys(hkeys)
 
-    nj = len(jclasses)
-    jideals = np.packbits(two, axis=1)[[c[0] for c in jclasses]]
-    jorder_lt = np.zeros((nj, nj), dtype=bool)
-    for i in range(nj):
-        for j in range(nj):
-            if i != j and not np.any(jideals[i] & ~jideals[j]):
-                jorder_lt[i, j] = True  # ideal_i proper subset of ideal_j
+    # J_i < J_j iff i != j and rep_i lies in the ideal of rep_j
+    reps = np.array([c[0] for c in jclasses])
+    jorder_lt = two[reps[None, :], reps[:, None]]
+    np.fill_diagonal(jorder_lt, False)
 
     idem = np.flatnonzero(t[diag, diag] == diag)
-    regular = np.zeros(nj, dtype=bool)
+    regular = np.zeros(len(jclasses), dtype=bool)
     regular[jclass_of[idem]] = True
 
     jorder_lt.setflags(write=False)
@@ -342,69 +343,93 @@ def greens(s: FiniteSemigroup) -> GreensStructure:
 # Rees coordinates of a regular J-class
 
 
+def min_idempotent_of(g: GreensStructure, j: int) -> int:
+    """e_J, the lowest-index idempotent of J-class j."""
+    return min(x for x in g.idempotents if g.jclass_of[x] == j)
+
+
+def rees_law(group_mul: np.ndarray, sandwich: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Products in M0(G, A, B, C) of the triples ``rows`` by every triple.
+
+    Triple (a, g, b) has the flat index (a |G| + g) B + b, and ``sandwich`` is
+    B x A with 0 for the zero and k >= 1 for the group element at position
+    k - 1.  Row i holds (a, g, b)(a2, g2, b2) = (a, g C[b, a2] g2, b2) as a
+    flat index for every flat (a2, g2, b2), or -1 where C[b, a2] = 0.
+    """
+    nb, na = sandwich.shape
+    m = group_mul.shape[0]
+    a, g, b = (v.astype(np.int32) for v in np.unravel_index(rows, (na, m, nb)))
+    c = sandwich[b]  # (rows, A): C[b, a2]
+    gc = group_mul[g[:, None], c - 1]  # g C[b, a2], meaningless where c == 0
+    left = (a[:, None, None] * m + group_mul[gc]) * nb  # (rows, A, |G|): a and g C[b, a2] g2
+    prods = left[..., None] + np.arange(nb, dtype=np.int32)  # (rows, A, |G|, B)
+    prods[c == 0] = -1
+    return prods.reshape(len(rows), -1)
+
+
 @dataclass(frozen=True)
 class ReesCoordinatization:
     """Coordinates (a, g, b) for a regular J-class with sandwich matrix C: B x A -> G u {0}.
 
-    ``sandwich`` entries are 0 for the zero of the principal factor, otherwise
-    1 + (position of the group element in ``group``).  Position 0 of ``group``
-    is the chosen idempotent, so sandwich entry 1 means the group identity.
+    ``triple_to_elem[a, g, b]`` is r_a * group[g] * q_b, where r_a is the
+    lowest element of the a-th H-class in the L-class of e and q_b that of the
+    b-th H-class in the R-class of e (r_0 = q_0 = e).  So r_a and q_b are
+    ``triple_to_elem[a, 0, 0]`` and ``triple_to_elem[0, 0, b]``, and the
+    R-class of e is ``triple_to_elem[0]``.  ``sandwich`` entries are 0 for the
+    zero of the principal factor, otherwise 1 + (position of the group element
+    in ``group``).  Position 0 of ``group`` is e, so sandwich entry 1 means the
+    group identity.
     """
 
     semigroup: FiniteSemigroup
     jclass: int
     e: int
     group: tuple[int, ...]
-    a_count: int
-    b_count: int
     sandwich: np.ndarray
-    r_reps: tuple[int, ...]  # representatives of R_a inside L_e
-    q_reps: tuple[int, ...]  # representatives of L_b inside R_e
     triple_to_elem: np.ndarray  # shape (a_count, |G|, b_count)
-    elem_to_triple: dict[int, tuple[int, int, int]]
     group_mul: np.ndarray  # |G| x |G| multiplication in group positions
     group_inv: np.ndarray  # |G| inverse positions
-    in_r_e: np.ndarray  # size-n bool mask for the R-class of e
+
+    @property
+    def a_count(self) -> int:
+        return self.triple_to_elem.shape[0]
 
     @property
     def group_order(self) -> int:
-        return len(self.group)
+        return self.triple_to_elem.shape[1]
 
-    def r_class_of_e(self) -> list[int]:
-        """Elements of the R-class of e (sorted)."""
-        return sorted(int(x) for x in self.triple_to_elem[0].ravel())
+    @property
+    def b_count(self) -> int:
+        return self.triple_to_elem.shape[2]
 
 
 def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoordinatization:
     """Coordinatize a regular J-class as a Rees matrix structure.
 
-    The idempotent e is the lowest-index idempotent of J; A and B are listed
-    with the classes of e first and then in lowest-element order, which makes
-    the sandwich matrix normalized: C[b0][a0] is the group identity.  The
+    The idempotent e is ``min_idempotent_of``; A and B are listed with the
+    classes of e first and then in lowest-element order, which makes the
+    sandwich matrix normalized: C[b0][a0] is the group identity.  The
     coordinates are checked against the table by the Rees multiplication law.
     """
     if not g.regular[j]:
         raise NotRegular(f"J-class {j} contains no idempotent")
     t = s.table
-    jelems = list(g.jclasses[j])
-    e = min(x for x in g.idempotents if g.jclass_of[x] == j)
-    rid = int(g.rclass_of[e])
-    lid = int(g.lclass_of[e])
+    jelems = np.asarray(g.jclasses[j])
+    e = min_idempotent_of(g, j)
 
-    a_ids = [rid] + sorted({int(g.rclass_of[x]) for x in jelems} - {rid})
-    b_ids = [lid] + sorted({int(g.lclass_of[x]) for x in jelems} - {lid})
+    def reps(class_of: np.ndarray, side: np.ndarray) -> list[int]:
+        """e, then the lowest element of ``side`` in each other class of J, by class id."""
+        lowest = {int(class_of[e]): e}
+        for x in side.tolist():  # ascending
+            lowest.setdefault(int(class_of[x]), x)
+        ids = sorted(set(class_of[jelems].tolist()) - {int(class_of[e])})
+        if len(lowest) != len(ids) + 1:
+            raise NotRegular(f"regular J-class {j} has an empty H-class")
+        return [e] + [lowest[c] for c in ids]
 
-    def pick(r_class: int, l_class: int) -> int:
-        xs = [x for x in jelems if g.rclass_of[x] == r_class and g.lclass_of[x] == l_class]
-        if not xs:
-            raise NotRegular(f"empty H-class ({r_class}, {l_class}) in regular J-class {j}")
-        return min(xs)
-
-    r_reps = [e] + [pick(a, lid) for a in a_ids[1:]]
-    q_reps = [e] + [pick(rid, b) for b in b_ids[1:]]
-
-    h_e = sorted(x for x in jelems if g.rclass_of[x] == rid and g.lclass_of[x] == lid)
-    group = [e] + [x for x in h_e if x != e]
+    r_reps = reps(g.rclass_of, jelems[g.lclass_of[jelems] == g.lclass_of[e]])
+    q_reps = reps(g.lclass_of, jelems[g.rclass_of[jelems] == g.rclass_of[e]])
+    group = [e] + [x for x in g.hclasses[g.hclass_of[e]] if x != e]
     m = len(group)
     # gpos[x] = position of x in group (-1 outside it)
     gpos = np.full(s.size, -1, dtype=np.int32)
@@ -413,7 +438,6 @@ def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoo
     group_mul = gpos[t[np.ix_(group, group)]]
     group_inv = np.argmax(group_mul == 0, axis=1).astype(np.int32)
 
-    nb, na = len(b_ids), len(a_ids)
     prods = t[np.ix_(q_reps, r_reps)]
     sandwich = np.where(g.jclass_of[prods] == j, gpos[prods] + 1, 0).astype(np.int32)
     if not (sandwich.any(axis=0).all() and sandwich.any(axis=1).all()):
@@ -421,32 +445,19 @@ def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoo
     if sandwich[0, 0] != 1:
         raise InvariantViolated("normalization C[b0][a0] = identity failed")
 
-    # triple_to_elem[a, g, b] = r_a * group[g] * q_b
     triple_to_elem = t[t[np.ix_(r_reps, group)][:, :, None], np.asarray(q_reps)[None, None, :]]
-    elem_to_triple = dict(
-        zip(triple_to_elem.ravel().tolist(), itertools.product(range(na), range(m), range(nb)))
-    )
-    if len(elem_to_triple) != len(jelems) or set(elem_to_triple) != set(jelems):
+    if not np.array_equal(np.sort(triple_to_elem, axis=None), jelems):
         raise NotRegular(f"Rees coordinates of J-class {j} are not a bijection")
-
-    in_r_e = np.zeros(s.size, dtype=bool)
-    in_r_e[triple_to_elem[0].ravel()] = True
 
     rc = ReesCoordinatization(
         semigroup=s,
         jclass=j,
-        e=int(e),
-        group=tuple(int(x) for x in group),
-        a_count=na,
-        b_count=nb,
+        e=e,
+        group=tuple(group),
         sandwich=sandwich,
-        r_reps=tuple(int(x) for x in r_reps),
-        q_reps=tuple(int(x) for x in q_reps),
         triple_to_elem=triple_to_elem,
-        elem_to_triple=elem_to_triple,
         group_mul=group_mul,
         group_inv=group_inv,
-        in_r_e=in_r_e,
     )
     _verify_rees_multiplication(s, g, rc)
     return rc
@@ -455,24 +466,14 @@ def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoo
 def _verify_rees_multiplication(
     s: FiniteSemigroup, g: GreensStructure, rc: ReesCoordinatization
 ) -> None:
-    """Check the Rees multiplication law against the full table on J x J."""
-    t = s.table
-    jelems = np.array(sorted(rc.elem_to_triple), dtype=np.int64)
-    trip = np.array([rc.elem_to_triple[int(x)] for x in jelems], dtype=np.int64)
-    a_arr, g_arr, b_arr = trip[:, 0], trip[:, 1], trip[:, 2]
-    for lo in range(0, len(jelems), _REES_CHECK_ROWS):
-        rows = slice(lo, lo + _REES_CHECK_ROWS)
-        prods = t[np.ix_(jelems[rows], jelems)]
-        c = rc.sandwich[b_arr[rows][:, None], a_arr[None, :]]
-        nz = c != 0
-        if not (g.jclass_of[prods[~nz]] != rc.jclass).all():
-            raise InvariantViolated("Rees law: product with zero sandwich entry stayed in J")
-        gx = np.broadcast_to(g_arr[rows][:, None], prods.shape)[nz]
-        gy = np.broadcast_to(g_arr[None, :], prods.shape)[nz]
-        gmid = rc.group_mul[gx, c[nz] - 1]
-        gall = rc.group_mul[gmid, gy]
-        ax = np.broadcast_to(a_arr[rows][:, None], prods.shape)[nz]
-        by = np.broadcast_to(b_arr[None, :], prods.shape)[nz]
-        expect = rc.triple_to_elem[ax, gall, by]
-        if not np.array_equal(expect, prods[nz]):
+    """Check the table against ``rees_law`` on J x J, a block of rows at a time."""
+    elems = rc.triple_to_elem.ravel()
+    for lo in range(0, len(elems), _REES_CHECK_ROWS):
+        rows = np.arange(lo, min(lo + _REES_CHECK_ROWS, len(elems)))
+        prods = s.table[np.ix_(elems[rows], elems)]
+        law = rees_law(rc.group_mul, rc.sandwich, rows)
+        zero = law < 0
+        if ((elems[law] != prods) & ~zero).any():
             raise InvariantViolated("Rees law: coordinate product disagrees with the table")
+        if (g.jclass_of[prods[zero]] == rc.jclass).any():
+            raise InvariantViolated("Rees law: product with zero sandwich entry stayed in J")

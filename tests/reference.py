@@ -14,11 +14,49 @@ from sgmindeg.congruence import Congruence, rm_congruence_at, universal_congruen
 from sgmindeg.core import (
     FiniteSemigroup,
     GreensStructure,
+    PartialMap,
     _partition_from_keys,
+    compose_maps,
     greens,
     small_generating_set,
 )
 from sgmindeg.grouptheory import GroupAction, GroupTable
+
+
+# ---------------------------------------------------------------------------
+# Tables and Green's structure
+
+
+def table_by_composing_all_pairs(maps: list[PartialMap]) -> np.ndarray:
+    """Multiplication table of a closed list of partial maps, one composition per pair."""
+    index = {h: i for i, h in enumerate(maps)}
+    n = len(maps)
+    table = np.empty((n, n), dtype=np.int32)
+    for a in range(n):
+        for b in range(n):
+            table[a, b] = index[compose_maps(maps[a], maps[b])]
+    return table
+
+
+def jorder_by_ideal_pairs(s: FiniteSemigroup, g: GreensStructure) -> np.ndarray:
+    """J_i < J_j iff the ideal S^1 x S^1 of J_i's lowest element is a proper
+    subset of J_j's, compared pair by pair."""
+    t = s.table
+    ideals = []
+    for c in g.jclasses:
+        x = c[0]
+        mask = np.zeros(s.size, dtype=bool)
+        mask[x] = True
+        mask[t[x]] = True  # x t
+        mask[t[:, x]] = True  # s x
+        mask[t[t[:, x]]] = True  # (s x) t
+        ideals.append(mask)
+    k = len(ideals)
+    lt = np.zeros((k, k), dtype=bool)
+    for i in range(k):
+        for j in range(k):
+            lt[i, j] = i != j and not np.any(ideals[i] & ~ideals[j])
+    return lt
 
 
 # ---------------------------------------------------------------------------

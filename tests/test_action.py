@@ -47,6 +47,20 @@ def test_schutzenberger_b2_rank1(b2):
     assert check_compatibility(b2, act)
 
 
+def test_schutzenberger_is_right_multiplication_on_r_class_of_e(builder_corpus):
+    for b in builder_corpus.values():
+        s = b.semigroup
+        g = greens(s)
+        for j in g.regular_jclasses():
+            r = rees_coordinatize(s, g, j)
+            act = schutzenberger_right(s, r)
+            r_e = [y for y in s.elements() if g.rclass_of[y] == g.rclass_of[r.e]]
+            assert act.labels == tuple(r_e)  # ascending element indices
+            for x in s.elements():
+                images = [int(s.table[y, x]) for y in r_e]
+                assert act.maps[x].tolist() == [r_e.index(z) if z in r_e else -1 for z in images]
+
+
 def test_schutzenberger_simple_total_degree12():
     b = builders.sigma_square(3, (1, 0, 2))
     s = b.semigroup
@@ -215,6 +229,26 @@ def test_tensor_regular_gset_is_schutzenberger():
     key_t = [tuple(t.maps[:, p]) for p in range(t.degree)]
     key_s = [tuple(schutz.maps[:, p]) for p in range(schutz.degree)]
     assert sorted(key_t) == sorted(key_s)
+
+
+def test_tensor_action_matches_its_definition(builder_corpus):
+    # point (p, b) moved by x: t_b x = (a0, h, b') in coordinates gives (p.h, b')
+    for b in builder_corpus.values():
+        s = b.semigroup
+        g = greens(s)
+        for j in g.regular_jclasses():
+            r = rees_coordinatize(s, g, j)
+            coords = {int(r.triple_to_elem[c]): c for c in np.ndindex(r.triple_to_elem.shape)}
+            reg = GroupAction(group=GroupTable.of_rees(r), npoints=r.group_order, act=r.group_mul)
+            t = tensor_action(reg, r)
+            nb = r.b_count
+            for x in s.elements():
+                for p in range(reg.npoints):
+                    for tb in range(nb):
+                        u = int(s.table[r.triple_to_elem[0, 0, tb], x])
+                        a, h, b2 = coords.get(u, (-1, 0, 0))
+                        want = reg.act[p, h] * nb + b2 if a == 0 else -1
+                        assert t.maps[x, p * nb + tb] == want
 
 
 def test_greens_quotient_equality_when_rows_separate(b2):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -204,6 +206,12 @@ def test_malformed_sgt_exit_1(tmp_path, capsys, text, fragment):
         ("bad.pgen", "-2\n0 1\n", "header must be a positive degree, got '-2'"),
         ("bad.pgen", "2\n0 1\n1 x\n", "generator 2 has a token that is not"),
         ("bad.pgen", "2\n0 1\n1\n", "generator 2 needs 2 tokens, got 1"),
+        pytest.param(
+            "big.pgen",
+            "6\n1 2 3 4 5 0\n1 0 2 3 4 5\n0 0 2 3 4 5\n",  # generates T_6, 46656 elements
+            "closure of the generators exceeds the limit of 10000 elements",
+            id="big.pgen-T6",
+        ),
     ],
 )
 def test_malformed_rees_and_pgen_exit_1(tmp_path, capsys, name, text, fragment):
@@ -212,6 +220,7 @@ def test_malformed_rees_and_pgen_exit_1(tmp_path, capsys, name, text, fragment):
     assert main(["mindeg", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err and "Traceback" not in err
+    assert "max_size" not in err  # no command-line option sets it
 
 
 def test_make_rees_output_total_pipeline(tmp_path, capsys):
@@ -220,6 +229,32 @@ def test_make_rees_output_total_pipeline(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["m"] == 5
     assert doc["total_degree"]["exact"] == 5
+
+
+def readme_cli_examples() -> list[tuple[str, list[str]]]:
+    """(command, output lines) for each `$ sgmindeg ...` example in README's CLI section."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("```")[1::2]:
+        for chunk in re.split(r"^\$ ", block.strip("\n"), flags=re.M)[1:]:
+            command, *out = chunk.strip("\n").split("\n")
+            examples.append((command, out))
+    return examples
+
+
+def test_readme_cli_examples(capsys, monkeypatch):
+    examples = readme_cli_examples()
+    assert len(examples) >= 2
+    for command, want in examples:
+        out = ""
+        for stage in command.split("|"):
+            prog, *args = shlex.split(stage)
+            assert prog == "sgmindeg"
+            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+            assert main(args) == 0, command
+            out = capsys.readouterr().out
+        assert out.splitlines() == want, command
 
 
 GOLDEN = Path(__file__).parent / "golden"

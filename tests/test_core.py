@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import NULL2
+from reference import jorder_by_ideal_pairs, table_by_composing_all_pairs
 from sgmindeg import builders
 from sgmindeg.core import (
     _partition_from_keys,
+    _verify_rees_multiplication,
     check_associativity,
     closure_mask,
     from_partial_maps,
@@ -19,6 +23,7 @@ from sgmindeg.core import (
 from sgmindeg.errors import (
     EmptyGeneratorSet,
     IndexOutOfRange,
+    InvariantViolated,
     NonAssociative,
     NotRegular,
     SizeLimitExceeded,
@@ -99,6 +104,15 @@ def test_from_partial_maps_rb22():
     assert all(
         t[t[x, y], z] == t[x, z] for x in range(4) for y in range(4) for z in range(4)
     )
+
+
+def test_from_partial_maps_table_matches_all_pairs_reference(random_corpus):
+    cases = [(s, [tuple(int(v) for v in row) for row in act.maps]) for s, act in random_corpus]
+    cases.append(from_partial_maps(4, [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)]))  # T_4
+    assert cases[-1][0].size == 256
+    for s, maps in cases:
+        want = table_by_composing_all_pairs(maps)
+        assert s.table.dtype == want.dtype and np.array_equal(s.table, want)
 
 
 def test_from_partial_maps_errors():
@@ -189,36 +203,52 @@ def test_partition_from_keys_matches_unique_reference():
         assert classes == ref_classes
 
 
-def _rees_tables_by_loops(s, rc):
-    """Reference: group_mul, group_inv, sandwich and both triple maps by per-entry loops."""
-    t, j = s.table, rc.jclass
-    g = greens(s)
-    gpos = {x: i for i, x in enumerate(rc.group)}
-    m = len(rc.group)
-    group_mul = np.array([[gpos[int(t[x, y])] for y in rc.group] for x in rc.group], dtype=np.int32)
+def _rees_tables_by_loops(s, g, j):
+    """Reference: e, group, group_mul, group_inv, sandwich and triple_to_elem by per-entry loops.
+
+    e is the lowest idempotent of J.  r_a (q_b) is e for the class of e and
+    otherwise the lowest element of the a-th H-class in L_e (R_e), classes in
+    lowest-element order; all of it is read off ``greens`` alone.
+    """
+    t = s.table
+    jel = g.jclasses[j]
+    e = min(x for x in g.idempotents if g.jclass_of[x] == j)
+    group = [e] + [x for x in jel if x != e and g.hclass_of[x] == g.hclass_of[e]]
+
+    def reps(class_of, classes, side_of):
+        others = {int(class_of[x]) for x in jel} - {int(class_of[e])}
+        return [e] + [
+            min(x for x in jel if class_of[x] == c and side_of[x] == side_of[e])
+            for c in sorted(others, key=lambda c: classes[c][0])
+        ]
+
+    r_reps = reps(g.rclass_of, g.rclasses, g.lclass_of)  # in L_e
+    q_reps = reps(g.lclass_of, g.lclasses, g.rclass_of)  # in R_e
+    gpos = {x: i for i, x in enumerate(group)}
+    m = len(group)
+    group_mul = np.array([[gpos[int(t[x, y])] for y in group] for x in group], dtype=np.int32)
     group_inv = np.array([list(row).index(0) for row in group_mul], dtype=np.int32)
-    sandwich = np.zeros((rc.b_count, rc.a_count), dtype=np.int32)
-    for bi, q in enumerate(rc.q_reps):
-        for ai, r in enumerate(rc.r_reps):
+    sandwich = np.zeros((len(q_reps), len(r_reps)), dtype=np.int32)
+    for bi, q in enumerate(q_reps):
+        for ai, r in enumerate(r_reps):
             if g.jclass_of[t[q, r]] == j:
                 sandwich[bi, ai] = gpos[int(t[q, r])] + 1
-    triple_to_elem = np.empty((rc.a_count, m, rc.b_count), dtype=np.int32)
-    elem_to_triple = {}
-    for ai, r in enumerate(rc.r_reps):
-        for gi, x in enumerate(rc.group):
-            for bi, q in enumerate(rc.q_reps):
+    triple_to_elem = np.empty((len(r_reps), m, len(q_reps)), dtype=np.int32)
+    for ai, r in enumerate(r_reps):
+        for gi, x in enumerate(group):
+            for bi, q in enumerate(q_reps):
                 triple_to_elem[ai, gi, bi] = t[t[r, x], q]
-                elem_to_triple[int(t[t[r, x], q])] = (ai, gi, bi)
-    return group_mul, group_inv, sandwich, triple_to_elem, elem_to_triple
+    return e, tuple(group), group_mul, group_inv, sandwich, triple_to_elem
 
 
-def test_rees_tables_match_loop_reference(builder_corpus):
-    for b in builder_corpus.values():
-        s = b.semigroup
+def test_rees_tables_match_loop_reference(builder_corpus, random_corpus):
+    semigroups = [b.semigroup for b in builder_corpus.values()] + [s for s, _ in random_corpus]
+    for s in semigroups:
         g = greens(s)
         for j in g.regular_jclasses():
             rc = rees_coordinatize(s, g, j)
-            mul, inv, sandwich, triples, coords = _rees_tables_by_loops(s, rc)
+            e, group, mul, inv, sandwich, triples = _rees_tables_by_loops(s, g, j)
+            assert rc.e == e and rc.group == group
             for got, want in [
                 (rc.group_mul, mul),
                 (rc.group_inv, inv),
@@ -226,7 +256,38 @@ def test_rees_tables_match_loop_reference(builder_corpus):
                 (rc.triple_to_elem, triples),
             ]:
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert list(rc.elem_to_triple.items()) == list(coords.items())
+
+
+def _corruptible_rees_classes():
+    """(s, g, rc) for sigma_square(4, 4-cycle) and the nonzero class of an aggm_01."""
+    out = []
+    for b in (builders.sigma_square(4, (1, 2, 3, 0)), builders.aggm_01(2, 3, [frozenset({0, 1})])):
+        s = b.semigroup
+        g = greens(s)
+        j = max(g.regular_jclasses(), key=lambda j: len(g.jclasses[j]))
+        out.append((s, g, rees_coordinatize(s, g, j)))
+    return out
+
+
+def test_rees_law_rejects_swapped_coordinates():
+    for s, g, rc in _corruptible_rees_classes():
+        triples = rc.triple_to_elem.copy()
+        last = (rc.a_count - 1, rc.group_order - 1, rc.b_count - 1)
+        triples[0, 0, 0], triples[last] = triples[last], triples[0, 0, 0]
+        bad = dataclasses.replace(rc, triple_to_elem=triples)
+        with pytest.raises(InvariantViolated, match="coordinate product disagrees"):
+            _verify_rees_multiplication(s, g, bad)
+
+
+def test_rees_law_rejects_dropped_sandwich_entry():
+    for s, g, rc in _corruptible_rees_classes():
+        sandwich = rc.sandwich.copy()
+        b, a = np.argwhere(sandwich != 0)[-1]
+        assert (b, a) != (0, 0)
+        sandwich[b, a] = 0
+        bad = dataclasses.replace(rc, sandwich=sandwich)
+        with pytest.raises(InvariantViolated, match="product with zero sandwich entry stayed in J"):
+            _verify_rees_multiplication(s, g, bad)
 
 
 def test_rees_t2_constants():
@@ -290,6 +351,14 @@ def test_rees_idempotent_count_equals_sandwich_support(builder_corpus):
             r = rees_coordinatize(s, g, j)
             idem_in_j = sum(1 for e in g.idempotents if g.jclass_of[e] == j)
             assert idem_in_j == int((r.sandwich != 0).sum())
+
+
+def test_jorder_matches_pairwise_ideal_reference(builder_corpus, random_corpus):
+    semigroups = [b.semigroup for b in builder_corpus.values()] + [s for s, _ in random_corpus]
+    semigroups.append(from_table(np.zeros((300, 300), dtype=np.int32)))  # null: 300 J-classes
+    for s in semigroups:
+        g = greens(s)
+        assert np.array_equal(g.jorder_lt, jorder_by_ideal_pairs(s, g))
 
 
 def test_jorder_is_a_strict_partial_order(builder_corpus):
