@@ -151,11 +151,17 @@ def _scan_identity_zero(table: np.ndarray) -> tuple[int | None, int | None]:
 
 
 def from_table(table: Sequence[Sequence[int]] | np.ndarray, validate: bool = True) -> FiniteSemigroup:
-    """Build a semigroup from a square table of element indices."""
-    try:
-        arr = np.asarray(table, dtype=np.int64)
-    except OverflowError as exc:
-        raise IndexOutOfRange(f"table entry is out of range: {exc}") from None
+    """Build a semigroup from a square table of element indices.
+
+    The semigroup holds its own read-only int32 copy of the table.  An integer
+    array is range-checked in its own dtype, so it is copied only once."""
+    if isinstance(table, np.ndarray) and table.dtype.kind in "iu":
+        arr = table
+    else:
+        try:
+            arr = np.asarray(table, dtype=np.int64)
+        except OverflowError as exc:
+            raise IndexOutOfRange(f"table entry is out of range: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise IndexOutOfRange(f"table must be square, got shape {arr.shape}")
     n = arr.shape[0]
@@ -166,7 +172,7 @@ def from_table(table: Sequence[Sequence[int]] | np.ndarray, validate: bool = Tru
         raise IndexOutOfRange(
             f"table entry at ({bad[0]}, {bad[1]}) = {arr[bad[0], bad[1]]} is out of range 0..{n - 1}"
         )
-    arr = arr.astype(np.int32)  # in range 0..n-1, so narrowing cannot wrap
+    arr = arr.astype(np.int32, order="C")  # in range 0..n-1, so narrowing cannot wrap
     if validate:
         check_associativity(arr)
     identity, zero = _scan_identity_zero(arr)
@@ -176,7 +182,7 @@ def from_table(table: Sequence[Sequence[int]] | np.ndarray, validate: bool = Tru
 
 def compose_maps(f: PartialMap, g: PartialMap) -> PartialMap:
     """Right-action composition: apply f first, then g."""
-    return tuple(-1 if v < 0 else g[v] for v in f)
+    return tuple(map((g + (-1,)).__getitem__, f))  # the appended -1 keeps undefined undefined
 
 
 def normalize_partial_map(m: Sequence[int], degree: int) -> PartialMap:
@@ -236,9 +242,8 @@ def from_partial_maps(
     columns[:k] = right_t
     for b, (x, i) in enumerate(derivation, start=k):
         columns[b] = right_t[i][columns[x]]
-    table = columns.T.copy()
     # associativity holds by construction (map composition), skip revalidation
-    return from_table(table, validate=False), maps
+    return from_table(columns.T, validate=False), maps
 
 
 def opposite(s: FiniteSemigroup) -> FiniteSemigroup:

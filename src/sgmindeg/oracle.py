@@ -6,10 +6,18 @@ generating set, one full map at a time.  A generator's candidate images are
 only the maps of its monogenic type (index, period): they are built point by
 point, and a partial map is dropped as soon as no completion of it can have
 that type.  Each list of candidates is built once per degree and only as far
-as the search reads it.  Pruning between generators comes from propagating
-the multiplication table through the partially built homomorphism.
-Point-relabeling symmetry is broken by a canonical fresh-point rule on the
-first assigned generator.
+as the search reads it.  Point-relabeling symmetry is broken by a canonical
+fresh-point rule on the first assigned generator.
+
+Pruning between generators is semi-naive, as in ``core.closure_mask(base=)``.
+Each level of the search keeps the homomorphism closed over the generators
+assigned so far, and a candidate image of the next generator is tested by
+extending it (``close_embedding(base=)``): the old elements are multiplied by
+the new generator, then the newly reached elements by every generator, and
+the first product forced to two maps (or two elements forced to one map)
+rejects the candidate.  The extension by the last generator is the whole
+embedding.  ``verify_embedding`` closes the witness again from scratch, so
+the certificate does not rest on the incremental path.
 
 The search's node count (``OracleResult.nodes``) is the number of point
 assignments made while building candidate maps plus the number of candidate
@@ -22,6 +30,7 @@ import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .core import FiniteSemigroup, PartialMap, closure_mask, compose_maps, small_generating_set
 from .errors import EmptyGeneratorSet, InvariantViolated, SemigroupError
@@ -209,46 +218,61 @@ def _maps_of_type(
 
 
 def close_embedding(
-    s: FiniteSemigroup, images: dict[int, PartialMap]
+    s: FiniteSemigroup,
+    images: dict[int, PartialMap],
+    base: dict[int, PartialMap] | None = None,
 ) -> dict[int, PartialMap] | None:
     """Propagate generator images through the table.
 
     Returns the element -> map assignment on the subsemigroup generated by the
     image keys, or None on any inconsistency (a product forced to two
-    different maps, or two elements forced to one map)."""
+    different maps, or two elements forced to one map).
+
+    ``base``, when given, must be ``close_embedding(s, sub)`` for a sub-dict
+    ``sub`` of ``images``: an injective homomorphism on a closed subsemigroup,
+    whose products are already checked.  Only the products it lacks are then
+    formed: its elements times each image whose element it does not cover, and
+    every newly reached element times every image.  The result is the same as
+    without ``base``."""
     if not images:
         return None
-    gen_items = list(images.items())
-    hom: dict[int, PartialMap] = {}
-    rev: dict[PartialMap, int] = {}
-    queue: list[int] = []
-    for el, m in gen_items:
+    product = s.table.item
+    hom = dict(base) if base else {}
+    rev = dict(zip(hom.values(), hom))
+    work = list(hom)  # base's elements, multiplied by the fresh images only
+    old = len(work)
+    # (element, map with -1 appended): itemgetter(*f)(that) is compose_maps(f, map)
+    every: list[tuple[int, PartialMap]] = []
+    fresh: list[tuple[int, PartialMap]] = []
+    for el, m in images.items():
+        gen = (el, m + (-1,))
+        every.append(gen)
         if el in hom:
             if hom[el] != m:
                 return None
-            continue
-        if m in rev:
+        elif m in rev:
             return None
-        hom[el] = m
-        rev[m] = el
-        queue.append(el)
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
+        else:
+            hom[el] = m
+            rev[m] = el
+            work.append(el)
+            fresh.append(gen)
+    for i, x in enumerate(work):  # work grows while it is walked
         mx = hom[x]
-        for ge, gm in gen_items:
-            y = s.mul(x, ge)
-            my = compose_maps(mx, gm)
+        # itemgetter of one index returns the entry, not a 1-tuple; of none, fails
+        pick = itemgetter(*mx) if len(mx) > 1 else lambda gx, mx=mx: tuple(map(gx.__getitem__, mx))
+        for el, gx in fresh if i < old else every:
+            y = product(x, el)
+            my = pick(gx)
             if y in hom:
                 if hom[y] != my:
                     return None
+            elif my in rev:
+                return None
             else:
-                if my in rev:
-                    return None
                 hom[y] = my
                 rev[my] = y
-                queue.append(y)
+                work.append(y)
     return hom
 
 
@@ -281,11 +305,11 @@ def _replay(items: list[PartialMap], source: Iterator[PartialMap]) -> Iterator[P
 def _search_degree(
     s: FiniteSemigroup,
     gens: list[int],
+    gen_types: list[tuple[int, int]],
     n: int,
     mode: str,
     budget: _Budget,
 ) -> dict[int, PartialMap] | None:
-    gen_types = [monogenic_type_of_element(s, g) for g in gens]
     # Candidates of the later generators, by type: each map is built once per
     # degree, and only when the search first reads that far.
     pulled: dict[tuple[int, int], tuple[list[PartialMap], Iterator[PartialMap]]] = {}
@@ -299,23 +323,22 @@ def _search_degree(
             pulled[t] = ([], _maps_of_type(n, mode, t, False, budget.tick))
         return _replay(*pulled[t])
 
-    def rec(i: int) -> dict[int, PartialMap] | None:
+    def rec(i: int, hom: dict[int, PartialMap] | None) -> dict[int, PartialMap] | None:
+        """Extend ``hom``, the closed homomorphism of gens[:i], by gens[i]."""
         if i == len(gens):
-            hom = close_embedding(s, assigned)
-            if hom is not None and len(hom) == s.size:
-                return dict(assigned)
-            return None
+            return dict(assigned) if len(hom) == s.size else None
         for cand in candidates(i):
             budget.tick()
             assigned[gens[i]] = cand
-            if close_embedding(s, assigned) is not None:
-                found = rec(i + 1)
+            extended = close_embedding(s, assigned, base=hom)
+            if extended is not None:
+                found = rec(i + 1, extended)
                 if found is not None:
                     return found
             del assigned[gens[i]]
         return None
 
-    return rec(0)
+    return rec(0, None)
 
 
 def brute_min_degree(query: OracleQuery) -> OracleResult:
@@ -335,15 +358,15 @@ def brute_min_degree(query: OracleQuery) -> OracleResult:
             raise SemigroupError("supplied generators do not generate the semigroup")
     else:
         gens = generating_set(s)
-    # most-constrained generator first: fewer candidate images, earlier pruning
-    gens = sorted(
-        gens,
-        key=lambda ge: (_candidate_count_hint(s, ge, query.mode), ge),
-    )
+    # most-constrained generator first (largest period, then index): fewer
+    # candidate images, earlier pruning
+    types = {ge: monogenic_type_of_element(s, ge) for ge in gens}
+    gens.sort(key=lambda ge: (-types[ge][1], -types[ge][0], ge))
+    gen_types = [types[ge] for ge in gens]
     budget = _Budget(query.budget_secs if query.budget_secs is not None else DEFAULT_BUDGET_SECS)
     for n in range(query.min_n, query.max_n + 1):
         try:
-            witness = _search_degree(s, gens, n, query.mode, budget)
+            witness = _search_degree(s, gens, gen_types, n, query.mode, budget)
         except _Timeout:
             return OracleResult(
                 status="timeout",
@@ -372,9 +395,3 @@ def brute_min_degree(query: OracleQuery) -> OracleResult:
         nodes=budget.nodes,
         elapsed=budget.elapsed(),
     )
-
-
-def _candidate_count_hint(s: FiniteSemigroup, ge: int, mode: str) -> tuple[int, int]:
-    """Cheap constraint estimate: period then index, rarest types first."""
-    idx, per = monogenic_type_of_element(s, ge)
-    return (-per, -idx)

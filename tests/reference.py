@@ -21,6 +21,16 @@ from sgmindeg.core import (
     small_generating_set,
 )
 from sgmindeg.grouptheory import GroupAction, GroupTable
+from sgmindeg.oracle import (
+    DEFAULT_BUDGET_SECS,
+    OracleQuery,
+    _Budget,
+    _maps_of_type,
+    _replay,
+    _Timeout,
+    generating_set,
+    monogenic_type_of_element,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -183,3 +193,101 @@ def stabilizer(a: GroupAction, p: int) -> np.ndarray:
 
 def kernel_mask(a: GroupAction) -> np.ndarray:
     return (a.act == np.arange(a.npoints)[:, None]).all(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Oracle
+
+
+def compose_pointwise(f: PartialMap, g: PartialMap) -> PartialMap:
+    """Apply f, then g, one point at a time; undefined stays undefined."""
+    return tuple(-1 if v < 0 else g[v] for v in f)
+
+
+def close_embedding_from_scratch(
+    s: FiniteSemigroup, images: dict[int, PartialMap]
+) -> dict[int, PartialMap] | None:
+    """The element -> map assignment on the subsemigroup generated by the
+    image keys, built by a breadth-first walk from the generators; None when a
+    product is forced to two maps or two elements to one map."""
+    if not images:
+        return None
+    gen_items = list(images.items())
+    hom: dict[int, PartialMap] = {}
+    rev: dict[PartialMap, int] = {}
+    queue: list[int] = []
+    for el, m in gen_items:
+        if m in rev:
+            return None
+        hom[el] = m
+        rev[m] = el
+        queue.append(el)
+    qi = 0
+    while qi < len(queue):
+        x = queue[qi]
+        qi += 1
+        for ge, gm in gen_items:
+            y = s.mul(x, ge)
+            my = compose_pointwise(hom[x], gm)
+            if y in hom:
+                if hom[y] != my:
+                    return None
+            else:
+                if my in rev:
+                    return None
+                hom[y] = my
+                rev[my] = y
+                queue.append(y)
+    return hom
+
+
+def oracle_search_from_scratch(query: OracleQuery) -> tuple:
+    """``brute_min_degree`` without the incremental closure: the same
+    candidates in the same order, but every tried candidate re-closes the
+    images of all assigned generators from scratch, and so does every leaf.
+
+    Returns (status, degree, searched_up_to, nodes, witness)."""
+    s = query.semigroup
+    gens = list(query.generators) if query.generators is not None else generating_set(s)
+    types = {ge: monogenic_type_of_element(s, ge) for ge in gens}
+    gens.sort(key=lambda ge: (-types[ge][1], -types[ge][0], ge))
+    budget = _Budget(query.budget_secs if query.budget_secs is not None else DEFAULT_BUDGET_SECS)
+
+    def search(n: int) -> dict[int, PartialMap] | None:
+        pulled: dict = {}
+        assigned: dict[int, PartialMap] = {}
+
+        def candidates(i: int):
+            if i == 0:
+                return _maps_of_type(n, query.mode, types[gens[0]], True, budget.tick)
+            t = types[gens[i]]
+            if t not in pulled:
+                pulled[t] = ([], _maps_of_type(n, query.mode, t, False, budget.tick))
+            return _replay(*pulled[t])
+
+        def rec(i: int) -> dict[int, PartialMap] | None:
+            if i == len(gens):
+                hom = close_embedding_from_scratch(s, assigned)
+                if hom is not None and len(hom) == s.size:
+                    return dict(assigned)
+                return None
+            for cand in candidates(i):
+                budget.tick()
+                assigned[gens[i]] = cand
+                if close_embedding_from_scratch(s, assigned) is not None:
+                    found = rec(i + 1)
+                    if found is not None:
+                        return found
+                del assigned[gens[i]]
+            return None
+
+        return rec(0)
+
+    for n in range(query.min_n, query.max_n + 1):
+        try:
+            witness = search(n)
+        except _Timeout:
+            return ("timeout", None, n - 1, budget.nodes, None)
+        if witness is not None:
+            return ("found", n, n, budget.nodes, witness)
+    return ("not_found", None, query.max_n, budget.nodes, None)

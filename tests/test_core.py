@@ -58,6 +58,23 @@ def test_out_of_range():
     for big in (2**31, 2**32, 2**63, 10**23):
         with pytest.raises(IndexOutOfRange):
             from_table([[0, 0], [0, big]])
+    # an integer array is checked in its own dtype
+    for big, dtype in ((2**32, np.int64), (2**63, np.uint64), (-1, np.int8), (2, np.uint8)):
+        with pytest.raises(IndexOutOfRange):
+            from_table(np.array([[0, 0], [0, big]], dtype=dtype))
+
+
+def test_from_table_copies_integer_arrays():
+    for dtype in (np.int32, np.int64, np.uint16):
+        t = np.array(NULL2, dtype=dtype)
+        s = from_table(t)
+        assert s.table.dtype == np.int32 and not np.shares_memory(s.table, t)
+        assert not s.table.flags.writeable and t.flags.writeable
+        t[1, 1] = 1  # the caller's array stays the caller's
+        assert s.table[1, 1] == 0
+    # a transposed view comes back row-major
+    s = from_table(np.array([[0, 1], [1, 1]], dtype=np.int32).T)
+    assert s.table.flags.c_contiguous
 
 
 def test_light_test_matches_full_scan():

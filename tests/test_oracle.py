@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
+from reference import close_embedding_from_scratch, compose_pointwise, oracle_search_from_scratch
 from sgmindeg import builders
-from sgmindeg.core import from_partial_maps, opposite
+from sgmindeg.core import compose_maps, from_partial_maps, opposite
 from sgmindeg.errors import SemigroupError
 from sgmindeg.oracle import (
     OracleQuery,
@@ -144,7 +147,9 @@ def test_close_embedding_detects_conflicts():
     gens = generating_set(s)
     assert gens == [1]
     # an order-2 image cannot represent an order-4 generator injectively
-    assert close_embedding(s, {1: (1, 0)}) is None or len(close_embedding(s, {1: (1, 0)})) < 4
+    assert close_embedding(s, {1: (1, 0)}) is None
+    hom = close_embedding(s, {1: (1, 2, 3, 0)})
+    assert hom is not None and len(hom) == 4
     assert verify_embedding(s, {1: (1, 2, 3, 0)})
 
 
@@ -239,3 +244,77 @@ def test_budget_stops_a_long_degree(clifford_c4_c2):
         OracleQuery(semigroup=clifford_c4_c2, mode="partial", min_n=6, max_n=6, budget_secs=0.0)
     )
     assert res.status == "timeout" and res.searched_up_to == 5
+
+
+def _outcome(res):
+    return (res.status, res.degree, res.searched_up_to, res.nodes, res.witness)
+
+
+@pytest.mark.parametrize("mode", ["partial", "total", "partial_bijection"])
+def test_search_matches_from_scratch_reference(random_corpus, mode):
+    # extending the homomorphism one generator at a time must try the same
+    # candidates, in the same order, with the same verdicts
+    for s, _ in random_corpus:
+        query = OracleQuery(semigroup=s, mode=mode, min_n=0, max_n=4)
+        assert _outcome(brute_min_degree(query)) == oracle_search_from_scratch(query)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_searches_match_from_scratch_reference(pinned_inputs, name):
+    query = OracleQuery(
+        semigroup=pinned_inputs[name], mode="partial", min_n=1, max_n=PINNED[name][0], budget_secs=200
+    )
+    assert _outcome(brute_min_degree(query)) == oracle_search_from_scratch(query)
+
+
+def _prefix_cases(s, gens, witness, n, mode):
+    """(images, prefix): every prefix of the witness extended by the witness's
+    next image, by each of the first candidates of that generator's type, and
+    by images of elements the prefix already covers, with their own map and
+    with a wrong one."""
+    for k in range(len(gens)):
+        prefix = {g: witness[g] for g in gens[:k]}
+        yield {**prefix, gens[k]: witness[gens[k]]}, prefix
+        t = monogenic_type_of_element(s, gens[k])
+        for i, cand in enumerate(_maps_of_type(n, mode, t, False, lambda: None)):
+            if i == 60:
+                break
+            yield {**prefix, gens[k]: cand}, prefix
+        for x, m in (close_embedding(s, prefix) or {}).items():
+            if x not in prefix:
+                yield {**prefix, x: m}, prefix
+                yield {**prefix, x: tuple(reversed(m))}, prefix
+
+
+def test_close_embedding_extends_a_closed_prefix(random_corpus, pinned_inputs):
+    cases = [(s, "partial") for s, _ in random_corpus]
+    cases += [(s, "total") for s, _ in random_corpus[:60]]
+    cases += [(s, "partial") for s in pinned_inputs.values()]
+    cases.append((builders.chain_semilattice(1).semigroup, "partial"))  # degree 0
+    compared = failed = extended = 0
+    for s, mode in cases:
+        # the witness comes from the reference search, so that this test checks
+        # close_embedding alone
+        status, degree, _, _, witness = oracle_search_from_scratch(
+            OracleQuery(semigroup=s, mode=mode, min_n=0, max_n=7, budget_secs=200)
+        )
+        assert status == "found"
+        gens = list(witness)
+        for images, prefix in _prefix_cases(s, gens, witness, degree, mode):
+            base = close_embedding(s, prefix) if prefix else None
+            want = close_embedding_from_scratch(s, images)
+            assert close_embedding(s, images, base=base) == want
+            assert close_embedding(s, images) == want
+            if base is not None:
+                compared += 1
+                failed += want is None
+                extended += want is not None and len(want) > len(base)
+    assert compared > 1000 and failed > 500 and extended > 100
+
+
+def test_compose_maps_is_pointwise_composition():
+    for n in range(4):
+        maps = list(product(range(-1, n), repeat=n))
+        for f in maps:
+            for g in maps:
+                assert compose_maps(f, g) == compose_pointwise(f, g)
