@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ReesCoordinatization, check_associativity, closure_mask
+from .core import ReesCoordinatization, check_associativity
 from .errors import GroupTooLarge, InvariantViolated, NotSubgroup
 
 SUBGROUP_ENUM_CAP = 720
@@ -68,31 +68,33 @@ class SubgroupLattice:
 
 
 def subgroup_classes(g: GroupTable) -> SubgroupLattice:
-    """All subgroups up to conjugacy, by cyclic seeding and one-element extension.
+    """All subgroups up to conjugacy, by one-element extension from the trivial group.
 
     Every subgroup arises from a chain of single-generator extensions starting
-    at a cyclic subgroup, and extending a class representative H by double
-    coset representatives of H covers all extensions of the class up to
-    conjugacy.  Every conjugate of a class is registered as a packed bitmask,
-    so meeting any member of a known class again costs one set lookup.  Each
-    class keeps the generators of its representative, so <H, x> is closed by
-    right-multiplying by those and x only.
+    at the trivial group, whose extensions are the cyclic subgroups, and
+    extending a class representative H by one element x of each double coset
+    H x H covers all extensions of the class up to conjugacy.  A queued class
+    costs a few numpy calls, not one closure per x: the x's are the least
+    elements of their double cosets, found by two gathers, and all <H, x> are
+    closed together (``_close_extensions``).  Every conjugate of a class is
+    registered as a packed bitmask, so meeting any member of a known class
+    again costs one set lookup, and only the masks not seen yet are registered.
     """
     m = g.order
     if m > SUBGROUP_ENUM_CAP:
         raise GroupTooLarge(f"group order {m} exceeds cap {SUBGROUP_ENUM_CAP}")
     t = g.table
+    ident = np.arange(m)
+    back = t[:, g.inv].T  # mask[back[y]] is the mask of the set times y
 
     seen: set[bytes] = set()
     classes: list[SubgroupClass] = []
     queue: list[tuple[np.ndarray, np.ndarray]] = []  # class representatives: mask, generators
 
     def register(mask: np.ndarray, gens: np.ndarray) -> None:
-        if np.packbits(mask).tobytes() in seen:
-            return
-        conj = g.conjugate_set(np.flatnonzero(mask), np.arange(m)[:, None])
+        conj = g.conjugate_set(np.flatnonzero(mask), ident[:, None])
         conj_masks = np.zeros((m, m), dtype=bool)
-        conj_masks[np.arange(m)[:, None], conj] = True
+        conj_masks[ident[:, None], conj] = True
         seen.update(row.tobytes() for row in np.packbits(conj_masks, axis=1))
         least = np.lexsort(conj.T[::-1])[0]
         core = np.flatnonzero(conj_masks.all(axis=0))  # intersection of all conjugates
@@ -100,25 +102,43 @@ def subgroup_classes(g: GroupTable) -> SubgroupLattice:
         classes.append(SubgroupClass(rep=rep, index=m // len(rep), core=tuple(core.tolist())))
         queue.append((conj_masks[least], t[t[g.inv[least], gens], least]))  # least^-1 gens least
 
-    for x in range(m):
-        register(closure_mask(t, [x]), np.array([x]))
-
+    register(ident == 0, np.empty(0, dtype=np.int64))  # the trivial group, no generators
     for in_h, gens in queue:  # register() appends to the queue while it is walked
-        if in_h.all():
-            continue
         h = np.flatnonzero(in_h)
-        used = in_h.copy()
-        for x in range(m):
-            if used[x]:
-                continue
-            gens_hx = np.append(gens, x)
-            register(closure_mask(t, gens_hx, base=in_h), gens_hx)
-            hx = t[h, x]  # H x
-            used[t[np.ix_(hx, h)].ravel()] = True  # mark the double coset H x H
-            used[hx] = True
+        coset_min = t[h].min(axis=0)  # y -> least element of H y
+        double_min = coset_min[t[:, h]].min(axis=1)  # x -> least element of H x H
+        xs = np.flatnonzero((double_min == ident) & ~in_h)
+        if not len(xs):
+            continue
+        masks = _close_extensions(back, in_h, gens, xs)
+        for x, mask, key in zip(xs.tolist(), masks, np.packbits(masks, axis=1)):
+            if key.tobytes() not in seen:
+                register(mask, np.append(gens, x))
 
     classes.sort(key=lambda c: (len(c.rep), c.rep))
     return SubgroupLattice(group=g, classes=tuple(classes))
+
+
+def _close_extensions(
+    back: np.ndarray, in_h: np.ndarray, gens: np.ndarray, xs: np.ndarray
+) -> np.ndarray:
+    """Row r is the mask of <H, xs[r]>, for the subgroup H = ``in_h`` generated by ``gens``.
+
+    Right multiplication by y permutes a mask's columns by ``back[y]``, so one
+    round extends every row at once, as ``core.closure_mask(base=H)`` does one:
+    the elements new in the last round times H's generators and times the
+    row's x.  The first round's new elements are the coset H x.
+    """
+    rows = np.arange(len(xs))[:, None]
+    by_x = back[xs]
+    by_h = back[gens]
+    front = in_h[by_x]  # H x, disjoint from H
+    mask = front | in_h
+    while front.any():
+        hit = front[rows, by_x] | front[:, by_h].any(axis=1)
+        front = hit & ~mask
+        mask |= front
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +170,10 @@ def coset_action(g: GroupTable, subgroup: tuple[int, ...] | np.ndarray) -> Group
     members = np.asarray(sorted(int(x) for x in subgroup), dtype=np.int64)
     _validate_subgroup(g, members)
     keys = g.table[members, :].min(axis=0)  # g -> min element of Hg
-    points = np.unique(keys)
-    act = np.empty((len(points), g.order), dtype=np.int32)
-    for p, rep in enumerate(points):
-        act[p] = np.searchsorted(points, keys[g.table[rep, :]])
+    least = keys == np.arange(g.order)  # the points: each coset's least element
+    points = np.flatnonzero(least)
+    rank = (np.cumsum(least) - 1).astype(np.int32)  # a point -> its position in points
+    act = rank[keys[g.table[points, :]]]
     return GroupAction(group=g, npoints=len(points), act=act)
 
 

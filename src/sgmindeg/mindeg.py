@@ -64,18 +64,10 @@ def tensor_pair_classes(x: GroupAction, r: ReesCoordinatization) -> np.ndarray:
     from .core import _partition_from_keys
 
     c = r.sandwich
-    nb, na = c.shape
-    sig = np.empty((x.npoints * nb, na), dtype=np.int64)
-    for b in range(nb):
-        block = np.empty((x.npoints, na), dtype=np.int64)
-        for a in range(na):
-            entry = int(c[b, a])
-            if entry == 0:
-                block[:, a] = 0
-            else:
-                block[:, a] = x.act[:, entry - 1] + 1
-        sig[b::nb, :] = block  # tensor point (p, b) sits at index p * nb + b
-    return _partition_from_keys(sig)[0]
+    # sig[p, b, a] = p.C[b][a] + 1, or 0 where C[b][a] is zero; row p * nb + b
+    # of the reshape is tensor point (p, b)
+    sig = np.where(c == 0, 0, x.act[:, c - 1] + 1)
+    return _partition_from_keys(sig.reshape(-1, c.shape[1]))[0]
 
 
 def tensor_quotient_size(x: GroupAction, r: ReesCoordinatization) -> int:

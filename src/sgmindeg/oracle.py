@@ -221,6 +221,7 @@ def close_embedding(
     s: FiniteSemigroup,
     images: dict[int, PartialMap],
     base: dict[int, PartialMap] | None = None,
+    base_inv: dict[PartialMap, int] | None = None,
 ) -> dict[int, PartialMap] | None:
     """Propagate generator images through the table.
 
@@ -233,12 +234,17 @@ def close_embedding(
     whose products are already checked.  Only the products it lacks are then
     formed: its elements times each image whose element it does not cover, and
     every newly reached element times every image.  The result is the same as
-    without ``base``."""
+    without ``base``.  ``base_inv``, the inverse of ``base`` (map -> element),
+    spares rebuilding it when many calls share one base.  Neither is changed:
+    the new assignments are kept in dicts of their own and merged with
+    ``base`` only when the closure succeeds."""
     if not images:
         return None
     product = s.table.item
-    hom = dict(base) if base else {}
-    rev = dict(zip(hom.values(), hom))
+    hom = base or {}
+    rev = dict(zip(hom.values(), hom)) if base_inv is None else base_inv
+    new: dict[int, PartialMap] = {}
+    new_rev: dict[PartialMap, int] = {}
     work = list(hom)  # base's elements, multiplied by the fresh images only
     old = len(work)
     # (element, map with -1 appended): itemgetter(*f)(that) is compose_maps(f, map)
@@ -250,30 +256,31 @@ def close_embedding(
         if el in hom:
             if hom[el] != m:
                 return None
-        elif m in rev:
+        elif m in rev or m in new_rev:
             return None
         else:
-            hom[el] = m
-            rev[m] = el
+            new[el] = m
+            new_rev[m] = el
             work.append(el)
             fresh.append(gen)
     for i, x in enumerate(work):  # work grows while it is walked
-        mx = hom[x]
+        mx = hom[x] if i < old else new[x]
         # itemgetter of one index returns the entry, not a 1-tuple; of none, fails
         pick = itemgetter(*mx) if len(mx) > 1 else lambda gx, mx=mx: tuple(map(gx.__getitem__, mx))
         for el, gx in fresh if i < old else every:
             y = product(x, el)
             my = pick(gx)
-            if y in hom:
-                if hom[y] != my:
+            known = hom.get(y, new.get(y))
+            if known is not None:
+                if known != my:
                     return None
-            elif my in rev:
+            elif my in rev or my in new_rev:
                 return None
             else:
-                hom[y] = my
-                rev[my] = y
+                new[y] = my
+                new_rev[my] = y
                 work.append(y)
-    return hom
+    return {**hom, **new}
 
 
 def verify_embedding(s: FiniteSemigroup, images: dict[int, PartialMap]) -> bool:
@@ -327,10 +334,11 @@ def _search_degree(
         """Extend ``hom``, the closed homomorphism of gens[:i], by gens[i]."""
         if i == len(gens):
             return dict(assigned) if len(hom) == s.size else None
+        inv = dict(zip(hom.values(), hom)) if hom else None  # shared by every candidate
         for cand in candidates(i):
             budget.tick()
             assigned[gens[i]] = cand
-            extended = close_embedding(s, assigned, base=hom)
+            extended = close_embedding(s, assigned, base=hom, base_inv=inv)
             if extended is not None:
                 found = rec(i + 1, extended)
                 if found is not None:

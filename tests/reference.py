@@ -15,12 +15,20 @@ from sgmindeg.core import (
     FiniteSemigroup,
     GreensStructure,
     PartialMap,
+    ReesCoordinatization,
     _partition_from_keys,
+    closure_mask,
     compose_maps,
     greens,
     small_generating_set,
 )
-from sgmindeg.grouptheory import GroupAction, GroupTable
+from sgmindeg.grouptheory import (
+    GroupAction,
+    GroupTable,
+    SubgroupClass,
+    SubgroupLattice,
+    _validate_subgroup,
+)
 from sgmindeg.oracle import (
     DEFAULT_BUDGET_SECS,
     OracleQuery,
@@ -170,6 +178,74 @@ def rm_meet(s: FiniteSemigroup, g: GreensStructure | None = None) -> Congruence:
 
 # ---------------------------------------------------------------------------
 # Group actions
+
+
+def subgroup_classes_by_closures(g: GroupTable) -> SubgroupLattice:
+    """``subgroup_classes`` with one ``closure_mask`` per extension: every cyclic
+    subgroup is closed on its own, and each queued class H is extended by the
+    x's not yet marked, each x closed on its own and its double coset H x H
+    then marked by one gather per x."""
+    m = g.order
+    t = g.table
+    seen: set[bytes] = set()
+    classes: list[SubgroupClass] = []
+    queue: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def register(mask: np.ndarray, gens: np.ndarray) -> None:
+        if np.packbits(mask).tobytes() in seen:
+            return
+        conj = g.conjugate_set(np.flatnonzero(mask), np.arange(m)[:, None])
+        conj_masks = np.zeros((m, m), dtype=bool)
+        conj_masks[np.arange(m)[:, None], conj] = True
+        seen.update(row.tobytes() for row in np.packbits(conj_masks, axis=1))
+        least = np.lexsort(conj.T[::-1])[0]
+        core = np.flatnonzero(conj_masks.all(axis=0))
+        rep = tuple(conj[least].tolist())
+        classes.append(SubgroupClass(rep=rep, index=m // len(rep), core=tuple(core.tolist())))
+        queue.append((conj_masks[least], t[t[g.inv[least], gens], least]))
+
+    for x in range(m):
+        register(closure_mask(t, [x]), np.array([x]))
+    for in_h, gens in queue:
+        if in_h.all():
+            continue
+        h = np.flatnonzero(in_h)
+        used = in_h.copy()
+        for x in range(m):
+            if used[x]:
+                continue
+            gens_hx = np.append(gens, x)
+            register(closure_mask(t, gens_hx, base=in_h), gens_hx)
+            hx = t[h, x]
+            used[t[np.ix_(hx, h)].ravel()] = True
+            used[hx] = True
+    classes.sort(key=lambda c: (len(c.rep), c.rep))
+    return SubgroupLattice(group=g, classes=tuple(classes))
+
+
+def coset_action_by_points(g: GroupTable, subgroup: tuple[int, ...]) -> GroupAction:
+    """Right multiplication on the right cosets Hg, one point (coset) at a time."""
+    members = np.asarray(sorted(subgroup), dtype=np.int64)
+    _validate_subgroup(g, members)
+    keys = g.table[members, :].min(axis=0)
+    points = np.unique(keys)
+    act = np.empty((len(points), g.order), dtype=np.int32)
+    for p, rep in enumerate(points):
+        act[p] = np.searchsorted(points, keys[g.table[rep, :]])
+    return GroupAction(group=g, npoints=len(points), act=act)
+
+
+def tensor_pair_classes_by_entries(x: GroupAction, r: ReesCoordinatization) -> np.ndarray:
+    """``mindeg.tensor_pair_classes`` filling the signature of the tensor points
+    one sandwich entry at a time."""
+    c = r.sandwich
+    nb, na = c.shape
+    sig = np.empty((x.npoints * nb, na), dtype=np.int64)
+    for b in range(nb):
+        for a in range(na):
+            entry = int(c[b, a])
+            sig[b::nb, a] = 0 if entry == 0 else x.act[:, entry - 1] + 1
+    return _partition_from_keys(sig)[0]
 
 
 def canonical_rep(g: GroupTable, members: np.ndarray) -> tuple[int, ...]:

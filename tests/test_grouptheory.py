@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from reference import kernel_mask
+from reference import (
+    coset_action_by_points,
+    kernel_mask,
+    subgroup_classes_by_closures,
+    tensor_pair_classes_by_entries,
+)
 from sgmindeg import builders
-from sgmindeg.core import from_partial_maps
+from sgmindeg.core import from_partial_maps, greens, rees_coordinatize
 from sgmindeg.errors import GroupTooLarge, NotSubgroup
 from sgmindeg.grouptheory import (
     GroupTable,
@@ -16,6 +22,7 @@ from sgmindeg.grouptheory import (
     min_degree_faithful_on,
     subgroup_classes,
 )
+from sgmindeg.mindeg import tensor_pair_classes
 
 
 def gt_of(semigroup):
@@ -97,19 +104,30 @@ C2 = builders.cyclic(2).semigroup
 S3 = builders.symmetric_group(3).semigroup
 
 
+def named_group(name):
+    kind, _, n = name.partition("_")
+    if kind == "S":
+        return GroupTable.from_table(builders.symmetric_group(int(n)).semigroup.table, validate=False)
+    if kind == "C":
+        return GroupTable.from_table(builders.cyclic(int(n)).semigroup.table)
+    s4 = builders.symmetric_group(4).semigroup
+    return {
+        "C2^3": lambda: GroupTable.from_table(builders.direct_product(builders.direct_product(C2, C2), C2).table),
+        "D_8(order16)": lambda: perm_group(8, [tuple((i + 1) % 8 for i in range(8)), tuple(-i % 8 for i in range(8))]),
+        "A_5": lambda: perm_group(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]),
+        "S3xS3": lambda: GroupTable.from_table(builders.direct_product(S3, S3).table),
+        "C3xS4": lambda: GroupTable.from_table(builders.direct_product(builders.cyclic(3).semigroup, s4).table),
+    }[name]()
+
+
 @pytest.mark.parametrize(
-    "group, count",
-    [
-        (lambda: GroupTable.from_table(builders.direct_product(builders.direct_product(C2, C2), C2).table), 16),
-        (lambda: perm_group(8, [tuple((i + 1) % 8 for i in range(8)), tuple(-i % 8 for i in range(8))]), 11),
-        (lambda: perm_group(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]), 9),
-        (lambda: GroupTable.from_table(builders.direct_product(S3, S3).table), 22),
-    ],
+    "name, count",
+    [("C2^3", 16), ("D_8(order16)", 11), ("A_5", 9), ("S3xS3", 22)],
     ids=["C2^3", "D_8(order16)", "A_5", "S3xS3"],
 )
-def test_subgroup_class_counts_and_cores(group, count):
+def test_subgroup_class_counts_and_cores(name, count):
     # published numbers of conjugacy classes of subgroups
-    g = group()
+    g = named_group(name)
     lat = subgroup_classes(g)
     assert len(lat.classes) == count
     every_x = np.arange(g.order)[:, None]
@@ -226,3 +244,65 @@ def test_min_degree_rejects_non_normal():
     c2 = next(c for c in lat.classes if len(c.rep) == 2)
     with pytest.raises(NotSubgroup):
         min_degree_faithful_on(g, c2.rep, lat)
+
+
+# ---------------------------------------------------------------------------
+# The batched lattice, the coset action and the tensor quotient against
+# their one-at-a-time references
+
+
+NAMED_GROUPS = [f"S_{n}" for n in range(1, 7)] + [f"C_{n}" for n in (1, 2, 5, 6, 8, 12)]
+NAMED_GROUPS += ["C2^3", "D_8(order16)", "A_5", "S3xS3", "C3xS4"]
+
+
+@pytest.fixture(scope="module")
+def corpus_rees(random_corpus):
+    """The Rees coordinates of every regular J-class of the random corpus."""
+    out = []
+    for s, _ in random_corpus:
+        g = greens(s)
+        out += [rees_coordinatize(s, g, j) for j in g.regular_jclasses()]
+    return out
+
+
+def classes_of(lattice):
+    return [(c.rep, c.index, c.core) for c in lattice.classes]
+
+
+def assert_same_actions(g, lattice, sandwiches):
+    """coset_action and tensor_pair_classes on every class equal their references."""
+    for c in lattice.classes:
+        act = coset_action(g, c.rep)
+        ref = coset_action_by_points(g, c.rep)
+        assert act.npoints == ref.npoints
+        assert act.act.dtype == ref.act.dtype == np.int32
+        assert act.act.shape == ref.act.shape and act.act.tobytes() == ref.act.tobytes()
+        for r in sandwiches:
+            assert np.array_equal(tensor_pair_classes(act, r), tensor_pair_classes_by_entries(act, r))
+
+
+@pytest.mark.parametrize("name", NAMED_GROUPS)
+def test_lattice_and_actions_match_references(name):
+    g = named_group(name)
+    lattice = subgroup_classes(g)
+    assert classes_of(lattice) == classes_of(subgroup_classes_by_closures(g))
+    # tensor_pair_classes reads only the sandwich: a 1 x 1 one, and random
+    # ones with entries 0 (zero) to |G|, about 30% zeros and a repeated row
+    rng = np.random.default_rng(g.order)
+    sandwiches = [np.array([[1]], dtype=np.int32)]
+    for nb, na in [(2, 3), (3, 2), (4, 4)]:
+        c = rng.integers(0, g.order + 1, size=(nb, na), dtype=np.int32)
+        c[rng.random((nb, na)) < 0.3] = 0
+        c[-1] = c[0]
+        sandwiches.append(c)
+    assert_same_actions(g, lattice, [SimpleNamespace(sandwich=c) for c in sandwiches])
+
+
+def test_lattice_and_actions_match_references_on_corpus_maximal_subgroups(corpus_rees):
+    assert len(corpus_rees) >= 300
+    assert {r.group_order for r in corpus_rees} >= {1, 2, 3, 6}
+    for r in corpus_rees:
+        g = GroupTable.of_rees(r)
+        lattice = subgroup_classes(g)
+        assert classes_of(lattice) == classes_of(subgroup_classes_by_closures(g))
+        assert_same_actions(g, lattice, [r])

@@ -153,6 +153,21 @@ def test_close_embedding_detects_conflicts():
     assert verify_embedding(s, {1: (1, 2, 3, 0)})
 
 
+def test_close_embedding_leaves_base_unchanged(sim2):
+    # the search hands one base and its inverse to every candidate of a level
+    images = brute_min_degree(OracleQuery(semigroup=sim2, mode="partial", max_n=2)).witness
+    first, second = images
+    base = close_embedding(sim2, {first: images[first]})
+    inv = dict(zip(base.values(), base))
+    before = list(base.items()), list(inv.items())
+    for base_inv in (inv, None):
+        rejected = {first: images[first], second: (0, -1)}
+        assert close_embedding(sim2, rejected, base=base, base_inv=base_inv) is None
+        hom = close_embedding(sim2, images, base=base, base_inv=base_inv)
+        assert hom == close_embedding(sim2, images) and len(hom) == sim2.size
+        assert (list(base.items()), list(inv.items())) == before
+
+
 def _all_maps_reference(n, mode, fresh_rule):
     """Every map on n points, undefined sorting first, under the fresh-point
     and partial-bijection rules: the enumeration the oracle filtered by type
@@ -302,8 +317,10 @@ def test_close_embedding_extends_a_closed_prefix(random_corpus, pinned_inputs):
         gens = list(witness)
         for images, prefix in _prefix_cases(s, gens, witness, degree, mode):
             base = close_embedding(s, prefix) if prefix else None
+            inv = dict(zip(base.values(), base)) if base else None
             want = close_embedding_from_scratch(s, images)
             assert close_embedding(s, images, base=base) == want
+            assert close_embedding(s, images, base=base, base_inv=inv) == want
             assert close_embedding(s, images) == want
             if base is not None:
                 compared += 1
