@@ -19,7 +19,13 @@ from .core import (
     greens,
     min_idempotent_of,
 )
-from .errors import InvariantViolated, NotIdempotent, NotRhodesSemisimple, NotSemisimpleAction
+from .errors import (
+    BadParameters,
+    InvariantViolated,
+    NotIdempotent,
+    NotRhodesSemisimple,
+    NotSemisimpleAction,
+)
 from .grouptheory import GroupAction
 
 UNDEF = -1
@@ -324,15 +330,28 @@ def dump_action(omega: PartialAction) -> str:
 
 
 def parse_action(text: str) -> PartialAction:
+    """Read the .act format; BadParameters names the first bad row, counting
+    from 1 over the rows that are not blank or comments."""
     rows = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    degree = int(rows[0])
+    if not rows:
+        raise BadParameters(".act row 1 (the degree) is missing: the input is empty")
+    try:
+        degree = int(rows[0])
+    except ValueError:
+        raise BadParameters(f".act row 1 must be the degree, got {rows[0]!r}") from None
+    if degree < 0:
+        raise BadParameters(f".act row 1 has degree {degree}, expected a non-negative integer")
     maps = []
-    for ln in rows[1:]:
+    for i, ln in enumerate(rows[1:], start=2):
         toks = ln.split()
         if len(toks) != degree:
-            raise ValueError(f"expected {degree} tokens, got {len(toks)}")
-        maps.append([UNDEF if tk == "-" else int(tk) for tk in toks])
+            raise BadParameters(f".act row {i} has {len(toks)} entries, expected {degree}")
+        try:
+            row = [UNDEF if tk == "-" else int(tk) for tk in toks]
+        except ValueError:
+            raise BadParameters(f".act row {i} has a token that is not '-' or an integer") from None
+        if any(v < UNDEF or v >= degree for v in row):
+            raise BadParameters(f".act row {i} has a value out of range for degree {degree}")
+        maps.append(row)
     arr = np.asarray(maps, dtype=np.int32).reshape(len(maps), degree)
-    if arr.size and (arr.max() >= degree or arr.min() < -1):
-        raise ValueError("action values out of range")
     return PartialAction(degree=degree, maps=arr)

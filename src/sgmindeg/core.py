@@ -7,7 +7,7 @@ computed from this one representation and is immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,11 +32,16 @@ _REES_CHECK_ROWS = 512
 
 @dataclass(frozen=True)
 class FiniteSemigroup:
-    """A finite semigroup given by its full multiplication table."""
+    """A finite semigroup given by its full multiplication table.
+
+    ``gens``, if given, is a generating set of the table; ``generators()``
+    otherwise computes one with ``small_generating_set`` and keeps it.
+    """
 
     table: np.ndarray
     identity: int | None
     zero: int | None
+    gens: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -54,6 +59,12 @@ class FiniteSemigroup:
 
     def is_idempotent(self, s: int) -> bool:
         return int(self.table[s, s]) == s
+
+    def generators(self) -> tuple[int, ...]:
+        """A generating set of the semigroup, computed at most once."""
+        if self.gens is None:
+            object.__setattr__(self, "gens", tuple(small_generating_set(self.table)))
+        return self.gens
 
 
 def closure_mask(
@@ -120,15 +131,17 @@ def small_generating_set(table: np.ndarray) -> list[int]:
     return gens
 
 
-def check_associativity(table: np.ndarray) -> None:
+def check_associativity(table: np.ndarray, gens: Sequence[int] | None = None) -> None:
     """Raise NonAssociative with a witness triple if the table is not associative.
 
-    Uses Light's test over a generating set, which is equivalent to the full
-    O(n^3) triple scan but far cheaper when few generators suffice.  It is
-    sound on any magma: the elements a with (xa)y = x(ay) for all x, y are
-    closed under products, so they are everything once the generators pass.
+    Uses Light's test over a generating set (``small_generating_set`` unless
+    ``gens`` is given), which is equivalent to the full O(n^3) triple scan but
+    far cheaper when few generators suffice.  It is sound on any magma: the
+    elements a with (xa)y = x(ay) for all x, y are closed under products, so
+    they are everything once the generators pass.
     """
-    gens = small_generating_set(table)
+    if gens is None:
+        gens = small_generating_set(table)
     for a in gens:
         lhs = table[table[:, a], :]  # (x, y) -> (x a) y
         rhs = table[:, table[a, :]]  # (x, y) -> x (a y)
@@ -154,7 +167,8 @@ def from_table(table: Sequence[Sequence[int]] | np.ndarray, validate: bool = Tru
     """Build a semigroup from a square table of element indices.
 
     The semigroup holds its own read-only int32 copy of the table.  An integer
-    array is range-checked in its own dtype, so it is copied only once."""
+    array is range-checked in its own dtype, so it is copied only once.  The
+    generating set that validation finds is kept on the semigroup."""
     if isinstance(table, np.ndarray) and table.dtype.kind in "iu":
         arr = table
     else:
@@ -173,11 +187,13 @@ def from_table(table: Sequence[Sequence[int]] | np.ndarray, validate: bool = Tru
             f"table entry at ({bad[0]}, {bad[1]}) = {arr[bad[0], bad[1]]} is out of range 0..{n - 1}"
         )
     arr = arr.astype(np.int32, order="C")  # in range 0..n-1, so narrowing cannot wrap
+    gens = None
     if validate:
-        check_associativity(arr)
+        gens = tuple(small_generating_set(arr))
+        check_associativity(arr, gens)
     identity, zero = _scan_identity_zero(arr)
     arr.setflags(write=False)
-    return FiniteSemigroup(table=arr, identity=identity, zero=zero)
+    return FiniteSemigroup(table=arr, identity=identity, zero=zero, gens=gens)
 
 
 def compose_maps(f: PartialMap, g: PartialMap) -> PartialMap:
@@ -242,15 +258,17 @@ def from_partial_maps(
     columns[:k] = right_t
     for b, (x, i) in enumerate(derivation, start=k):
         columns[b] = right_t[i][columns[x]]
-    # associativity holds by construction (map composition), skip revalidation
-    return from_table(columns.T, validate=False), maps
+    # associativity holds by construction (map composition), skip revalidation;
+    # elements 0..k-1 are the generators
+    return replace(from_table(columns.T, validate=False), gens=tuple(range(k))), maps
 
 
 def opposite(s: FiniteSemigroup) -> FiniteSemigroup:
-    """The opposite semigroup: table transposed, identity and zero preserved."""
+    """The opposite semigroup: table transposed; identity, zero and a known
+    generating set preserved."""
     t = s.table.T.copy()
     t.setflags(write=False)
-    return FiniteSemigroup(table=t, identity=s.identity, zero=s.zero)
+    return FiniteSemigroup(table=t, identity=s.identity, zero=s.zero, gens=s.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -293,36 +311,90 @@ def _partition_from_keys(keys: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int,
     return np.array(class_of, dtype=np.int64), tuple(tuple(c) for c in classes)
 
 
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """Component of each vertex of the graph v -> succ[v], by an iterative Tarjan.
+
+    Components are numbered in the order they complete, so an edge between
+    two components always leads to the lower number (sinks first).
+    """
+    n = len(succ)
+    index = [0] * n  # discovery number from 1; 0 = not reached yet
+    low = [0] * n
+    comp = [-1] * n  # -1 until the vertex's component completes
+    stack: list[int] = []
+    count = ncomp = 0
+    for root in range(n):
+        if index[root]:
+            continue
+        count += 1
+        index[root] = low[root] = count
+        stack.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if not index[w]:
+                    count += 1
+                    index[w] = low[w] = count
+                    stack.append(w)
+                    path.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:  # w is still on the stack
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if low[v] == index[v]:
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                    ncomp += 1
+                elif low[v] < low[path[-1][0]]:  # v is not the root, so path is not empty
+                    low[path[-1][0]] = low[v]
+    return comp
+
+
 def greens(s: FiniteSemigroup) -> GreensStructure:
-    """Compute Green's relations from principal ideal equality."""
+    """Green's relations from the Cayley graphs over one generating set.
+
+    x S^1 is what x reaches by right multiplications by generators, so the
+    R-classes are the strongly connected components of the right Cayley graph
+    x -> x g; the L-classes and J-classes are those of the left graph x -> g x
+    and of the union of both.  J_i < J_j iff J_i is reachable from J_j.  Time
+    and memory are O(n k) for n elements and k generators, and no n x n array
+    is built.
+    """
     t = s.table
     n = s.size
-    rows = np.repeat(np.arange(n), n)
-    diag = np.arange(n)
-
-    right = np.zeros((n, n), dtype=bool)
-    right[rows, t.ravel()] = True
-    right[diag, diag] = True
-
-    left = np.zeros((n, n), dtype=bool)
-    left[rows, t.T.ravel()] = True
-    left[diag, diag] = True
-
-    # two-sided ideal of s: union of right ideals over the left ideal of s
-    two = (left.astype(np.float32) @ right.astype(np.float32)) > 0.5
-
-    rclass_of, rclasses = _partition_from_keys(np.packbits(right, axis=1))
-    lclass_of, lclasses = _partition_from_keys(np.packbits(left, axis=1))
-    jclass_of, jclasses = _partition_from_keys(np.packbits(two, axis=1))
+    gens = list(s.generators())
+    right = t[:, gens]
+    left = t[gens].T
+    both = np.concatenate((right, left), axis=1)
+    rcomp, lcomp, jcomp = (np.array(_strong_components(a.tolist())) for a in (right, left, both))
+    rclass_of, rclasses = _partition_from_keys(rcomp)
+    lclass_of, lclasses = _partition_from_keys(lcomp)
+    jclass_of, jclasses = _partition_from_keys(jcomp)
 
     hkeys = rclass_of * (lclass_of.max() + 1) + lclass_of
     hclass_of, hclasses = _partition_from_keys(hkeys)
 
-    # J_i < J_j iff i != j and rep_i lies in the ideal of rep_j
-    reps = np.array([c[0] for c in jclasses])
-    jorder_lt = two[reps[None, :], reps[:, None]]
-    np.fill_diagonal(jorder_lt, False)
+    # below[c]: bitset of the components strictly below component c.  Every
+    # edge between components leads to a lower number, so one ascending pass
+    # over the condensed edges completes each below[c] before it is read.
+    nj = len(jclasses)
+    edge = np.zeros((nj, nj), dtype=bool)
+    edge[jcomp[:, None], jcomp[both]] = True
+    np.fill_diagonal(edge, False)
+    below = [0] * nj
+    for c, d in zip(*(a.tolist() for a in np.nonzero(edge))):  # c ascending
+        below[c] |= below[d] | 1 << d
+    width = (nj + 7) // 8
+    bits = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in below), dtype=np.uint8)
+    reach = np.unpackbits(bits.reshape(nj, width), axis=1, count=nj, bitorder="little").view(bool)
+    comp_of_j = jcomp[[c[0] for c in jclasses]]
+    jorder_lt = reach.T[comp_of_j[:, None], comp_of_j]  # J_i < J_j iff comp(J_i) is below comp(J_j)
 
+    diag = np.arange(n)
     idem = np.flatnonzero(t[diag, diag] == diag)
     regular = np.zeros(len(jclasses), dtype=bool)
     regular[jclass_of[idem]] = True

@@ -127,18 +127,30 @@ def _close_extensions(
     Right multiplication by y permutes a mask's columns by ``back[y]``, so one
     round extends every row at once, as ``core.closure_mask(base=H)`` does one:
     the elements new in the last round times H's generators and times the
-    row's x.  The first round's new elements are the coset H x.
+    row's x.  The first round's new elements are the coset H x.  A row whose
+    last round found nothing new is closed; the closed rows drop out of the
+    batch once they are at least half of it, so the batch shrinks geometrically
+    and is compacted only a logarithmic number of times.
     """
-    rows = np.arange(len(xs))[:, None]
     by_x = back[xs]
     by_h = back[gens]
     front = in_h[by_x]  # H x, disjoint from H
-    mask = front | in_h
-    while front.any():
-        hit = front[rows, by_x] | front[:, by_h].any(axis=1)
+    out = mask = front | in_h  # mask is out itself until the batch is first compacted
+    rows = np.arange(len(xs))  # the row of ``out`` of each batch row
+    at = np.arange(len(xs))[:, None]  # the position of each batch row
+    while True:
+        open_rows = front.any(axis=1)
+        live = np.count_nonzero(open_rows)
+        if 2 * live <= len(rows):
+            if mask is not out:
+                out[rows] = mask
+            if not live:
+                return out
+            rows, front, mask, by_x = rows[open_rows], front[open_rows], mask[open_rows], by_x[open_rows]
+            at = at[:live]
+        hit = front[at, by_x] | front[:, by_h].any(axis=1)
         front = hit & ~mask
         mask |= front
-    return mask
 
 
 # ---------------------------------------------------------------------------

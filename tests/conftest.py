@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -45,6 +46,19 @@ def random_small_semigroups(count: int, max_order: int = 8, seed: int = 20240817
 @pytest.fixture(scope="session")
 def random_corpus():
     return random_small_semigroups(205)
+
+
+@pytest.fixture(scope="session")
+def all_tiny_semigroups():
+    """Every associative table on 1, 2 or 3 labelled elements: 1 + 8 + 113."""
+    tables = []
+    for n in (1, 2, 3):
+        for flat in itertools.product(range(n), repeat=n * n):
+            t = np.array(flat, dtype=np.int64).reshape(n, n)
+            if all(np.array_equal(t[t[:, a], :], t[:, t[a, :]]) for a in range(n)):
+                tables.append(t)
+    assert [sum(1 for t in tables if t.shape[0] == n) for n in (1, 2, 3)] == [1, 8, 113]
+    return [from_table(t) for t in tables]
 
 
 @pytest.fixture(scope="session")

@@ -56,6 +56,58 @@ def table_by_composing_all_pairs(maps: list[PartialMap]) -> np.ndarray:
     return table
 
 
+def greens_by_ideal_matrices(s: FiniteSemigroup) -> GreensStructure:
+    """Green's relations from principal ideal equality, as n x n boolean
+    matrices of the right, left and two-sided ideals."""
+    t = s.table
+    n = s.size
+    rows = np.repeat(np.arange(n), n)
+    diag = np.arange(n)
+
+    right = np.zeros((n, n), dtype=bool)
+    right[rows, t.ravel()] = True
+    right[diag, diag] = True
+
+    left = np.zeros((n, n), dtype=bool)
+    left[rows, t.T.ravel()] = True
+    left[diag, diag] = True
+
+    # two-sided ideal of s: union of right ideals over the left ideal of s
+    two = (left.astype(np.float32) @ right.astype(np.float32)) > 0.5
+
+    rclass_of, rclasses = _partition_from_keys(np.packbits(right, axis=1))
+    lclass_of, lclasses = _partition_from_keys(np.packbits(left, axis=1))
+    jclass_of, jclasses = _partition_from_keys(np.packbits(two, axis=1))
+
+    hkeys = rclass_of * (lclass_of.max() + 1) + lclass_of
+    hclass_of, hclasses = _partition_from_keys(hkeys)
+
+    # J_i < J_j iff i != j and rep_i lies in the ideal of rep_j
+    reps = np.array([c[0] for c in jclasses])
+    jorder_lt = two[reps[None, :], reps[:, None]]
+    np.fill_diagonal(jorder_lt, False)
+
+    idem = np.flatnonzero(t[diag, diag] == diag)
+    regular = np.zeros(len(jclasses), dtype=bool)
+    regular[jclass_of[idem]] = True
+
+    jorder_lt.setflags(write=False)
+    regular.setflags(write=False)
+    return GreensStructure(
+        rclass_of=rclass_of,
+        lclass_of=lclass_of,
+        jclass_of=jclass_of,
+        hclass_of=hclass_of,
+        rclasses=rclasses,
+        lclasses=lclasses,
+        jclasses=jclasses,
+        hclasses=hclasses,
+        jorder_lt=jorder_lt,
+        regular=regular,
+        idempotents=tuple(int(e) for e in idem),
+    )
+
+
 def jorder_by_ideal_pairs(s: FiniteSemigroup, g: GreensStructure) -> np.ndarray:
     """J_i < J_j iff the ideal S^1 x S^1 of J_i's lowest element is a proper
     subset of J_j's, compared pair by pair."""

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from sgmindeg.action import (
 )
 from sgmindeg.congruence import rm_irreducible_classes
 from sgmindeg.core import from_table, greens, opposite, rees_coordinatize
-from sgmindeg.errors import NotIdempotent, NotSemisimpleAction
+from sgmindeg.errors import BadParameters, NotIdempotent, NotSemisimpleAction
 from sgmindeg.grouptheory import GroupAction, GroupTable, coset_action, subgroup_classes
 
 
@@ -322,3 +324,21 @@ def test_act_format_roundtrip(sim2):
     back = parse_action(text)
     assert back.degree == nat.degree
     assert np.array_equal(back.maps, nat.maps)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "row 1 (the degree) is missing"),
+        ("# only a comment\n\n", "row 1 (the degree) is missing"),
+        ("-1\n", "row 1 has degree -1"),
+        ("two\n0 1\n", "row 1 must be the degree"),
+        ("2\n0 1\n1 x\n", "row 3 has a token that is not '-' or an integer"),
+        ("2\n0 1\n1\n", "row 3 has 1 entries, expected 2"),
+        ("2\n# comment\n0 2\n", "row 2 has a value out of range for degree 2"),
+    ],
+    ids=["empty", "comments-only", "negative-degree", "bad-degree", "bad-token", "short-row", "out-of-range"],
+)
+def test_parse_action_names_the_bad_row(text, message):
+    with pytest.raises(BadParameters, match=re.escape(message)):
+        parse_action(text)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sgmindeg import builders, oracle
+from sgmindeg import builders, core, oracle
 from sgmindeg.cli import main
 from sgmindeg.errors import InvariantViolated
 from sgmindeg.fileio import dump_sgt
@@ -53,6 +53,17 @@ def test_mindeg_left_flag(tmp_path, capsys):
     assert doc["m"] == 2
     assert doc["left"]["m"] == 3
     assert doc["left"]["bound_l_le_2^m-1"] is True
+
+
+def test_mindeg_left_computes_the_generating_set_once(tmp_path, capsys, monkeypatch):
+    # from_table keeps the set its validation found; opposite passes it on to S^op
+    path = write_sgt(tmp_path, builders.binary_relations(3), "b3.sgt")
+    sizes = []
+    search = core.small_generating_set
+    monkeypatch.setattr(core, "small_generating_set", lambda t: sizes.append(len(t)) or search(t))
+    assert main(["mindeg", "--left", path]) == 0
+    assert "m: 7" in capsys.readouterr().out
+    assert sizes == [512]
 
 
 def test_mindeg_exit_2_on_non_semisimple(tmp_path, capsys):

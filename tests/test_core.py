@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import NULL2
-from reference import jorder_by_ideal_pairs, table_by_composing_all_pairs
-from sgmindeg import builders
+from reference import greens_by_ideal_matrices, jorder_by_ideal_pairs, table_by_composing_all_pairs
+from sgmindeg import builders, core
 from sgmindeg.core import (
+    FiniteSemigroup,
+    GreensStructure,
     _partition_from_keys,
     _verify_rees_multiplication,
     check_associativity,
@@ -185,6 +187,70 @@ def test_greens_opposite_swaps_r_and_l(random_corpus):
         assert np.array_equal(g.lclass_of, gop.rclass_of)
         assert np.array_equal(g.jclass_of, gop.jclass_of)
         assert np.array_equal(g.hclass_of, gop.hclass_of)
+
+
+GREENS_FIELDS = [f.name for f in dataclasses.fields(GreensStructure)]
+
+
+def _assert_greens_match_reference(s):
+    g, ref = greens(s), greens_by_ideal_matrices(s)
+    for name in GREENS_FIELDS:
+        a, b = getattr(g, name), getattr(ref, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: builders.binary_relations(3),
+        lambda: builders.matrix_monoid(3, 2),
+        lambda: builders.partial_transformation(4),
+        lambda: builders.symmetric_inverse(4),
+        lambda: builders.sigma_square(4, (1, 2, 3, 0)),
+        lambda: builders.sigma_square(5, (1, 2, 3, 4, 0)),
+        lambda: builders.sigma_square(6, (1, 2, 3, 4, 5, 0)),
+    ],
+    ids=["B_3", "M_3_F2", "PT_4", "SIM_4", "sigma_square_4", "sigma_square_5", "sigma_square_6"],
+)
+def test_greens_matches_ideal_matrices(build):
+    s = build().semigroup
+    _assert_greens_match_reference(s)
+    _assert_greens_match_reference(opposite(s))
+
+
+def test_greens_matches_ideal_matrices_on_small_semigroups(clifford_c4_c2, all_tiny_semigroups, random_corpus):
+    for s in [clifford_c4_c2, *all_tiny_semigroups, *(s for s, _ in random_corpus)]:
+        _assert_greens_match_reference(s)
+        _assert_greens_match_reference(opposite(s))
+
+
+def test_greens_on_a_10000_element_band():
+    # RB(100, 100): (i, j)(k, l) = (i, l), generated by its diagonal (i, i)
+    m = 100
+    e = np.arange(m * m, dtype=np.int32)
+    table = np.add.outer(e // m * m, e % m)
+    s = FiniteSemigroup(table=table, identity=None, zero=None, gens=tuple(range(0, m * m, m + 1)))
+    g = greens(s)
+    assert (len(g.rclasses), len(g.lclasses), len(g.jclasses), len(g.hclasses)) == (m, m, 1, m * m)
+    assert g.regular.all() and not g.jorder_lt.any()
+    assert np.array_equal(g.rclass_of, e // m) and np.array_equal(g.lclass_of, e % m)
+
+
+def test_generating_set_is_kept_and_passed_on(monkeypatch):
+    calls = []
+    monkeypatch.setattr(core, "small_generating_set", lambda t: calls.append(1) or [0])
+    s = from_table([[0]])
+    assert s.gens == (0,) and len(calls) == 1
+    assert opposite(s).gens == (0,) and s.generators() == (0,) and len(calls) == 1
+    lazy = from_table([[0]], validate=False)
+    assert lazy.gens is None
+    assert lazy.generators() == (0,) and lazy.generators() == (0,) and len(calls) == 2
+    assert opposite(from_table([[0]], validate=False)).gens is None
+    t2, _ = from_partial_maps(2, [(1, 0), (0, 0), (1, 0)])
+    assert t2.gens == (0, 1) and len(calls) == 2  # the generator maps, not a search
 
 
 def _partition_by_unique(keys):
@@ -499,3 +565,4 @@ def test_generating_paths_never_call_np_unique(monkeypatch):
     assert closure_mask(s.table, [1, 5, 9]).any()
     assert small_generating_set(s.table)
     assert generating_set(s)
+    assert greens(s)

@@ -8,28 +8,12 @@ answer, and the non-semisimple ones must be refused with a diagnostic.
 
 from __future__ import annotations
 
-import itertools
-
-import numpy as np
 import pytest
 
 from sgmindeg.congruence import is_rhodes_semisimple
-from sgmindeg.core import from_table
 from sgmindeg.errors import NotRhodesSemisimple
 from sgmindeg.mindeg import min_partial_degree
 from sgmindeg.oracle import OracleQuery, brute_min_degree
-
-
-@pytest.fixture(scope="module")
-def all_tiny_semigroups():
-    tables = []
-    for n in (1, 2, 3):
-        for flat in itertools.product(range(n), repeat=n * n):
-            t = np.array(flat, dtype=np.int64).reshape(n, n)
-            if all(np.array_equal(t[t[:, a], :], t[:, t[a, :]]) for a in range(n)):
-                tables.append(t)
-    assert [sum(1 for t in tables if t.shape[0] == n) for n in (1, 2, 3)] == [1, 8, 113]
-    return [from_table(t) for t in tables]
 
 
 def test_theory_matches_oracle_exhaustively(all_tiny_semigroups):
