@@ -233,10 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-degree", type=int, default=1)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--budget", type=float, default=None, help="seconds; overrides the env budget")
-    nodes = (
-        "nodes = point assignments made while building candidate maps"
-        " + candidate maps tried as generator images"
-    )
+    nodes = "nodes = values tried for the points f_i(p), the image of point p under generator i"
     p.add_argument("--json", action="store_true", help=f"JSON report ({nodes})")
     p.add_argument("--verbose", action="store_true", help=f"also print nodes and the witness ({nodes})")
     p.set_defaults(func=_cmd_oracle)

@@ -1,38 +1,38 @@
 """Brute-force minimal-embedding search, independent of the theory path.
 
 Searches for an injective homomorphism of an abstract semigroup into PT_n,
-T_n, or the partial bijections on n points by assigning images to a small
-generating set, one full map at a time.  A generator's candidate images are
-only the maps of its monogenic type (index, period): they are built point by
-point, and a partial map is dropped as soon as no completion of it can have
-that type.  Each list of candidates is built once per degree and only as far
-as the search reads it.  Point-relabeling symmetry is broken by a canonical
-fresh-point rule on the first assigned generator.
+T_n, or the partial bijections on n points.  The unknowns are the points
+f_i(p), the image of point p under generator gens[i], and one depth-first
+search assigns them generator-major (all of f_0, then all of f_1, ...), each
+trying undefined first and then 0..n-1.  Point-relabeling symmetry is broken
+by a canonical fresh-point rule on the first generator.
 
-Pruning between generators is semi-naive, as in ``core.closure_mask(base=)``.
-Each level of the search keeps the homomorphism closed over the generators
-assigned so far, and a candidate image of the next generator is tested by
-extending it (``close_embedding(base=)``): the old elements are multiplied by
-the new generator, then the newly reached elements by every generator, and
-the first product forced to two maps (or two elements forced to one map)
-rejects the candidate.  The extension by the last generator is the whole
-embedding.  ``verify_embedding`` closes the witness again from scratch, so
-the certificate does not rest on the incremental path.
+Every assignment is closed by deduction over the action table T[x][p] =
+p·φ(x), one entry per element x and point p, as in the deduction step of
+Todd–Coxeter coset enumeration: f_i(q) = v forces T[x·gens[i]][p] = v for
+every (x, p) with T[x][p] = q, and an undefined T[x][p] forces T[x·g][p]
+undefined for every generator g.  An entry forced to two values, or a column
+of T that completes equal to another column (two elements on one map), makes
+the search backtrack at once.  A generator's map must also have the monogenic
+type (index, period) of its element: ``feasible`` drops a prefix of it that no
+completion can give that type.  Since the constraints and the value order do
+not depend on the deduction, the first solution is the least one in that
+order.  When every unknown is assigned, T holds the whole embedding;
+``verify_embedding`` closes the witness again from scratch, so the
+certificate does not rest on the deduction.
 
-The search's node count (``OracleResult.nodes``) is the number of point
-assignments made while building candidate maps plus the number of candidate
-maps tried as a generator's image.
+The search's node count (``OracleResult.nodes``) is the number of values
+tried for the unknowns.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
-from .core import FiniteSemigroup, PartialMap, closure_mask, compose_maps, small_generating_set
+from .core import FiniteSemigroup, PartialMap, closure_mask, compose_maps
 from .errors import EmptyGeneratorSet, InvariantViolated, SemigroupError
 
 DEFAULT_BUDGET_SECS = 60.0
@@ -66,9 +66,10 @@ class _Budget:
         self.nodes = 0
 
     def tick(self) -> None:
-        """Count one node; raise _Timeout once the deadline has passed."""
+        """Count one node; raise _Timeout once the deadline has passed.  The
+        clock is read on the first node and on every 256th."""
         self.nodes += 1
-        if self.nodes % 256 == 0 and time.monotonic() > self.deadline:
+        if (self.nodes % 256 == 0 or self.nodes == 1) and time.monotonic() > self.deadline:
             raise _Timeout
 
     def elapsed(self) -> float:
@@ -101,14 +102,15 @@ def monogenic_type_of_map(m: PartialMap) -> tuple[int, int]:
 
 
 def generating_set(s: FiniteSemigroup) -> list[int]:
-    """Greedy irredundant generating set, verified by closure."""
-    gens = small_generating_set(s.table)
+    """The semigroup's generating set (``FiniteSemigroup.generators``),
+    verified by closure."""
+    gens = list(s.generators())
     if not closure_mask(s.table, gens).all():
         raise InvariantViolated("generating set does not generate the semigroup")
     return gens
 
 
-def _prime_powers(p: int) -> list[int]:
+def prime_powers(p: int) -> list[int]:
     """The prime powers q^e exactly dividing p."""
     out, q = [], 2
     while p > 1:
@@ -122,18 +124,10 @@ def _prime_powers(p: int) -> list[int]:
     return out
 
 
-def _maps_of_type(
-    n: int, mode: str, mtype: tuple[int, int], fresh_rule: bool, tick: Callable[[], None]
-) -> Iterator[PartialMap]:
-    """The maps on n points of monogenic type ``mtype`` = (index, period), in
-    lexicographic order with undefined sorting first.
-
-    map[0], map[1], ... are assigned in turn.  With fresh_rule, a value may
-    exceed by at most one the largest point index seen so far in the scan
-    (positions up to the current one count as seen).  Any embedding can be
-    relabeled to satisfy the rule on its first generator, so applying it there
-    is a sound symmetry break.  In partial_bijection mode no defined value
-    repeats.  ``tick`` is called on every point assignment.
+def feasible(prefix: list[int], n: int, mtype: tuple[int, int], powers: list[int]) -> bool:
+    """False when no map on n points that starts with ``prefix`` (undefined
+    as -1) has monogenic type ``mtype`` = (index, period); ``powers`` is
+    ``prime_powers(period)``.
 
     Undefined acts as a fixed sink point.  A map's period is the lcm of its
     cycle lengths, and its index is max(1, largest height), a point's height
@@ -141,146 +135,86 @@ def _maps_of_type(
     it has closed a cycle whose length does not divide the period, when a
     point's height is known and exceeds the index, or when the prime powers of
     the period missing from the closed cycles' lcm sum to more than the points
-    that could still lie on a new cycle.  Every complete map is checked
-    exactly, so the output is the type's maps and nothing else.
-    """
+    that could still lie on a new cycle."""
     index, period = mtype
-    powers = _prime_powers(period)
-    values = ([-1] if mode != "total" else []) + list(range(n))
-    cur = [0] * n
-    used = [False] * n
-
-    def feasible(k: int) -> bool:
-        """False when no completion of cur[:k] has type (index, period)."""
-        # -2 unvisited, -3 on the current walk, -1 open (the walk ends at an
-        # unassigned point), >= 0 the known height
-        height = [-2] * k
-        cycle_lcm, closed, known = 1, 0, 0
-        for x in range(k):
-            if height[x] != -2:
-                continue
-            path = []
-            y = x
-            while 0 <= y < k and height[y] == -2:
-                height[y] = -3
-                path.append(y)
-                y = cur[y]
-            if y < 0:
-                base = 0
-            elif y >= k:
-                base = -1
-            elif height[y] == -3:
-                start = path.index(y)
-                length = len(path) - start
-                if period % length:
+    k = len(prefix)
+    # -2 unvisited, -3 on the current walk, -1 open (the walk ends at an
+    # unassigned point), >= 0 the known height
+    height = [-2] * k
+    cycle_lcm, closed, known = 1, 0, 0
+    for x in range(k):
+        if height[x] != -2:
+            continue
+        path = []
+        y = x
+        while 0 <= y < k and height[y] == -2:
+            height[y] = -3
+            path.append(y)
+            y = prefix[y]
+        if y < 0:
+            base = 0
+        elif y >= k:
+            base = -1
+        elif height[y] == -3:
+            start = path.index(y)
+            length = len(path) - start
+            if period % length:
+                return False
+            cycle_lcm = cycle_lcm * length // gcd(cycle_lcm, length)
+            closed += length
+            for z in path[start:]:
+                height[z] = 0
+            del path[start:]
+            base = 0
+        else:
+            base = height[y]
+        for z in reversed(path):
+            if base >= 0:
+                base += 1
+                if base > index:
                     return False
-                cycle_lcm = cycle_lcm * length // gcd(cycle_lcm, length)
-                closed += length
-                for z in path[start:]:
-                    height[z] = 0
-                del path[start:]
-                base = 0
-            else:
-                base = height[y]
-            for z in reversed(path):
-                if base >= 0:
-                    base += 1
-                    if base > index:
-                        return False
-                    known += 1
-                height[z] = base
-        return sum(q for q in powers if cycle_lcm % q) <= n - closed - known
-
-    def rec(pos: int, maxseen: int) -> Iterator[PartialMap]:
-        if pos == n:
-            m = tuple(cur)
-            if monogenic_type_of_map(m) == mtype:
-                yield m
-            return
-        ms = max(maxseen, pos)
-        for v in values:
-            if v >= 0:
-                if fresh_rule and v > ms + 1:
-                    break
-                if mode == "partial_bijection" and used[v]:
-                    continue
-            tick()
-            cur[pos] = v
-            if pos + 1 < n and not feasible(pos + 1):
-                continue
-            if v >= 0:
-                used[v] = True
-            yield from rec(pos + 1, max(ms, v))
-            if v >= 0:
-                used[v] = False
-
-    return rec(0, -1)
+                known += 1
+            height[z] = base
+    return sum(q for q in powers if cycle_lcm % q) <= n - closed - known
 
 
-def close_embedding(
-    s: FiniteSemigroup,
-    images: dict[int, PartialMap],
-    base: dict[int, PartialMap] | None = None,
-    base_inv: dict[PartialMap, int] | None = None,
-) -> dict[int, PartialMap] | None:
+def close_embedding(s: FiniteSemigroup, images: dict[int, PartialMap]) -> dict[int, PartialMap] | None:
     """Propagate generator images through the table.
 
     Returns the element -> map assignment on the subsemigroup generated by the
     image keys, or None on any inconsistency (a product forced to two
-    different maps, or two elements forced to one map).
-
-    ``base``, when given, must be ``close_embedding(s, sub)`` for a sub-dict
-    ``sub`` of ``images``: an injective homomorphism on a closed subsemigroup,
-    whose products are already checked.  Only the products it lacks are then
-    formed: its elements times each image whose element it does not cover, and
-    every newly reached element times every image.  The result is the same as
-    without ``base``.  ``base_inv``, the inverse of ``base`` (map -> element),
-    spares rebuilding it when many calls share one base.  Neither is changed:
-    the new assignments are kept in dicts of their own and merged with
-    ``base`` only when the closure succeeds."""
+    different maps, or two elements forced to one map)."""
     if not images:
         return None
     product = s.table.item
-    hom = base or {}
-    rev = dict(zip(hom.values(), hom)) if base_inv is None else base_inv
-    new: dict[int, PartialMap] = {}
-    new_rev: dict[PartialMap, int] = {}
-    work = list(hom)  # base's elements, multiplied by the fresh images only
-    old = len(work)
-    # (element, map with -1 appended): itemgetter(*f)(that) is compose_maps(f, map)
-    every: list[tuple[int, PartialMap]] = []
-    fresh: list[tuple[int, PartialMap]] = []
+    hom: dict[int, PartialMap] = {}
+    rev: dict[PartialMap, int] = {}
     for el, m in images.items():
-        gen = (el, m + (-1,))
-        every.append(gen)
-        if el in hom:
-            if hom[el] != m:
-                return None
-        elif m in rev or m in new_rev:
+        if m in rev:
             return None
-        else:
-            new[el] = m
-            new_rev[m] = el
-            work.append(el)
-            fresh.append(gen)
-    for i, x in enumerate(work):  # work grows while it is walked
-        mx = hom[x] if i < old else new[x]
+        hom[el] = m
+        rev[m] = el
+    # (element, map with -1 appended): itemgetter(*f)(that) is compose_maps(f, map)
+    every = [(el, m + (-1,)) for el, m in images.items()]
+    work = list(hom)
+    for x in work:  # work grows while it is walked
+        mx = hom[x]
         # itemgetter of one index returns the entry, not a 1-tuple; of none, fails
         pick = itemgetter(*mx) if len(mx) > 1 else lambda gx, mx=mx: tuple(map(gx.__getitem__, mx))
-        for el, gx in fresh if i < old else every:
+        for el, gx in every:
             y = product(x, el)
             my = pick(gx)
-            known = hom.get(y, new.get(y))
+            known = hom.get(y)
             if known is not None:
                 if known != my:
                     return None
-            elif my in rev or my in new_rev:
+            elif my in rev:
                 return None
             else:
-                new[y] = my
-                new_rev[my] = y
+                hom[y] = my
+                rev[my] = y
                 work.append(y)
-    return {**hom, **new}
+    return hom
 
 
 def verify_embedding(s: FiniteSemigroup, images: dict[int, PartialMap]) -> bool:
@@ -296,17 +230,7 @@ def verify_embedding(s: FiniteSemigroup, images: dict[int, PartialMap]) -> bool:
     return hom is not None and len(hom) == s.size
 
 
-def _replay(items: list[PartialMap], source: Iterator[PartialMap]) -> Iterator[PartialMap]:
-    """Iterate ``items``, extending it from ``source`` once past its end."""
-    k = 0
-    while True:
-        if k == len(items):
-            nxt = next(source, None)
-            if nxt is None:
-                return
-            items.append(nxt)
-        yield items[k]
-        k += 1
+_UNKNOWN = -2
 
 
 def _search_degree(
@@ -317,36 +241,134 @@ def _search_degree(
     mode: str,
     budget: _Budget,
 ) -> dict[int, PartialMap] | None:
-    # Candidates of the later generators, by type: each map is built once per
-    # degree, and only when the search first reads that far.
-    pulled: dict[tuple[int, int], tuple[list[PartialMap], Iterator[PartialMap]]] = {}
-    assigned: dict[int, PartialMap] = {}
+    if n == 0:
+        # PT_0 has one element, the empty map
+        return {g: () for g in gens} if s.size == 1 else None
+    # succ[x][i] = (x · gens[i]) * n, the start of that element's column
+    succ = (s.table[:, gens] * n).tolist()
+    gen_of = [-1] * s.size
+    for i, g in enumerate(gens):
+        gen_of[g] = i
+    gen_base = [g * n for g in gens]
+    # The action table, flat: T[x * n + p] = p·φ(x), -1 undefined, _UNKNOWN not
+    # yet deduced.  occ[q] lists the indices holding q and trail every index
+    # set, each in the order they were set.  A column's completion is checked
+    # when an entry of it is processed, after it is set; ``added`` lists the
+    # completed columns as (trail length, element, column).
+    T = [_UNKNOWN] * (s.size * n)
+    occ: list[list[int]] = [[] for _ in range(n)]
+    trail: list[int] = []
+    columns: set[tuple[int, ...]] = set()  # the complete columns
+    in_columns = [False] * s.size
+    added: list[tuple[int, int, tuple[int, ...]]] = []
 
-    def candidates(i: int) -> Iterator[PartialMap]:
-        if i == 0:
-            return _maps_of_type(n, mode, gen_types[0], True, budget.tick)
-        t = gen_types[i]
-        if t not in pulled:
-            pulled[t] = ([], _maps_of_type(n, mode, t, False, budget.tick))
-        return _replay(*pulled[t])
+    def deduce(j: int, v: int) -> bool:
+        """Set the unknown T[j] = v and every entry that forces; False on a
+        clash."""
+        T[j] = v
+        trail.append(j)
+        if v >= 0:
+            occ[v].append(j)
+        stack = [j]  # set entries whose consequences are still to draw
+        while stack:
+            j = stack.pop()
+            w = T[j]
+            x = j // n
+            p = j - x * n
+            if not in_columns[x]:
+                col = tuple(T[x * n : x * n + n])
+                if _UNKNOWN not in col:
+                    if col in columns:
+                        return False
+                    columns.add(col)
+                    in_columns[x] = True
+                    added.append((len(trail), x, col))
+            # T[x·g][p] = f_g(w) for every generator g
+            for t, b in zip(succ[x], gen_base):
+                fw = -1 if w < 0 else T[b + w]
+                if fw == _UNKNOWN:
+                    continue
+                t += p
+                cur = T[t]
+                if cur == _UNKNOWN:
+                    T[t] = fw
+                    trail.append(t)
+                    if fw >= 0:
+                        occ[fw].append(t)
+                    stack.append(t)
+                elif cur != fw:
+                    return False
+            i = gen_of[x]
+            if i < 0:
+                continue
+            # the same rule seen from f_i(p) = w, for every T[x2][p2] = p
+            for j2 in occ[p]:
+                x2 = j2 // n
+                t = succ[x2][i] + j2 - x2 * n
+                cur = T[t]
+                if cur == _UNKNOWN:
+                    T[t] = w
+                    trail.append(t)
+                    if w >= 0:
+                        occ[w].append(t)
+                    stack.append(t)
+                elif cur != w:
+                    return False
+        return True
 
-    def rec(i: int, hom: dict[int, PartialMap] | None) -> dict[int, PartialMap] | None:
-        """Extend ``hom``, the closed homomorphism of gens[:i], by gens[i]."""
-        if i == len(gens):
-            return dict(assigned) if len(hom) == s.size else None
-        inv = dict(zip(hom.values(), hom)) if hom else None  # shared by every candidate
-        for cand in candidates(i):
+    def undo(mark: int, occ_mark: list[int]) -> None:
+        """Reset every entry set since the trail had length ``mark`` and the
+        lists of occ had lengths ``occ_mark``."""
+        while added and added[-1][0] > mark:
+            _, x, col = added.pop()
+            columns.remove(col)
+            in_columns[x] = False
+        for j in trail[mark:]:
+            T[j] = _UNKNOWN
+        del trail[mark:]
+        for o, m in zip(occ, occ_mark):
+            del o[m:]
+
+    values = ([-1] if mode != "total" else []) + list(range(n))
+    injective = mode == "partial_bijection"
+    powers = [prime_powers(t[1]) for t in gen_types]
+    last = len(gens) * n
+
+    def rec(u: int) -> bool:
+        """Assign unknowns u, u + 1, ...: unknown u is f_i(p), u = i * n + p."""
+        if u == last:
+            return True
+        i, p = divmod(u, n)
+        j = gen_base[i] + p
+        prefix = T[gen_base[i] : j]
+        known = T[j]
+        # the fresh-point rule, a sound symmetry break since any embedding can
+        # be relabeled to meet it: f_0(p) exceeds by at most one both p and
+        # every earlier value of f_0
+        top = max(max(prefix, default=-1), p) + 1 if i == 0 else n
+        for v in values if known == _UNKNOWN else (known,):
+            if v > top:
+                break
+            if injective and v >= 0 and v in prefix:
+                continue
             budget.tick()
-            assigned[gens[i]] = cand
-            extended = close_embedding(s, assigned, base=hom, base_inv=inv)
-            if extended is not None:
-                found = rec(i + 1, extended)
-                if found is not None:
-                    return found
-            del assigned[gens[i]]
-        return None
+            if p + 1 < n:
+                if not feasible(prefix + [v], n, gen_types[i], powers[i]):
+                    continue
+            elif monogenic_type_of_map((*prefix, v)) != gen_types[i]:
+                continue
+            if known == _UNKNOWN:
+                mark, occ_mark = len(trail), [len(o) for o in occ]
+                if deduce(j, v) and rec(u + 1):
+                    return True
+                undo(mark, occ_mark)
+            elif rec(u + 1):
+                return True
+        return False
 
-    return rec(0, None)
+    if not rec(0):
+        return None
+    return {g: tuple(T[b : b + n]) for g, b in zip(gens, gen_base)}
 
 
 def brute_min_degree(query: OracleQuery) -> OracleResult:

@@ -7,6 +7,8 @@ certifies, so that a test can check the two agree.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+
 import numpy as np
 
 from sgmindeg.action import PartialAction
@@ -33,11 +35,12 @@ from sgmindeg.oracle import (
     DEFAULT_BUDGET_SECS,
     OracleQuery,
     _Budget,
-    _maps_of_type,
-    _replay,
     _Timeout,
+    feasible,
     generating_set,
     monogenic_type_of_element,
+    monogenic_type_of_map,
+    prime_powers,
 )
 
 
@@ -369,12 +372,71 @@ def close_embedding_from_scratch(
     return hom
 
 
-def oracle_search_from_scratch(query: OracleQuery) -> tuple:
-    """``brute_min_degree`` without the incremental closure: the same
-    candidates in the same order, but every tried candidate re-closes the
-    images of all assigned generators from scratch, and so does every leaf.
+def maps_of_type(
+    n: int, mode: str, mtype: tuple[int, int], fresh_rule: bool, tick: Callable[[], None]
+) -> Iterator[PartialMap]:
+    """The maps on n points of monogenic type ``mtype`` = (index, period), in
+    lexicographic order with undefined sorting first: the candidate images of
+    one generator in ``oracle_search_from_scratch``.
 
-    Returns (status, degree, searched_up_to, nodes, witness)."""
+    map[0], map[1], ... are assigned in turn.  With fresh_rule, a value may
+    exceed by at most one the largest point index seen so far in the scan
+    (positions up to the current one count as seen).  In partial_bijection
+    mode no defined value repeats.  ``tick`` is called on every point
+    assignment.  A prefix that ``oracle.feasible`` rules out is dropped, and
+    every complete map is checked exactly."""
+    powers = prime_powers(mtype[1])
+    values = ([-1] if mode != "total" else []) + list(range(n))
+    cur = [0] * n
+    used = [False] * n
+
+    def rec(pos: int, maxseen: int) -> Iterator[PartialMap]:
+        if pos == n:
+            m = tuple(cur)
+            if monogenic_type_of_map(m) == mtype:
+                yield m
+            return
+        ms = max(maxseen, pos)
+        for v in values:
+            if v >= 0:
+                if fresh_rule and v > ms + 1:
+                    break
+                if mode == "partial_bijection" and used[v]:
+                    continue
+            tick()
+            cur[pos] = v
+            if pos + 1 < n and not feasible(cur[: pos + 1], n, mtype, powers):
+                continue
+            if v >= 0:
+                used[v] = True
+            yield from rec(pos + 1, max(ms, v))
+            if v >= 0:
+                used[v] = False
+
+    return rec(0, -1)
+
+
+def _replay(items: list[PartialMap], source: Iterator[PartialMap]) -> Iterator[PartialMap]:
+    """Iterate ``items``, extending it from ``source`` once past its end."""
+    k = 0
+    while True:
+        if k == len(items):
+            nxt = next(source, None)
+            if nxt is None:
+                return
+            items.append(nxt)
+        yield items[k]
+        k += 1
+
+
+def oracle_search_from_scratch(query: OracleQuery) -> tuple:
+    """``brute_min_degree`` by whole generator maps: each generator's
+    candidates are the maps of its monogenic type (``maps_of_type``), tried in
+    order, and every tried candidate re-closes the images of all assigned
+    generators from scratch, and so does every leaf.  Its first solution is
+    the least one in the search's order, as is the point-level search's.
+
+    Returns (status, degree, searched_up_to, witness)."""
     s = query.semigroup
     gens = list(query.generators) if query.generators is not None else generating_set(s)
     types = {ge: monogenic_type_of_element(s, ge) for ge in gens}
@@ -387,10 +449,10 @@ def oracle_search_from_scratch(query: OracleQuery) -> tuple:
 
         def candidates(i: int):
             if i == 0:
-                return _maps_of_type(n, query.mode, types[gens[0]], True, budget.tick)
+                return maps_of_type(n, query.mode, types[gens[0]], True, budget.tick)
             t = types[gens[i]]
             if t not in pulled:
-                pulled[t] = ([], _maps_of_type(n, query.mode, t, False, budget.tick))
+                pulled[t] = ([], maps_of_type(n, query.mode, t, False, budget.tick))
             return _replay(*pulled[t])
 
         def rec(i: int) -> dict[int, PartialMap] | None:
@@ -415,7 +477,7 @@ def oracle_search_from_scratch(query: OracleQuery) -> tuple:
         try:
             witness = search(n)
         except _Timeout:
-            return ("timeout", None, n - 1, budget.nodes, None)
+            return ("timeout", None, n - 1, None)
         if witness is not None:
-            return ("found", n, n, budget.nodes, witness)
-    return ("not_found", None, query.max_n, budget.nodes, None)
+            return ("found", n, n, witness)
+    return ("not_found", None, query.max_n, None)

@@ -4,13 +4,17 @@ from itertools import product
 
 import pytest
 
-from reference import close_embedding_from_scratch, compose_pointwise, oracle_search_from_scratch
+from reference import (
+    close_embedding_from_scratch,
+    compose_pointwise,
+    maps_of_type,
+    oracle_search_from_scratch,
+)
 from sgmindeg import builders
 from sgmindeg.core import compose_maps, from_partial_maps, opposite
 from sgmindeg.errors import SemigroupError
 from sgmindeg.oracle import (
     OracleQuery,
-    _maps_of_type,
     brute_min_degree,
     close_embedding,
     generating_set,
@@ -153,21 +157,6 @@ def test_close_embedding_detects_conflicts():
     assert verify_embedding(s, {1: (1, 2, 3, 0)})
 
 
-def test_close_embedding_leaves_base_unchanged(sim2):
-    # the search hands one base and its inverse to every candidate of a level
-    images = brute_min_degree(OracleQuery(semigroup=sim2, mode="partial", max_n=2)).witness
-    first, second = images
-    base = close_embedding(sim2, {first: images[first]})
-    inv = dict(zip(base.values(), base))
-    before = list(base.items()), list(inv.items())
-    for base_inv in (inv, None):
-        rejected = {first: images[first], second: (0, -1)}
-        assert close_embedding(sim2, rejected, base=base, base_inv=base_inv) is None
-        hom = close_embedding(sim2, images, base=base, base_inv=base_inv)
-        assert hom == close_embedding(sim2, images) and len(hom) == sim2.size
-        assert (list(base.items()), list(inv.items())) == before
-
-
 def _all_maps_reference(n, mode, fresh_rule):
     """Every map on n points, undefined sorting first, under the fresh-point
     and partial-bijection rules: the enumeration the oracle filtered by type
@@ -203,7 +192,7 @@ def test_maps_of_type_equals_filtered_enumeration():
                 types = {monogenic_type_of_map(m) for m in every} | {(1, 7), (3, 2)}
                 for t in sorted(types):
                     want = [m for m in every if monogenic_type_of_map(m) == t]
-                    got = list(_maps_of_type(n, mode, t, fresh_rule, lambda: ticks.append(1)))
+                    got = list(maps_of_type(n, mode, t, fresh_rule, lambda: ticks.append(1)))
                     assert got == want, (n, mode, fresh_rule, t)
     assert ticks
 
@@ -254,6 +243,14 @@ def test_nodes_add_up_per_degree(pinned_inputs, name, lo, hi):
     assert singles[-1].status == whole.status
 
 
+def test_m3f2_found_at_degree_7_within_default_budget():
+    # the search by whole maps refuted degree 6 but needed about a minute for
+    # degree 7, past the default budget
+    s = builders.matrix_monoid(3, 2).semigroup
+    res = brute_min_degree(OracleQuery(semigroup=s, mode="partial", min_n=6, max_n=7))
+    assert (res.status, res.degree, res.searched_up_to) == ("found", 7, 7)
+
+
 def test_budget_stops_a_long_degree(clifford_c4_c2):
     res = brute_min_degree(
         OracleQuery(semigroup=clifford_c4_c2, mode="partial", min_n=6, max_n=6, budget_secs=0.0)
@@ -262,13 +259,15 @@ def test_budget_stops_a_long_degree(clifford_c4_c2):
 
 
 def _outcome(res):
-    return (res.status, res.degree, res.searched_up_to, res.nodes, res.witness)
+    # node counts are left out: the reference tries whole maps, the search
+    # single points
+    return (res.status, res.degree, res.searched_up_to, res.witness)
 
 
 @pytest.mark.parametrize("mode", ["partial", "total", "partial_bijection"])
 def test_search_matches_from_scratch_reference(random_corpus, mode):
-    # extending the homomorphism one generator at a time must try the same
-    # candidates, in the same order, with the same verdicts
+    # the point search with deduction has the constraints and the value order
+    # of the search by whole maps, so it finds the same first solution
     for s, _ in random_corpus:
         query = OracleQuery(semigroup=s, mode=mode, min_n=0, max_n=4)
         assert _outcome(brute_min_degree(query)) == oracle_search_from_scratch(query)
@@ -291,7 +290,7 @@ def _prefix_cases(s, gens, witness, n, mode):
         prefix = {g: witness[g] for g in gens[:k]}
         yield {**prefix, gens[k]: witness[gens[k]]}, prefix
         t = monogenic_type_of_element(s, gens[k])
-        for i, cand in enumerate(_maps_of_type(n, mode, t, False, lambda: None)):
+        for i, cand in enumerate(maps_of_type(n, mode, t, False, lambda: None)):
             if i == 60:
                 break
             yield {**prefix, gens[k]: cand}, prefix
@@ -310,22 +309,18 @@ def test_close_embedding_extends_a_closed_prefix(random_corpus, pinned_inputs):
     for s, mode in cases:
         # the witness comes from the reference search, so that this test checks
         # close_embedding alone
-        status, degree, _, _, witness = oracle_search_from_scratch(
+        status, degree, _, witness = oracle_search_from_scratch(
             OracleQuery(semigroup=s, mode=mode, min_n=0, max_n=7, budget_secs=200)
         )
         assert status == "found"
         gens = list(witness)
         for images, prefix in _prefix_cases(s, gens, witness, degree, mode):
-            base = close_embedding(s, prefix) if prefix else None
-            inv = dict(zip(base.values(), base)) if base else None
             want = close_embedding_from_scratch(s, images)
-            assert close_embedding(s, images, base=base) == want
-            assert close_embedding(s, images, base=base, base_inv=inv) == want
             assert close_embedding(s, images) == want
-            if base is not None:
+            if prefix:
                 compared += 1
                 failed += want is None
-                extended += want is not None and len(want) > len(base)
+                extended += want is not None and len(want) > len(close_embedding(s, prefix))
     assert compared > 1000 and failed > 500 and extended > 100
 
 
