@@ -229,7 +229,9 @@ def faithful_by_criterion(
             return False
         e = min_idempotent_of(g, j)
         imgs = omega.maps[e, pts]
-        fixed = np.unique(imgs[imgs >= 0])
+        fixed = np.zeros(omega.degree, dtype=bool)
+        fixed[imgs[imgs >= 0]] = True
+        fixed = np.flatnonzero(fixed)
         for m in row.mj:
             if m == e:
                 continue
@@ -282,7 +284,10 @@ def greens_congruence_classes(s: FiniteSemigroup, omega: PartialAction, e: int) 
     """
     if not s.is_idempotent(e):
         raise NotIdempotent(f"element {e} is not idempotent")
-    translators = np.unique(np.concatenate([s.table[:, e], [e]]))
+    translators = np.zeros(s.size, dtype=bool)
+    translators[s.table[:, e]] = True
+    translators[e] = True
+    translators = np.flatnonzero(translators)
     sig = omega.maps[translators, :].T  # point rows over t in S^1 e
     class_of, _ = _partition_from_keys(sig)
     sink = (sig < 0).all(axis=1)  # these points form one class; drop its id

@@ -4,7 +4,10 @@ Two congruences are associated to a regular J-class J: the right-mapping
 congruence (elements acting identically on the right of J) and the
 generalized-group-mapping congruence (elements acting identically through
 both sides of J).  A semigroup is Rhodes semisimple when the intersection of
-the latter over all regular J-classes is the equality relation.
+the latter over all regular J-classes is the equality relation.  By Green's
+lemma both are decided on the H-class representatives of J
+(``core.schutzenberger_reps``): |B| entries per element for the first and
+|B| x |A| for the second, instead of |J|.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from .core import (
     _partition_from_keys,
     greens,
     min_idempotent_of,
+    schutzenberger_reps,
 )
-from .errors import NotInverse, NotRegular
+from .errors import NotInverse
 
 
 @dataclass(frozen=True)
@@ -55,42 +59,57 @@ def rm_congruence_at(s: FiniteSemigroup, g: GreensStructure, j: int) -> Congruen
     """s ~ t iff for all x in J: xs in J <=> xt in J, with xs = xt when both stay in J.
 
     Equivalently, s and t act the same in the right Schutzenberger
-    representation on (any R-class of) J.
+    representation of J.  With e, r_a and q_b from ``schutzenberger_reps``,
+    every x in J is r_a h q_b with h in H_e, and left multiplication by r_a h
+    is injective on eS and maps R_e onto R_a (Green's lemma).  So xs = xt iff
+    q_b s = q_b t, and xs stays in J iff q_b s does: the signature of s is
+    (q_b s, or -1 outside J) over the |B| L-classes b, not over all of J.
     """
-    if not g.regular[j]:
-        raise NotRegular(f"J-class {j} contains no idempotent")
-    jelems = np.asarray(g.jclasses[j])
-    prods = s.table[jelems, :]  # (x, s) -> x s
-    sig = np.where(g.jclass_of[prods] == j, prods, -1).T  # one row per element s
+    _, _, q_reps = schutzenberger_reps(g, j)
+    prods = s.table[q_reps].T  # (s, b) -> q_b s
+    sig = np.where(g.jclass_of[prods] == j, prods, -1)
     class_of, classes = _partition_from_keys(sig)
     return Congruence(class_of=class_of, classes=classes)
 
 
+def _ggm_signature(s: FiniteSemigroup, g: GreensStructure, j: int) -> np.ndarray:
+    """One row per element s: the |B| x |A| matrix (q_b s r_a, or -1 outside J).
+
+    Write x = r_a h q_b and y = r_a2 h2 q_b2 as in ``rm_congruence_at``.  Left
+    multiplication by r_a h is injective on eS and right multiplication by
+    h2 q_b2 on Se (Green's lemma, on both sides), and xsy stays in J iff
+    q_b s r_a2 does, which then lies in H_e.  So xsy and xty agree for all x, y
+    in J iff s and t have the same row.
+    """
+    _, r_reps, q_reps = schutzenberger_reps(g, j)
+    prods = s.table[s.table[q_reps].T[:, :, None], r_reps]  # (s, b, a) -> q_b s r_a
+    return np.where(g.jclass_of[prods] == j, prods, -1).reshape(s.size, -1)
+
+
 def ggm_congruence_at(s: FiniteSemigroup, g: GreensStructure, j: int) -> Congruence:
-    """s ~ t iff for all x, y in J: xsy in J <=> xty in J, with xsy = xty when in J."""
-    if not g.regular[j]:
-        raise NotRegular(f"J-class {j} contains no idempotent")
-    jelems = np.asarray(g.jclasses[j])
-    # rowsig[u] encodes the map y -> uy restricted to J; two elements agree on J
-    # through both sides iff the rows of their left-translates match.
-    right = s.table[:, jelems]  # (u, y) -> u y
-    rowsig = np.where(g.jclass_of[right] == j, right, -1)
-    row_id, _ = _partition_from_keys(rowsig)
-    prods = s.table[jelems, :]  # (x, s) -> x s
-    sig = row_id[prods].T  # one row per element s: (row_id(x s))_x
-    class_of, classes = _partition_from_keys(sig)
+    """s ~ t iff for all x, y in J: xsy in J <=> xty in J, with xsy = xty when in J.
+
+    Decided on |B| x |A| entries per element (``_ggm_signature``), not |J| x |J|.
+    """
+    class_of, classes = _partition_from_keys(_ggm_signature(s, g, j))
     return Congruence(class_of=class_of, classes=classes)
 
 
 def is_rhodes_semisimple(
     s: FiniteSemigroup, g: GreensStructure | None = None
 ) -> tuple[bool, Congruence]:
-    """Whether the GGM congruence (meet over all regular J-classes) is trivial."""
+    """Whether the GGM congruence (meet over all regular J-classes) is trivial.
+
+    The meet is refined one class at a time, each by one partition of the
+    current class ids next to the class's GGM signature, until it is equality.
+    """
     if g is None:
         g = greens(s)
     cong = universal_congruence(s.size)
     for j in g.regular_jclasses():
-        cong = cong.meet(ggm_congruence_at(s, g, j))
+        keys = np.concatenate([cong.class_of[:, None], _ggm_signature(s, g, j)], axis=1)
+        class_of, classes = _partition_from_keys(keys)
+        cong = Congruence(class_of=class_of, classes=classes)
         if cong.is_equality():
             break
     return cong.is_equality(), cong
@@ -130,20 +149,17 @@ def rm_irreducible_classes(
     for j in regs:
         lower = [rm[j2].class_of for j2 in regs if g.jorder_lt[j2, j]]
         keys = np.array(lower, dtype=np.int64).reshape(len(lower), n).T  # a column per lower class
-        plow_ids, _ = _partition_from_keys(keys)  # the meet of their RM congruences
+        plow_ids, plow_classes = _partition_from_keys(keys)  # the meet of their RM congruences
 
-        witness = None
-        first_by_class: dict[int, int] = {}
+        # the first x whose RM class differs from that of the lowest member of
+        # its plow class, paired with that member
+        lowest = np.array([c[0] for c in plow_classes])[plow_ids]
         rm_ids = rm[j].class_of
-        for x in range(n):
-            c = int(plow_ids[x])
-            if c not in first_by_class:
-                first_by_class[c] = x
-            elif rm_ids[first_by_class[c]] != rm_ids[x]:
-                witness = (first_by_class[c], x)
-                break
+        differs = rm_ids[lowest] != rm_ids
+        first = int(differs.argmax())
+        witness = (int(lowest[first]), first) if differs[first] else None
 
-        e = min_idempotent_of(g, j)
+        e = schutzenberger_reps(g, j)[0]
         h_e = g.hclass_of[e]
         mj = tuple(
             int(x)

@@ -26,8 +26,9 @@ PartialMap = tuple[int, ...]  # length = degree, entries are points or -1 for un
 # Largest element count accepted from any input: the dense tables are n x n.
 MAX_ELEMENTS = 10_000
 
-# Rows of J per block when the Rees law is checked, so the temporaries stay small.
-_REES_CHECK_ROWS = 512
+# Rows per block when a whole table or the Rees law on J x J is scanned, so the
+# temporaries stay small.
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -151,15 +152,30 @@ def check_associativity(table: np.ndarray, gens: Sequence[int] | None = None) ->
 
 
 def _scan_identity_zero(table: np.ndarray) -> tuple[int | None, int | None]:
+    """The identity and the zero of the table, or None.
+
+    In any magma a left identity e equals every right identity f (ef is both),
+    and a right zero z every left zero y (yz is both).  So one comparison of each
+    entry with its column index finds the left identities (rows 0..n-1) and
+    the right zeros (constant columns); the first of each is then the identity
+    or the zero iff its column or row passes too.  Blocks of rows keep the
+    temporaries small.
+    """
     n = table.shape[0]
     ar = np.arange(n)
-    identity = None
-    zero = None
-    for e in range(n):
-        if identity is None and np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar):
-            identity = e
-        if zero is None and (table[e] == e).all() and (table[:, e] == e).all():
-            zero = e
+    left_identity = np.empty(n, dtype=bool)
+    right_zero = np.ones(n, dtype=bool)
+    for lo in range(0, n, _BLOCK_ROWS):
+        by_col = table[lo : lo + _BLOCK_ROWS] == ar  # t[x, y] == y
+        left_identity[lo : lo + len(by_col)] = by_col.all(axis=1)
+        right_zero &= by_col.all(axis=0)
+    identity = zero = None
+    if left_identity.any():
+        e = int(np.argmax(left_identity))
+        identity = e if np.array_equal(table[:, e], ar) else None
+    if right_zero.any():
+        z = int(np.argmax(right_zero))
+        zero = z if (table[z] == z).all() else None
     return identity, zero
 
 
@@ -290,6 +306,9 @@ class GreensStructure:
     jorder_lt: np.ndarray  # jorder_lt[i, j] True iff J_i < J_j strictly
     regular: np.ndarray  # per J-class
     idempotents: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_reps", {})  # schutzenberger_reps per J-class, on first use
 
     def regular_jclasses(self) -> list[int]:
         return np.flatnonzero(self.regular).tolist()
@@ -480,32 +499,51 @@ class ReesCoordinatization:
         return self.triple_to_elem.shape[2]
 
 
+def schutzenberger_reps(g: GreensStructure, j: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """e = e_J and the H-class representatives r_a in L_e and q_b in R_e.
+
+    ``r_reps[a]`` is the lowest element of L_e in the a-th R-class of J and
+    ``q_reps[b]`` the lowest element of R_e in the b-th L-class of J.  The
+    classes of e come first with r_0 = q_0 = e; the others follow in class-id
+    order.  Every x in J is r_a h q_b for exactly one (a, h, b) with h in H_e.
+    Computed once per J-class and kept on ``g``.
+    """
+    if j in g._reps:
+        return g._reps[j]
+    if not g.regular[j]:
+        raise NotRegular(f"J-class {j} contains no idempotent")
+    e = min_idempotent_of(g, j)
+
+    def reps(class_of: np.ndarray, classes: tuple, side: tuple[int, ...]) -> list[int]:
+        """e, then the lowest element of ``side`` in each other class of J, by class id."""
+        lowest: dict[int, int] = {}
+        for x in side:  # ascending
+            lowest.setdefault(int(class_of[x]), x)
+        if sum(len(classes[c]) for c in lowest) != len(g.jclasses[j]):
+            raise NotRegular(f"regular J-class {j} has an empty H-class")
+        own = int(class_of[e])
+        return [e] + [lowest[c] for c in sorted(lowest) if c != own]
+
+    r_list = reps(g.rclass_of, g.rclasses, g.lclasses[g.lclass_of[e]])
+    q_list = reps(g.lclass_of, g.lclasses, g.rclasses[g.rclass_of[e]])
+    both = np.array(r_list + q_list)
+    both.setflags(write=False)
+    r_reps, q_reps = both[: len(r_list)], both[len(r_list) :]
+    g._reps[j] = e, r_reps, q_reps
+    return g._reps[j]
+
+
 def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoordinatization:
     """Coordinatize a regular J-class as a Rees matrix structure.
 
-    The idempotent e is ``min_idempotent_of``; A and B are listed with the
-    classes of e first and then in lowest-element order, which makes the
-    sandwich matrix normalized: C[b0][a0] is the group identity.  The
-    coordinates are checked against the table by the Rees multiplication law.
+    The idempotent e and the representatives r_a, q_b are those of
+    ``schutzenberger_reps``, which lists A and B with the classes of e first;
+    this makes the sandwich matrix normalized: C[b0][a0] is the group identity.
+    The coordinates are checked against the table by the Rees multiplication law.
     """
-    if not g.regular[j]:
-        raise NotRegular(f"J-class {j} contains no idempotent")
     t = s.table
+    e, r_reps, q_reps = schutzenberger_reps(g, j)
     jelems = np.asarray(g.jclasses[j])
-    e = min_idempotent_of(g, j)
-
-    def reps(class_of: np.ndarray, side: np.ndarray) -> list[int]:
-        """e, then the lowest element of ``side`` in each other class of J, by class id."""
-        lowest = {int(class_of[e]): e}
-        for x in side.tolist():  # ascending
-            lowest.setdefault(int(class_of[x]), x)
-        ids = sorted(set(class_of[jelems].tolist()) - {int(class_of[e])})
-        if len(lowest) != len(ids) + 1:
-            raise NotRegular(f"regular J-class {j} has an empty H-class")
-        return [e] + [lowest[c] for c in ids]
-
-    r_reps = reps(g.rclass_of, jelems[g.lclass_of[jelems] == g.lclass_of[e]])
-    q_reps = reps(g.lclass_of, jelems[g.rclass_of[jelems] == g.rclass_of[e]])
     group = [e] + [x for x in g.hclasses[g.hclass_of[e]] if x != e]
     m = len(group)
     # gpos[x] = position of x in group (-1 outside it)
@@ -522,7 +560,7 @@ def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoo
     if sandwich[0, 0] != 1:
         raise InvariantViolated("normalization C[b0][a0] = identity failed")
 
-    triple_to_elem = t[t[np.ix_(r_reps, group)][:, :, None], np.asarray(q_reps)[None, None, :]]
+    triple_to_elem = t[t[np.ix_(r_reps, group)][:, :, None], q_reps[None, None, :]]
     if not np.array_equal(np.sort(triple_to_elem, axis=None), jelems):
         raise NotRegular(f"Rees coordinates of J-class {j} are not a bijection")
 
@@ -545,8 +583,8 @@ def _verify_rees_multiplication(
 ) -> None:
     """Check the table against ``rees_law`` on J x J, a block of rows at a time."""
     elems = rc.triple_to_elem.ravel()
-    for lo in range(0, len(elems), _REES_CHECK_ROWS):
-        rows = np.arange(lo, min(lo + _REES_CHECK_ROWS, len(elems)))
+    for lo in range(0, len(elems), _BLOCK_ROWS):
+        rows = np.arange(lo, min(lo + _BLOCK_ROWS, len(elems)))
         prods = s.table[np.ix_(elems[rows], elems)]
         law = rees_law(rc.group_mul, rc.sandwich, rows)
         zero = law < 0

@@ -12,7 +12,13 @@ from collections.abc import Callable, Iterator
 import numpy as np
 
 from sgmindeg.action import PartialAction
-from sgmindeg.congruence import Congruence, rm_congruence_at, universal_congruence
+from sgmindeg.congruence import (
+    Congruence,
+    IrreducibilityReport,
+    JClassIrreducibility,
+    rm_congruence_at,
+    universal_congruence,
+)
 from sgmindeg.core import (
     FiniteSemigroup,
     GreensStructure,
@@ -24,6 +30,7 @@ from sgmindeg.core import (
     greens,
     small_generating_set,
 )
+from sgmindeg.errors import NotRegular
 from sgmindeg.grouptheory import (
     GroupAction,
     GroupTable,
@@ -57,6 +64,21 @@ def table_by_composing_all_pairs(maps: list[PartialMap]) -> np.ndarray:
         for b in range(n):
             table[a, b] = index[compose_maps(maps[a], maps[b])]
     return table
+
+
+def scan_identity_zero_by_rows(table: np.ndarray) -> tuple[int | None, int | None]:
+    """The lowest e whose row and column are 0..n-1, and the lowest whose row
+    and column are constant e, one element at a time."""
+    n = table.shape[0]
+    ar = np.arange(n)
+    identity = None
+    zero = None
+    for e in range(n):
+        if identity is None and np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar):
+            identity = e
+        if zero is None and (table[e] == e).all() and (table[:, e] == e).all():
+            zero = e
+    return identity, zero
 
 
 def greens_by_ideal_matrices(s: FiniteSemigroup) -> GreensStructure:
@@ -229,6 +251,70 @@ def rm_meet(s: FiniteSemigroup, g: GreensStructure | None = None) -> Congruence:
     for j in g.regular_jclasses():
         cong = cong.meet(rm_congruence_at(s, g, j))
     return cong
+
+
+def rm_congruence_over_j(s: FiniteSemigroup, g: GreensStructure, j: int) -> Congruence:
+    """The right-mapping congruence from the action on every x in J: one
+    signature entry per element of J (xs, or -1 outside J)."""
+    if not g.regular[j]:
+        raise NotRegular(f"J-class {j} contains no idempotent")
+    jelems = np.asarray(g.jclasses[j])
+    prods = s.table[jelems, :]  # (x, s) -> x s
+    sig = np.where(g.jclass_of[prods] == j, prods, -1).T
+    return Congruence(*_partition_from_keys(sig))
+
+
+def ggm_congruence_over_j(s: FiniteSemigroup, g: GreensStructure, j: int) -> Congruence:
+    """The GGM congruence from xsy over all x, y in J: u's left-translate on J
+    gets a row id, and s's signature is (row id of xs) over every x in J."""
+    if not g.regular[j]:
+        raise NotRegular(f"J-class {j} contains no idempotent")
+    jelems = np.asarray(g.jclasses[j])
+    right = s.table[:, jelems]  # (u, y) -> u y
+    row_id, _ = _partition_from_keys(np.where(g.jclass_of[right] == j, right, -1))
+    sig = row_id[s.table[jelems, :]].T  # (row id of x s) over x
+    return Congruence(*_partition_from_keys(sig))
+
+
+def is_rhodes_semisimple_over_j(s: FiniteSemigroup, g: GreensStructure) -> tuple[bool, Congruence]:
+    """The meet of ``ggm_congruence_over_j`` over the regular J-classes, one
+    ``Congruence.meet`` at a time, stopping at equality."""
+    cong = universal_congruence(s.size)
+    for j in g.regular_jclasses():
+        cong = cong.meet(ggm_congruence_over_j(s, g, j))
+        if cong.is_equality():
+            break
+    return cong.is_equality(), cong
+
+
+def rm_irreducible_classes_by_loop(s: FiniteSemigroup, g: GreensStructure) -> IrreducibilityReport:
+    """``rm_irreducible_classes`` from ``rm_congruence_over_j``, with the
+    witness found by walking the elements in order: the first x whose RM class
+    differs from that of the first element met in its lower-meet class."""
+    n = s.size
+    regs = g.regular_jclasses()
+    rm = {j: rm_congruence_over_j(s, g, j) for j in regs}
+    per = {}
+    for j in regs:
+        lower = [rm[j2].class_of for j2 in regs if g.jorder_lt[j2, j]]
+        keys = np.array(lower, dtype=np.int64).reshape(len(lower), n).T
+        plow_ids, _ = _partition_from_keys(keys)
+        witness = None
+        first_by_class: dict[int, int] = {}
+        rm_ids = rm[j].class_of
+        for x in range(n):
+            c = int(plow_ids[x])
+            if c not in first_by_class:
+                first_by_class[c] = x
+            elif rm_ids[first_by_class[c]] != rm_ids[x]:
+                witness = (first_by_class[c], x)
+                break
+        e = min(x for x in g.idempotents if g.jclass_of[x] == j)
+        mj = tuple(int(x) for x in g.hclasses[g.hclass_of[e]] if plow_ids[x] == plow_ids[e])
+        per[j] = JClassIrreducibility(
+            jclass=j, e=e, rm_irreducible=witness is not None, witness=witness, mj=mj
+        )
+    return IrreducibilityReport(per_class=per, rm_congruences=rm)
 
 
 # ---------------------------------------------------------------------------

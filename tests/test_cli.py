@@ -6,6 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sgmindeg import builders, core, oracle
@@ -132,6 +133,27 @@ def test_check_agreement(tmp_path, capsys):
     assert main(["check", path, "--max-degree", "4"]) == 0
     out = capsys.readouterr().out
     assert "agreement: yes" in out
+
+
+def test_mindeg_and_check_call_np_unique_only_with_optional_outputs(tmp_path, capsys, monkeypatch):
+    # on numpy 2.x a bare np.unique(ar) imports numpy.ma (via np.ma.is_masked),
+    # a fixed cost of every command-line call; np.unique with return_index,
+    # return_inverse or return_counts does not
+    unique = np.unique
+
+    def guarded(*args, **kwargs):
+        if not any(kwargs.get(k) for k in ("return_index", "return_inverse", "return_counts")):
+            raise AssertionError("np.unique called without optional outputs")
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", guarded)
+    for built, name in [(builders.symmetric_inverse(2), "sim2.sgt"), (builders.binary_relations(2), "b2.sgt")]:
+        path = write_sgt(tmp_path, built, name)
+        assert main(["mindeg", path]) == 0
+        assert main(["mindeg", "--left", path]) == 0
+        assert main(["check", path, "--max-degree", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "m: 3" in out and "agreement: yes" in out
 
 
 def test_analyze_non_semisimple(tmp_path, capsys):

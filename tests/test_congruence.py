@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from reference import is_compatible, rm_meet
+from reference import (
+    ggm_congruence_over_j,
+    is_compatible,
+    is_rhodes_semisimple_over_j,
+    rm_congruence_over_j,
+    rm_irreducible_classes_by_loop,
+    rm_meet,
+)
 from sgmindeg import builders
 from sgmindeg.congruence import (
     column_condition,
@@ -15,7 +23,7 @@ from sgmindeg.congruence import (
     rm_irreducible_classes,
     schein_irreducibility_check,
 )
-from sgmindeg.core import from_table, greens, rees_coordinatize
+from sgmindeg.core import from_table, greens, opposite, rees_coordinatize, schutzenberger_reps
 from sgmindeg.errors import NotInverse, NotRegular
 
 
@@ -242,3 +250,81 @@ def test_congruences_require_regular_class():
         rm_congruence_at(s, g, j_nonreg)
     with pytest.raises(NotRegular):
         ggm_congruence_at(s, g, j_nonreg)
+
+
+def _assert_same_congruence(got, want):
+    assert got.class_of.dtype == want.class_of.dtype
+    assert np.array_equal(got.class_of, want.class_of)
+    assert got.classes == want.classes
+
+
+def _assert_congruences_match_over_j(s):
+    """The representative-based congruences equal the whole-J references, field by field."""
+    g = greens(s)
+    for j in g.regular_jclasses():
+        _assert_same_congruence(rm_congruence_at(s, g, j), rm_congruence_over_j(s, g, j))
+        _assert_same_congruence(ggm_congruence_at(s, g, j), ggm_congruence_over_j(s, g, j))
+    (ok, cong), (ok_ref, cong_ref) = is_rhodes_semisimple(s, g), is_rhodes_semisimple_over_j(s, g)
+    assert ok == ok_ref
+    _assert_same_congruence(cong, cong_ref)
+    rep, ref = rm_irreducible_classes(s, g), rm_irreducible_classes_by_loop(s, g)
+    assert rep.per_class == ref.per_class  # jclass, e, flag, witness pair and M_J
+    assert rep.rm_congruences.keys() == ref.rm_congruences.keys()
+    for j, cong in rep.rm_congruences.items():
+        _assert_same_congruence(cong, ref.rm_congruences[j])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: builders.binary_relations(3),
+        lambda: builders.matrix_monoid(3, 2),
+        lambda: builders.partial_transformation(4),
+        lambda: builders.symmetric_inverse(4),
+        lambda: builders.sigma_square(4, (1, 2, 3, 0)),
+        lambda: builders.sigma_square(5, (1, 0, 3, 2, 4)),
+        lambda: builders.sigma_square(6, (1, 2, 0, 4, 5, 3)),
+    ],
+    ids=["B_3", "M_3_F2", "PT_4", "SIM_4", "sigma_square_4", "sigma_square_5", "sigma_square_6"],
+)
+def test_congruences_match_whole_j_references(build):
+    s = build().semigroup
+    _assert_congruences_match_over_j(s)
+    _assert_congruences_match_over_j(opposite(s))
+
+
+def test_congruences_match_whole_j_references_on_small_semigroups(
+    clifford_c4_c2, all_tiny_semigroups, random_corpus
+):
+    for s in [clifford_c4_c2, *all_tiny_semigroups, *(s for s, _ in random_corpus)]:
+        _assert_congruences_match_over_j(s)
+        _assert_congruences_match_over_j(opposite(s))
+
+
+def test_schutzenberger_reps_are_the_lowest_h_class_members(builder_corpus, random_corpus):
+    for s in [b.semigroup for b in builder_corpus.values()] + [s for s, _ in random_corpus]:
+        g = greens(s)
+        for j in g.regular_jclasses():
+            e, r_reps, q_reps = schutzenberger_reps(g, j)
+            assert s.is_idempotent(e) and e == min(x for x in g.idempotents if g.jclass_of[x] == j)
+            for reps, same, other in [
+                (r_reps, g.lclass_of, g.rclass_of),  # r_a: in L_e, one per R-class of J
+                (q_reps, g.rclass_of, g.lclass_of),  # q_b: in R_e, one per L-class of J
+            ]:
+                want = sorted({int(other[x]) for x in g.jclasses[j]} - {int(other[e])})
+                assert reps[0] == e and [int(other[x]) for x in reps[1:]] == want
+                for x in reps[1:]:
+                    side = [y for y in g.jclasses[j] if same[y] == same[e] and other[y] == other[x]]
+                    assert x == min(side)
+            assert schutzenberger_reps(g, j) is schutzenberger_reps(g, j)  # kept on g
+            rc = rees_coordinatize(s, g, j)
+            assert rc.e == e
+            assert np.array_equal(rc.triple_to_elem[:, 0, 0], r_reps)
+            assert np.array_equal(rc.triple_to_elem[0, 0, :], q_reps)
+
+
+def test_schutzenberger_reps_require_regular_class():
+    s = from_table([[0, 0], [0, 0]])
+    g = greens(s)
+    with pytest.raises(NotRegular):
+        schutzenberger_reps(g, int(g.jclass_of[1]))

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import NULL2
-from reference import greens_by_ideal_matrices, jorder_by_ideal_pairs, table_by_composing_all_pairs
+from reference import (
+    greens_by_ideal_matrices,
+    jorder_by_ideal_pairs,
+    scan_identity_zero_by_rows,
+    table_by_composing_all_pairs,
+)
 from sgmindeg import builders, core
 from sgmindeg.core import (
     FiniteSemigroup,
@@ -141,6 +146,48 @@ def test_from_partial_maps_errors():
         from_partial_maps(2, [(0, 5)])
     with pytest.raises(SizeLimitExceeded):
         from_partial_maps(4, [(1, 2, 3, 0), (0, 0, 1, 2), (2, 2, 3, 1)], max_size=10)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: builders.binary_relations(3),
+        lambda: builders.matrix_monoid(3, 2),
+        lambda: builders.partial_transformation(4),
+        lambda: builders.symmetric_inverse(4),
+        lambda: builders.sigma_square(5, (1, 2, 3, 4, 0)),
+        lambda: builders.rees_matrix(builders.cyclic(3).semigroup, [[1, 1], [1, 2]], adjoin_zero=True),
+    ],
+    ids=["B_3", "M_3_F2", "PT_4", "SIM_4", "sigma_square_5", "rees_with_zero"],
+)
+def test_identity_and_zero_match_row_scan_on_pinned_semigroups(build):
+    s = build().semigroup
+    assert (s.identity, s.zero) == scan_identity_zero_by_rows(s.table)
+    assert core._scan_identity_zero(opposite(s).table) == scan_identity_zero_by_rows(s.table.T)
+
+
+def test_identity_and_zero_match_row_scan(clifford_c4_c2, all_tiny_semigroups, random_corpus):
+    for s in [clifford_c4_c2, *all_tiny_semigroups, *(s for s, _ in random_corpus)]:
+        assert (s.identity, s.zero) == scan_identity_zero_by_rows(s.table)
+        assert core._scan_identity_zero(s.table.T) == scan_identity_zero_by_rows(s.table.T)
+    # magmas, mostly non-associative, some with a planted identity or zero
+    rng = np.random.default_rng(11)
+    for _ in range(1500):
+        n = int(rng.integers(1, 8))
+        t = rng.integers(0, n, size=(n, n))
+        if rng.random() < 0.4:
+            e = rng.integers(n)
+            t[e], t[:, e] = np.arange(n), np.arange(n)
+        if rng.random() < 0.4:
+            z = rng.integers(n)
+            t[z], t[:, z] = z, z
+        assert core._scan_identity_zero(t) == scan_identity_zero_by_rows(t)
+    # more rows than one block
+    n = 1100
+    t = rng.integers(0, n, size=(n, n))
+    t[700], t[:, 700] = np.arange(n), np.arange(n)
+    t[1050], t[:, 1050] = 1050, 1050
+    assert core._scan_identity_zero(t) == scan_identity_zero_by_rows(t) == (700, 1050)
 
 
 def test_opposite_involution_and_identity():
