@@ -73,7 +73,7 @@ class NotRhodesSemisimple(SemigroupError):
 
 
 class BadParameters(SemigroupError):
-    """A builder family received invalid parameters."""
+    """A builder family or an oracle query received invalid parameters."""
 
 
 class InvariantViolated(SemigroupError):

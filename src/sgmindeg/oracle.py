@@ -5,7 +5,20 @@ T_n, or the partial bijections on n points.  The unknowns are the points
 f_i(p), the image of point p under generator gens[i], and one depth-first
 search assigns them generator-major (all of f_0, then all of f_1, ...), each
 trying undefined first and then 0..n-1.  Point-relabeling symmetry is broken
-by a canonical fresh-point rule on the first generator.
+on the first generator: its map f_0 must be least among its conjugates
+π f_0 π⁻¹ (``is_least_conjugate``), and the fresh-point rule drops the prefixes
+of f_0 that no least conjugate has.
+
+That break is sound and keeps the first solution.  Order solutions as
+sequences (f_0, f_1, ...), each map as a tuple with undefined (-1) below 0.
+Relabeling the points of an embedding by a permutation π gives an embedding
+(π f_0 π⁻¹, π f_1 π⁻¹, ...), so if any exists, the least one has an f_0 that
+no conjugate undercuts: else its relabeling would be smaller still.  In
+particular f_0(p) exceeds by at most one both p and every earlier value of
+f_0: otherwise f_0(p) and the point just above those are both unused so far,
+and swapping the two keeps f_0 before p and lowers f_0(p).  Hence
+the least embedding meets both rules, and the search, which finds the least
+solution that meets them, finds it, or proves that none exists.
 
 Every assignment is closed by deduction over the action table T[x][p] =
 p·φ(x), one entry per element x and point p, as in the deduction step of
@@ -33,7 +46,7 @@ from math import gcd
 from operator import itemgetter
 
 from .core import FiniteSemigroup, PartialMap, closure_mask, compose_maps
-from .errors import EmptyGeneratorSet, InvariantViolated, SemigroupError
+from .errors import BadParameters, EmptyGeneratorSet, InvariantViolated, SemigroupError
 
 DEFAULT_BUDGET_SECS = 60.0
 MODES = ("partial", "total", "partial_bijection")
@@ -176,6 +189,71 @@ def feasible(prefix: list[int], n: int, mtype: tuple[int, int], powers: list[int
                 known += 1
             height[z] = base
     return sum(q for q in powers if cycle_lcm % q) <= n - closed - known
+
+
+def is_least_conjugate(f: PartialMap) -> bool:
+    """True iff no point relabeling π makes π f π⁻¹ lexicographically smaller
+    than f (undefined, -1, sorts first and every π fixes it).
+
+    Builds a relabeled map g position by position.  Label x goes to an old
+    point σ(x), chosen among the points without a label, unless x was already
+    given to a point first reached as a value: such a point takes the next
+    free label, which is how the least conjugate numbers its points (the
+    fresh-point rule).  Then g(x) is the label of f(σ(x)), a branch stops once
+    g(x) > f(x), and the search stops at the first g(x) < f(x).  Two unlabeled
+    points a, b whose transposition commutes with f lead to the same g, so
+    only one of them is tried; on the identity map this leaves one branch,
+    not n!."""
+    n = len(f)
+    # twin[a]: the least b whose transposition (a b) commutes with f, that is
+    # f(b) is f(a) with a and b swapped and no other point maps into {a, b}
+    twin = list(range(n))
+    for a in range(n):
+        for b in range(a):
+            if twin[b] == b and f[b] == {a: b, b: a}.get(f[a], f[a]) and all(
+                f[x] != a and f[x] != b for x in range(n) if x != a and x != b
+            ):
+                twin[a] = b
+                break
+    label = [-1] * n  # old point -> new label
+    point: list[int] = []  # new label -> old point
+
+    def smaller(x: int) -> bool:
+        """A conjugate below f, given the labels so far and g = f before x."""
+        if x == n:
+            return False
+        if x < len(point):
+            return step(x)
+        tried = set()
+        for a in range(n):
+            if label[a] >= 0 or twin[a] in tried:
+                continue
+            tried.add(twin[a])
+            label[a] = x
+            point.append(a)
+            found = step(x)
+            point.pop()
+            label[a] = -1
+            if found:
+                return True
+        return False
+
+    def step(x: int) -> bool:
+        w = f[point[x]]
+        fresh = w >= 0 and label[w] < 0
+        gx = len(point) if fresh else w if w < 0 else label[w]
+        if gx != f[x]:
+            return gx < f[x]
+        if not fresh:
+            return smaller(x + 1)
+        label[w] = gx
+        point.append(w)
+        found = smaller(x + 1)
+        point.pop()
+        label[w] = -1
+        return found
+
+    return not smaller(0)
 
 
 def close_embedding(s: FiniteSemigroup, images: dict[int, PartialMap]) -> dict[int, PartialMap] | None:
@@ -329,6 +407,7 @@ def _search_degree(
         for o, m in zip(occ, occ_mark):
             del o[m:]
 
+    least: dict[PartialMap, bool] = {}  # is_least_conjugate of each complete f_0
     values = ([-1] if mode != "total" else []) + list(range(n))
     injective = mode == "partial_bijection"
     powers = [prime_powers(t[1]) for t in gen_types]
@@ -342,9 +421,8 @@ def _search_degree(
         j = gen_base[i] + p
         prefix = T[gen_base[i] : j]
         known = T[j]
-        # the fresh-point rule, a sound symmetry break since any embedding can
-        # be relabeled to meet it: f_0(p) exceeds by at most one both p and
-        # every earlier value of f_0
+        # the fresh-point rule, the prefix-level part of the symmetry break:
+        # f_0(p) exceeds by at most one both p and every earlier value of f_0
         top = max(max(prefix, default=-1), p) + 1 if i == 0 else n
         for v in values if known == _UNKNOWN else (known,):
             if v > top:
@@ -355,8 +433,16 @@ def _search_degree(
             if p + 1 < n:
                 if not feasible(prefix + [v], n, gen_types[i], powers[i]):
                     continue
-            elif monogenic_type_of_map((*prefix, v)) != gen_types[i]:
-                continue
+            else:
+                f = (*prefix, v)
+                if monogenic_type_of_map(f) != gen_types[i]:
+                    continue
+                # the rest of the symmetry break, once per complete f_0
+                if i == 0:
+                    if f not in least:
+                        least[f] = is_least_conjugate(f)
+                    if not least[f]:
+                        continue
             if known == _UNKNOWN:
                 mark, occ_mark = len(trail), [len(o) for o in occ]
                 if deduce(j, v) and rec(u + 1):
@@ -380,6 +466,13 @@ def brute_min_degree(query: OracleQuery) -> OracleResult:
     s = query.semigroup
     if query.mode not in MODES:
         raise SemigroupError(f"unknown oracle mode {query.mode!r}")
+    if not 0 <= query.min_n <= query.max_n:
+        raise BadParameters(
+            f"oracle degrees must satisfy 0 <= min <= max, got min {query.min_n} and max {query.max_n}"
+        )
+    secs = query.budget_secs if query.budget_secs is not None else DEFAULT_BUDGET_SECS
+    if not secs >= 0:  # also rejects nan
+        raise BadParameters(f"oracle budget must be a non-negative number of seconds, got {secs!r}")
     if query.generators is not None:
         gens = list(query.generators)
         if not gens:
@@ -393,7 +486,7 @@ def brute_min_degree(query: OracleQuery) -> OracleResult:
     types = {ge: monogenic_type_of_element(s, ge) for ge in gens}
     gens.sort(key=lambda ge: (-types[ge][1], -types[ge][0], ge))
     gen_types = [types[ge] for ge in gens]
-    budget = _Budget(query.budget_secs if query.budget_secs is not None else DEFAULT_BUDGET_SECS)
+    budget = _Budget(secs)
     for n in range(query.min_n, query.max_n + 1):
         try:
             witness = _search_degree(s, gens, gen_types, n, query.mode, budget)

@@ -8,6 +8,7 @@ certifies, so that a test can check the two agree.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from itertools import permutations
 
 import numpy as np
 
@@ -419,6 +420,19 @@ def kernel_mask(a: GroupAction) -> np.ndarray:
 def compose_pointwise(f: PartialMap, g: PartialMap) -> PartialMap:
     """Apply f, then g, one point at a time; undefined stays undefined."""
     return tuple(-1 if v < 0 else g[v] for v in f)
+
+
+def least_conjugate_by_all_relabelings(f: PartialMap) -> PartialMap:
+    """The least of the maps π f π⁻¹ over all n! permutations π of the points
+    (undefined stays undefined), compared as tuples."""
+    n = len(f)
+    best = f
+    for pi in permutations(range(n)):
+        inv = [0] * n
+        for p, q in enumerate(pi):
+            inv[q] = p
+        best = min(best, tuple(-1 if f[inv[x]] < 0 else pi[f[inv[x]]] for x in range(n)))
+    return best
 
 
 def close_embedding_from_scratch(

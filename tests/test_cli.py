@@ -74,6 +74,33 @@ def test_mindeg_exit_2_on_non_semisimple(tmp_path, capsys):
     assert "oracle" in err
 
 
+def test_mindeg_exit_2_on_t3op(tmp_path, capsys):
+    # the paper's non-semisimple example: the theory refuses it, the oracle
+    # answers (test_oracle.py::test_t3op_degrees)
+    p = tmp_path / "t3op.sgt"
+    p.write_text(dump_sgt(core.opposite(builders.full_transformation(3).semigroup)))
+    assert main(["mindeg", str(p)]) == 2
+    assert "not Rhodes semisimple" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--min-degree", "-1", "--max-degree", "3"],
+        ["--min-degree", "3", "--max-degree", "1"],
+        ["--max-degree", "-2"],
+        ["--max-degree", "3", "--budget", "nan"],
+        ["--max-degree", "3", "--budget", "-1"],
+    ],
+)
+def test_oracle_bad_degrees_and_budgets_exit_1(tmp_path, capsys, args):
+    path = write_sgt(tmp_path, builders.cyclic(3), "c3.sgt")
+    assert main(["oracle", path, *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: oracle ") and "Traceback" not in captured.err
+
+
 def test_oracle_exit_codes(tmp_path, capsys):
     path = write_sgt(tmp_path, builders.rectangular_band(2, 2), "rb.sgt")
     assert main(["oracle", path, "--mode", "total", "--max-degree", "5"]) == 0

@@ -7,6 +7,7 @@ import pytest
 from reference import (
     close_embedding_from_scratch,
     compose_pointwise,
+    least_conjugate_by_all_relabelings,
     maps_of_type,
     oracle_search_from_scratch,
 )
@@ -18,6 +19,7 @@ from sgmindeg.oracle import (
     brute_min_degree,
     close_embedding,
     generating_set,
+    is_least_conjugate,
     monogenic_type_of_element,
     monogenic_type_of_map,
     verify_embedding,
@@ -157,6 +159,23 @@ def test_close_embedding_detects_conflicts():
     assert verify_embedding(s, {1: (1, 2, 3, 0)})
 
 
+@pytest.mark.parametrize(
+    "low, counts", [(-1, [2, 6, 16, 45, 121]), (0, [1, 3, 7, 19, 47])], ids=["partial", "total"]
+)
+def test_is_least_conjugate_matches_all_relabelings(low, counts):
+    # the least maps are one per conjugacy class of PT_n (partial) or T_n
+    # (total), n = 1..5
+    got = []
+    for n in range(1, 6):
+        least = 0
+        for f in product(range(low, n), repeat=n):
+            ok = is_least_conjugate(f)
+            assert ok == (f == least_conjugate_by_all_relabelings(f)), f
+            least += ok
+        got.append(least)
+    assert got == counts
+
+
 def _all_maps_reference(n, mode, fresh_rule):
     """Every map on n points, undefined sorting first, under the fresh-point
     and partial-bijection rules: the enumeration the oracle filtered by type
@@ -230,6 +249,26 @@ def test_pinned_witnesses(pinned_inputs, name):
     assert res.witness == witness
 
 
+# Nodes of each degree searched on its own, from 1 to m: a change to the
+# search order or to the symmetry break shows here.
+PINNED_NODES = {
+    "clifford_c4_c2": [2, 3, 3, 22, 103, 392],
+    "sigma_square_3_102": [2, 12, 73, 518, 2032],
+    "sigma_square_2_10": [4, 33, 207, 997],
+    "C_7": [2, 3, 3, 3, 3, 3, 35],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_nodes_per_degree(pinned_inputs, name):
+    s = pinned_inputs[name]
+    nodes = [
+        brute_min_degree(OracleQuery(semigroup=s, min_n=n, max_n=n, budget_secs=200)).nodes
+        for n in range(1, PINNED[name][0] + 1)
+    ]
+    assert nodes == PINNED_NODES[name]
+
+
 @pytest.mark.parametrize("name, lo, hi", [("sigma_square_3_102", 1, 4), ("sigma_square_2_10", 2, 4)])
 def test_nodes_add_up_per_degree(pinned_inputs, name, lo, hi):
     s = pinned_inputs[name]
@@ -249,6 +288,31 @@ def test_m3f2_found_at_degree_7_within_default_budget():
     s = builders.matrix_monoid(3, 2).semigroup
     res = brute_min_degree(OracleQuery(semigroup=s, mode="partial", min_n=6, max_n=7))
     assert (res.status, res.degree, res.searched_up_to) == ("found", 7, 7)
+
+
+def test_b3_partial_degree_6_refuted():
+    # the theory gives m(B_3) = 7 (test_acceptance.py); the oracle rules out 6
+    # on its own, and CI finds 7 through the console script
+    s = builders.binary_relations(3).semigroup
+    res = brute_min_degree(OracleQuery(semigroup=s, mode="partial", min_n=6, max_n=6, budget_secs=600))
+    assert (res.status, res.searched_up_to, res.nodes) == ("not_found", 6, 21369)
+
+
+@pytest.fixture(scope="module")
+def t3op():
+    return opposite(builders.full_transformation(3).semigroup)
+
+
+@pytest.mark.parametrize(
+    "mode, n, status, nodes",
+    [("partial", 6, "not_found", 33791), ("partial", 7, "found", 403185), ("total", 7, "not_found", 126008)],
+)
+def test_t3op_degrees(t3op, mode, n, status, nodes):
+    # T_3^op is not Rhodes semisimple, so only the oracle certifies its
+    # minimal partial degree 7 = 2^3 - 1; its total degree 8 = 2^3 is found in CI
+    res = brute_min_degree(OracleQuery(semigroup=t3op, mode=mode, min_n=n, max_n=n, budget_secs=600))
+    degree = n if status == "found" else None
+    assert (res.status, res.degree, res.searched_up_to, res.nodes) == (status, degree, n, nodes)
 
 
 def test_budget_stops_a_long_degree(clifford_c4_c2):
