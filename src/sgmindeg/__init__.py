@@ -8,8 +8,6 @@ from .action import (
     greens_quotient,
     is_faithful,
     orbits,
-    schutzenberger_right,
-    semisimplify,
     tensor_action,
 )
 from . import errors
@@ -17,12 +15,9 @@ from .congruence import (
     Congruence,
     IrreducibilityReport,
     column_condition,
-    ggm_congruence_at,
     is_rhodes_semisimple,
-    proportionality_flags,
     rm_congruence_at,
     rm_irreducible_classes,
-    schein_irreducibility_check,
 )
 from .core import (
     FiniteSemigroup,
@@ -67,7 +62,6 @@ __all__ = [
     "faithful_by_criterion",
     "from_partial_maps",
     "from_table",
-    "ggm_congruence_at",
     "greens",
     "greens_quotient",
     "is_faithful",
@@ -77,13 +71,9 @@ __all__ = [
     "min_partial_degree",
     "opposite",
     "orbits",
-    "proportionality_flags",
     "rees_coordinatize",
     "rm_congruence_at",
     "rm_irreducible_classes",
-    "schein_irreducibility_check",
-    "schutzenberger_right",
-    "semisimplify",
     "subgroup_classes",
     "tensor_action",
     "verify_embedding",

@@ -16,16 +16,11 @@ from .core import (
     GreensStructure,
     ReesCoordinatization,
     _partition_from_keys,
+    _strong_components,
     greens,
     min_idempotent_of,
 )
-from .errors import (
-    BadParameters,
-    InvariantViolated,
-    NotIdempotent,
-    NotRhodesSemisimple,
-    NotSemisimpleAction,
-)
+from .errors import InvariantViolated, NotIdempotent, NotSemisimpleAction
 from .grouptheory import GroupAction
 
 UNDEF = -1
@@ -35,7 +30,6 @@ UNDEF = -1
 class PartialAction:
     degree: int
     maps: np.ndarray  # |S| x degree, entries in {-1} u {0..degree-1}
-    labels: tuple | None = None
 
     def is_total(self) -> bool:
         return bool((self.maps >= 0).all())
@@ -47,33 +41,16 @@ def coproduct_actions(parts: list[PartialAction]) -> PartialAction:
     nelem = parts[0].maps.shape[0]
     offs = 0
     cols = []
-    labels: list | None = [] if all(p.labels is not None for p in parts) else None
     for p in parts:
         shifted = np.where(p.maps >= 0, p.maps + offs, UNDEF)
         cols.append(shifted)
         offs += p.degree
-        if labels is not None:
-            labels.extend(p.labels)  # type: ignore[arg-type]
     maps = np.concatenate(cols, axis=1) if cols else np.empty((nelem, 0), dtype=np.int32)
-    return PartialAction(degree=offs, maps=maps, labels=tuple(labels) if labels is not None else None)
+    return PartialAction(degree=offs, maps=maps)
 
 
 # ---------------------------------------------------------------------------
-# Schutzenberger representation
-
-
-def schutzenberger_right(s: FiniteSemigroup, r: ReesCoordinatization) -> PartialAction:
-    """Action of S on the R-class of e_J by right multiplication, undefined
-    when the product leaves the R-class.  Point labels are element indices."""
-    points = np.sort(r.triple_to_elem[0], axis=None)
-    pos = np.full(s.size, UNDEF, dtype=np.int32)  # UNDEF outside the R-class
-    pos[points] = np.arange(len(points))
-    maps = pos[s.table[points, :]].T  # (s, point) -> point_elem * s
-    return PartialAction(degree=len(points), maps=maps, labels=tuple(int(x) for x in points))
-
-
-# ---------------------------------------------------------------------------
-# Strong orbits, apexes, semisimplification
+# Strong orbits and apexes
 
 
 @dataclass(frozen=True)
@@ -114,16 +91,10 @@ def orbits(
     vals = omega.maps.ravel()
     ok = vals >= 0
     adj[pts[ok], vals[ok]] = True
-    adj[np.arange(d), np.arange(d)] = True
 
-    reach = adj
-    while True:
-        nxt = ((reach.astype(np.float32) @ reach.astype(np.float32)) > 0.5) | reach
-        if np.array_equal(nxt, reach):
-            break
-        reach = nxt
-
-    orbit_of, classes = _partition_from_keys(np.packbits(reach, axis=1))
+    # a strong orbit is a strongly connected component of the point graph
+    comp = _strong_components([[q for q, hit in enumerate(row) if hit] for row in adj.tolist()])
+    orbit_of, classes = _partition_from_keys(np.array(comp))
 
     out: list[Orbit] = []
     for pts_tuple in classes:
@@ -148,35 +119,6 @@ def orbits(
     return OrbitDecomposition(orbit_of=orbit_of, orbits=tuple(out))
 
 
-def semisimplify(
-    s: FiniteSemigroup, omega: PartialAction, g: GreensStructure | None = None
-) -> PartialAction:
-    """Keep the points lying in transitive strong orbits and restrict the
-    action within each orbit; images leaving the orbit become undefined."""
-    dec = orbits(s, omega, g)
-    keep: list[int] = []
-    for o in dec.orbits:
-        if o.kind == "transitive":
-            keep.extend(o.points)
-    keep.sort()
-    keep_arr = np.asarray(keep, dtype=np.int64)
-    newpos = np.full(omega.degree + 1, UNDEF, dtype=np.int32)
-    newpos[keep_arr] = np.arange(len(keep))
-    sub = omega.maps[:, keep_arr]
-    same_orbit = np.zeros_like(sub, dtype=bool)
-    valid = sub >= 0
-    same_orbit[valid] = dec.orbit_of[sub[valid]] == dec.orbit_of[keep_arr][
-        np.broadcast_to(np.arange(len(keep)), sub.shape)[valid]
-    ]
-    maps = np.where(valid & same_orbit, newpos[sub], UNDEF).astype(np.int32)
-    labels = None
-    if omega.labels is not None:
-        labels = tuple(omega.labels[p] for p in keep)
-    else:
-        labels = tuple(keep)
-    return PartialAction(degree=len(keep), maps=maps, labels=labels)
-
-
 # ---------------------------------------------------------------------------
 # Faithfulness
 
@@ -186,17 +128,13 @@ def is_faithful(
 ) -> tuple[bool, tuple[int, int] | None]:
     """True iff distinct elements induce distinct partial maps; the witness is
     the lowest pair of elements acting identically."""
-    n = s.size
-    _, first, inv = np.unique(omega.maps, axis=0, return_index=True, return_inverse=True)
-    if len(first) == n:
+    class_of, classes = _partition_from_keys(omega.maps)
+    if len(classes) == s.size:
         return True, None
-    seen: dict[int, int] = {}
-    for x in range(n):
-        c = int(inv[x])
-        if c in seen:
-            return False, (seen[c], x)
-        seen[c] = x
-    raise AssertionError("unreachable")
+    # the first element that differs from the lowest member of its class
+    lowest = np.array([c[0] for c in classes])[class_of]
+    first = int((lowest != np.arange(s.size)).argmax())
+    return False, (int(lowest[first]), first)
 
 
 def faithful_by_criterion(
@@ -204,17 +142,11 @@ def faithful_by_criterion(
     omega: PartialAction,
     g: GreensStructure,
     report,
-    check_preconditions: bool = True,
 ) -> bool:
     """Faithfulness of a semisimple action of a Rhodes semisimple semigroup,
     decided per irreducible J-class: the points with apex J are nonempty and
-    their e_J-image is moved by every nontrivial element of M_J."""
-    from .congruence import is_rhodes_semisimple
-
-    if check_preconditions:
-        ok, cong = is_rhodes_semisimple(s, g)
-        if not ok:
-            raise NotRhodesSemisimple([list(c) for c in cong.classes])
+    their e_J-image is moved by every nontrivial element of M_J.  Whether S is
+    Rhodes semisimple is the caller's to establish."""
     dec = orbits(s, omega, g)
     if not dec.is_semisimple():
         raise NotSemisimpleAction("action has a null or non-invariant strong orbit")
@@ -324,39 +256,3 @@ def greens_quotient(
         if not np.array_equal(mapped[:, p], expected):
             raise InvariantViolated("Green's congruence is not an action congruence")
     return PartialAction(degree=k, maps=qmaps), class_of
-
-
-def dump_action(omega: PartialAction) -> str:
-    """Serialize in the .act format: degree line, then one row per element."""
-    lines = [str(omega.degree)]
-    for row in omega.maps:
-        lines.append(" ".join("-" if v < 0 else str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_action(text: str) -> PartialAction:
-    """Read the .act format; BadParameters names the first bad row, counting
-    from 1 over the rows that are not blank or comments."""
-    rows = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not rows:
-        raise BadParameters(".act row 1 (the degree) is missing: the input is empty")
-    try:
-        degree = int(rows[0])
-    except ValueError:
-        raise BadParameters(f".act row 1 must be the degree, got {rows[0]!r}") from None
-    if degree < 0:
-        raise BadParameters(f".act row 1 has degree {degree}, expected a non-negative integer")
-    maps = []
-    for i, ln in enumerate(rows[1:], start=2):
-        toks = ln.split()
-        if len(toks) != degree:
-            raise BadParameters(f".act row {i} has {len(toks)} entries, expected {degree}")
-        try:
-            row = [UNDEF if tk == "-" else int(tk) for tk in toks]
-        except ValueError:
-            raise BadParameters(f".act row {i} has a token that is not '-' or an integer") from None
-        if any(v < UNDEF or v >= degree for v in row):
-            raise BadParameters(f".act row {i} has a value out of range for degree {degree}")
-        maps.append(row)
-    arr = np.asarray(maps, dtype=np.int32).reshape(len(maps), degree)
-    return PartialAction(degree=degree, maps=arr)

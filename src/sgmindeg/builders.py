@@ -302,37 +302,6 @@ def cyclic(n: int) -> BuiltSemigroup:
 # Family dispatch (shared by tests and the CLI)
 
 
-def build(spec: FamilySpec) -> BuiltSemigroup:
-    fam, p = spec.family, spec.params
-    if fam == "full_transformation":
-        return full_transformation(int(p[0]))
-    if fam == "partial_transformation":
-        return partial_transformation(int(p[0]))
-    if fam == "symmetric_inverse":
-        return symmetric_inverse(int(p[0]))
-    if fam == "symmetric_group":
-        return symmetric_group(int(p[0]))
-    if fam == "binary_relations":
-        return binary_relations(int(p[0]))
-    if fam == "matrix_monoid":
-        return matrix_monoid(int(p[0]), int(p[1]))
-    if fam == "rectangular_band":
-        return rectangular_band(int(p[0]), int(p[1]))
-    if fam == "rectangular_group":
-        grp = _group_from_name(str(p[0]))
-        return rectangular_group(grp, int(p[1]), int(p[2]))
-    if fam == "chain_semilattice":
-        return chain_semilattice(int(p[0]))
-    if fam == "cyclic":
-        return cyclic(int(p[0]))
-    if fam == "sigma_square":
-        return sigma_square(int(p[0]), tuple(int(v) for v in str(p[1]).split(",")))
-    if fam == "aggm_01":
-        subsets = [frozenset(int(v) for v in grp.split(",")) for grp in str(p[2]).split(";")]
-        return aggm_01(int(p[0]), int(p[1]), subsets)
-    raise BadParameters(f"unknown family {fam!r}")
-
-
 def _group_from_name(name: str) -> FiniteSemigroup:
     name = name.strip()
     if name.startswith("S") and name[1:].isdigit():
@@ -342,17 +311,49 @@ def _group_from_name(name: str) -> FiniteSemigroup:
     raise BadParameters(f"unknown group spec {name!r} (use S<n> or C<n>)")
 
 
-FAMILY_USAGE = {
-    "full_transformation": "<n>",
-    "partial_transformation": "<n>",
-    "symmetric_inverse": "<n>",
-    "symmetric_group": "<n>",
-    "binary_relations": "<n>",
-    "matrix_monoid": "<n> <q>",
-    "rectangular_band": "<m> <n>",
-    "rectangular_group": "<S|C><k> <m> <n>",
-    "chain_semilattice": "<k>",
-    "cyclic": "<n>",
-    "sigma_square": "<n> <comma-separated images of sigma>",
-    "aggm_01": "<n> <k> <semicolon-separated subsets, each comma-separated>",
+def _ints(text) -> tuple[int, ...]:
+    return tuple(int(v) for v in str(text).split(","))
+
+
+# family -> (parameter usage, constructor taking one argument per parameter)
+BUILDERS = {
+    "full_transformation": ("<n>", lambda n: full_transformation(int(n))),
+    "partial_transformation": ("<n>", lambda n: partial_transformation(int(n))),
+    "symmetric_inverse": ("<n>", lambda n: symmetric_inverse(int(n))),
+    "symmetric_group": ("<n>", lambda n: symmetric_group(int(n))),
+    "binary_relations": ("<n>", lambda n: binary_relations(int(n))),
+    "matrix_monoid": ("<n> <q>", lambda n, q: matrix_monoid(int(n), int(q))),
+    "rectangular_band": ("<m> <n>", lambda m, n: rectangular_band(int(m), int(n))),
+    "rectangular_group": (
+        "<S|C><k> <m> <n>",
+        lambda grp, m, n: rectangular_group(_group_from_name(str(grp)), int(m), int(n)),
+    ),
+    "chain_semilattice": ("<k>", lambda k: chain_semilattice(int(k))),
+    "cyclic": ("<n>", lambda n: cyclic(int(n))),
+    "sigma_square": (
+        "<n> <comma-separated images of sigma>",
+        lambda n, sigma: sigma_square(int(n), _ints(sigma)),
+    ),
+    "aggm_01": (
+        "<n> <k> <semicolon-separated subsets, each comma-separated>",
+        lambda n, k, subsets: aggm_01(
+            int(n), int(k), [frozenset(_ints(grp)) for grp in str(subsets).split(";")]
+        ),
+    ),
 }
+FAMILY_USAGE = {family: usage for family, (usage, _) in BUILDERS.items()}
+
+
+def build(spec: FamilySpec) -> BuiltSemigroup:
+    """The family member named by ``spec``; BadParameters names the usage when
+    the parameter count is wrong."""
+    if spec.family not in BUILDERS:
+        raise BadParameters(f"unknown family {spec.family!r}")
+    usage, make = BUILDERS[spec.family]
+    want = make.__code__.co_argcount
+    if len(spec.params) != want:
+        raise BadParameters(
+            f"{spec.family} takes {want} parameter{'s' if want > 1 else ''} "
+            f"({spec.family} {usage}), got {len(spec.params)}"
+        )
+    return make(*spec.params)

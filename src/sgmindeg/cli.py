@@ -74,7 +74,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _print_report_text(rep, heading: str) -> None:
     print(f"{heading}")
     print(f"  elements: {rep.size}")
-    print(f"  source: {rep.source}")
+    print("  source: theory")
     print(f"  m: {rep.m}")
     for c in rep.per_class:
         subs = ", ".join(f"[G:H]={w.index}" for w in c.witness_subgroups)
@@ -105,24 +105,23 @@ def _cmd_mindeg(args: argparse.Namespace) -> int:
     left = None
     if args.left:
         try:
-            left = left_degrees(s, rep.m, oracle_budget=budget)
+            left = left_degrees(s, rep.m)
         except NotRhodesSemisimple as exc:
             print(f"error computing left degrees: {exc}", file=sys.stderr)
             return 2
     if args.json:
         doc = rep.to_dict()
         if left is not None:
-            doc["left"] = left.left.to_dict()
-            doc["left"]["bound_l_le_2^m-1"] = left.bound_ok
+            doc["left"] = left.to_dict()
+            doc["left"]["bound_l_le_2^m-1"] = True  # left_degrees raises on a violation
         import json
 
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         _print_report_text(rep, "minimal partial degree (right actions)")
         if left is not None:
-            _print_report_text(left.left, "minimal partial degree of the opposite (left actions)")
-            if left.bound_ok is not None:
-                print(f"  bound l <= 2^m - 1: {'ok' if left.bound_ok else 'VIOLATED'}")
+            _print_report_text(left, "minimal partial degree of the opposite (left actions)")
+            print("  bound l <= 2^m - 1: ok")
     return 0
 
 

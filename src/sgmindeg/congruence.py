@@ -22,10 +22,9 @@ from .core import (
     ReesCoordinatization,
     _partition_from_keys,
     greens,
-    min_idempotent_of,
+    min_idempotent_of,  # unused here, but bench/tracing.py wraps it under this module's name
     schutzenberger_reps,
 )
-from .errors import NotInverse
 
 
 @dataclass(frozen=True)
@@ -35,20 +34,8 @@ class Congruence:
     class_of: np.ndarray
     classes: tuple[tuple[int, ...], ...]
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
     def is_equality(self) -> bool:
         return len(self.classes) == len(self.class_of)
-
-    def same(self, s: int, t: int) -> bool:
-        return bool(self.class_of[s] == self.class_of[t])
-
-    def meet(self, other: "Congruence") -> "Congruence":
-        keys = np.stack([self.class_of, other.class_of], axis=1)
-        class_of, classes = _partition_from_keys(keys)
-        return Congruence(class_of=class_of, classes=classes)
 
 
 def universal_congruence(n: int) -> Congruence:
@@ -84,15 +71,6 @@ def _ggm_signature(s: FiniteSemigroup, g: GreensStructure, j: int) -> np.ndarray
     _, r_reps, q_reps = schutzenberger_reps(g, j)
     prods = s.table[s.table[q_reps].T[:, :, None], r_reps]  # (s, b, a) -> q_b s r_a
     return np.where(g.jclass_of[prods] == j, prods, -1).reshape(s.size, -1)
-
-
-def ggm_congruence_at(s: FiniteSemigroup, g: GreensStructure, j: int) -> Congruence:
-    """s ~ t iff for all x, y in J: xsy in J <=> xty in J, with xsy = xty when in J.
-
-    Decided on |B| x |A| entries per element (``_ggm_signature``), not |J| x |J|.
-    """
-    class_of, classes = _partition_from_keys(_ggm_signature(s, g, j))
-    return Congruence(class_of=class_of, classes=classes)
 
 
 def is_rhodes_semisimple(
@@ -177,92 +155,6 @@ def rm_irreducible_classes(
 
 
 # ---------------------------------------------------------------------------
-# Inverse semigroups: join irreducibility in the natural partial order
-
-
-def inverses_of(s: FiniteSemigroup) -> list[int] | None:
-    """Per-element inverse (sts = s, tst = t), or None if some element has none."""
-    t = s.table
-    out: list[int] = []
-    for a in s.elements():
-        found = -1
-        for b in s.elements():
-            if t[t[a, b], a] == a and t[t[b, a], b] == b:
-                found = b
-                break
-        if found < 0:
-            return None
-        out.append(found)
-    return out
-
-
-def is_inverse_semigroup(s: FiniteSemigroup) -> bool:
-    """Every element has an inverse and idempotents commute."""
-    inv = inverses_of(s)
-    if inv is None:
-        return False
-    idem = s.idempotents()
-    t = s.table
-    for i, e in enumerate(idem):
-        for f in idem[i + 1 :]:
-            if t[e, f] != t[f, e]:
-                return False
-    return True
-
-
-def natural_order(s: FiniteSemigroup, inv: list[int]) -> np.ndarray:
-    """Matrix leq[x, y] of the natural partial order x <= y (x = x x^-1 y)."""
-    t = s.table
-    n = s.size
-    ff = t[np.arange(n), inv]  # x x^-1
-    return t[ff, :] == np.arange(n)[:, None]
-
-
-@dataclass(frozen=True)
-class ScheinRow:
-    jclass: int
-    e: int
-    join_irreducible: bool
-    mj: tuple[int, ...]
-
-
-def schein_irreducibility_check(
-    s: FiniteSemigroup, g: GreensStructure | None = None
-) -> dict[int, ScheinRow]:
-    """Join-irreducibility of J-classes of an inverse semigroup, with the
-    order-theoretic description of the invisible subgroup.
-
-    Cross-check only; agrees with rm_irreducible_classes on inverse semigroups.
-    """
-    inv = inverses_of(s)
-    if inv is None or not is_inverse_semigroup(s):
-        raise NotInverse("semigroup is not inverse (missing inverses or non-commuting idempotents)")
-    if g is None:
-        g = greens(s)
-    leq = natural_order(s, inv)
-    n = s.size
-
-    out: dict[int, ScheinRow] = {}
-    for j in g.regular_jclasses():
-        e = min_idempotent_of(g, j)
-        below = [x for x in range(n) if leq[x, e] and x != e]
-        if below:
-            ub_mask = leq[below, :].all(axis=0)
-        else:
-            ub_mask = np.ones(n, dtype=bool)
-        upper = np.flatnonzero(ub_mask)
-        join_reducible = bool(leq[e, upper].all())
-
-        h_e = g.hclass_of[e]
-        if below:
-            mj = tuple(int(x) for x in g.hclasses[h_e] if leq[below, x].all())
-        else:
-            mj = tuple(int(x) for x in g.hclasses[h_e])
-        out[j] = ScheinRow(jclass=j, e=e, join_irreducible=not join_reducible, mj=mj)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Sandwich matrix tests
 
 
@@ -277,46 +169,3 @@ def column_condition(r: ReesCoordinatization) -> bool:
             if not (nz[b1] ^ nz[b2]).any():
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class ProportionalityFlags:
-    rm: bool
-    lm: bool
-
-    @property
-    def ggm(self) -> bool:
-        return self.rm and self.lm
-
-
-def proportionality_flags(r: ReesCoordinatization) -> ProportionalityFlags:
-    """rm: no two sandwich columns are right proportional; lm: no two rows are
-    left proportional.  For a (0-)simple semigroup these characterize the
-    right-mapping / left-mapping / GGM properties in both directions."""
-    c = r.sandwich
-    gm, gi = r.group_mul, r.group_inv
-    nz = c != 0
-
-    def cols_proportional(a1: int, a2: int) -> bool:
-        if not np.array_equal(nz[:, a1], nz[:, a2]):
-            return False
-        rows = np.flatnonzero(nz[:, a1])
-        b0 = rows[0]
-        g0 = gm[gi[c[b0, a1] - 1], c[b0, a2] - 1]  # C[b0,a1]^-1 C[b0,a2]
-        return bool((gm[c[rows, a1] - 1, g0] == c[rows, a2] - 1).all())
-
-    def rows_proportional(b1: int, b2: int) -> bool:
-        if not np.array_equal(nz[b1], nz[b2]):
-            return False
-        cols = np.flatnonzero(nz[b1])
-        a0 = cols[0]
-        g0 = gm[c[b2, a0] - 1, gi[c[b1, a0] - 1]]  # C[b2,a0] C[b1,a0]^-1
-        return bool((gm[g0, c[b1, cols] - 1] == c[b2, cols] - 1).all())
-
-    rm = not any(
-        cols_proportional(a1, a2) for a1 in range(r.a_count) for a2 in range(a1 + 1, r.a_count)
-    )
-    lm = not any(
-        rows_proportional(b1, b2) for b1 in range(r.b_count) for b2 in range(b1 + 1, r.b_count)
-    )
-    return ProportionalityFlags(rm=rm, lm=lm)

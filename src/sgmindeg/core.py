@@ -51,13 +51,6 @@ class FiniteSemigroup:
     def mul(self, s: int, t: int) -> int:
         return int(self.table[s, t])
 
-    def elements(self) -> range:
-        return range(self.size)
-
-    def idempotents(self) -> list[int]:
-        ar = np.arange(self.size)
-        return np.flatnonzero(self.table[ar, ar] == ar).tolist()
-
     def is_idempotent(self, s: int) -> bool:
         return int(self.table[s, s]) == s
 

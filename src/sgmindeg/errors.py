@@ -32,10 +32,6 @@ class NotRegular(SemigroupError):
     """The requested J-class contains no idempotent."""
 
 
-class NotInverse(SemigroupError):
-    """The semigroup is not an inverse semigroup."""
-
-
 class NotIdempotent(SemigroupError):
     """The designated element is not an idempotent."""
 

@@ -98,13 +98,6 @@ def parse_pgen(text: str) -> tuple[FiniteSemigroup, list]:
     return from_partial_maps(degree, gens)
 
 
-def dump_pgen(degree: int, gens: list) -> str:
-    lines = [str(degree)]
-    for m in gens:
-        lines.append(" ".join("-" if v < 0 else str(int(v)) for v in m))
-    return "\n".join(lines) + "\n"
-
-
 def parse_rees(text: str):
     """Header 'G=<n> A=<a> B=<b> zero=<0|1>', the group table, then B rows of
     A sandwich tokens ('0' or a 1-based group element index)."""
@@ -138,17 +131,6 @@ def parse_rees(text: str):
             raise BadParameters(f"{what} row 1 has {table.shape[1]} entries, expected {width}")
         tables.append(table)
     return rees_matrix(from_table(tables[0]), tables[1], adjoin_zero=bool(zero))
-
-
-def dump_rees(group: FiniteSemigroup, sandwich: np.ndarray, zero: bool) -> str:
-    c = np.asarray(sandwich)
-    nb, na = c.shape
-    lines = [f"G={group.size} A={na} B={nb} zero={1 if zero else 0}"]
-    for row in group.table:
-        lines.append(" ".join(str(int(v)) for v in row))
-    for row in c:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def read_semigroup(path: str, fmt: str | None = None) -> FiniteSemigroup:

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ReesCoordinatization, check_associativity
+from .core import ReesCoordinatization
 from .errors import GroupTooLarge, InvariantViolated, NotSubgroup
 
 SUBGROUP_ENUM_CAP = 720
@@ -28,22 +28,6 @@ class GroupTable:
     @property
     def order(self) -> int:
         return int(self.table.shape[0])
-
-    @staticmethod
-    def from_table(table: np.ndarray | list, validate: bool = True) -> "GroupTable":
-        arr = np.array(table, dtype=np.int32)
-        m = arr.shape[0]
-        if validate:
-            check_associativity(arr)
-            if not (np.array_equal(arr[0], np.arange(m)) and np.array_equal(arr[:, 0], np.arange(m))):
-                raise NotSubgroup("identity must sit at index 0")
-        inv = np.empty(m, dtype=np.int32)
-        for i in range(m):
-            hits = np.flatnonzero(arr[i] == 0)
-            if len(hits) != 1:
-                raise NotSubgroup(f"element {i} has no unique inverse")
-            inv[i] = hits[0]
-        return GroupTable(table=arr, inv=inv)
 
     @staticmethod
     def of_rees(r: ReesCoordinatization) -> "GroupTable":
@@ -209,19 +193,17 @@ def min_degree_faithful_on(
     g: GroupTable,
     normal: tuple[int, ...] | np.ndarray,
     lattice: SubgroupLattice,
-    cost: Callable[[int], int] | None = None,
+    cost: Callable[[int], int],
 ) -> tuple[int, tuple[int, ...]]:
     """Minimize the summed cost over sets of pairwise non-conjugate subgroup
     classes whose cores intersect the given normal subgroup trivially.
 
-    ``cost`` maps a class position in the lattice to a positive cost; the
-    default is the index [G:H].  It is called only for classes whose core does
-    not contain the normal subgroup.  Returns (cost, class positions in the
+    ``cost`` maps a class position in the lattice to a positive cost, such as
+    the index [G:H].  It is called only for classes whose core does not
+    contain the normal subgroup.  Returns (cost, class positions in the
     lattice).  A trivial normal subgroup gives cost 0 with the empty witness;
     callers decide whether an empty collection is admissible.
     """
-    if cost is None:
-        cost = lambda ci: lattice.classes[ci].index
     m = g.order
     n_mask = np.zeros(m, dtype=bool)
     n_mask[np.asarray(list(normal), dtype=np.int64)] = True

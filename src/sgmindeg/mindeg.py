@@ -11,7 +11,6 @@ trusted blindly.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .core import (
     opposite,
     rees_coordinatize,
 )
-from .errors import InvariantViolated, NotIrreducible, NotRhodesSemisimple, SemigroupError
+from .errors import InvariantViolated, NotIrreducible, NotRhodesSemisimple
 from .grouptheory import (
     GroupAction,
     GroupTable,
@@ -74,13 +73,9 @@ def tensor_quotient_size(x: GroupAction, r: ReesCoordinatization) -> int:
     return int(tensor_pair_classes(x, r).max()) + 1
 
 
-def dj(
-    r: ReesCoordinatization,
-    report: IrreducibilityReport,
-    lattice: SubgroupLattice | None = None,
-) -> DjResult:
+def dj(r: ReesCoordinatization, report: IrreducibilityReport, lattice: SubgroupLattice) -> DjResult:
     """Minimum Green's-quotient size over admissible G_J-sets for one
-    RM-irreducible J-class.
+    RM-irreducible J-class, given the subgroup lattice of G_J.
 
     Under the row-separation (column) condition the quotient size is b_count
     times the number of points of the G_J-set, so the search runs on subgroup
@@ -91,11 +86,9 @@ def dj(
     row = report.per_class[j]
     if not row.rm_irreducible:
         raise NotIrreducible(f"J-class {j} is not RM-irreducible")
-    gt = GroupTable.of_rees(r)
+    gt = lattice.group
     gpos = {el: i for i, el in enumerate(r.group)}
     mj_pos = tuple(sorted(gpos[el] for el in row.mj))
-    if lattice is None:
-        lattice = subgroup_classes(gt)
 
     if column_condition(r):
         scale = r.b_count
@@ -155,19 +148,18 @@ class TotalDegreeInfo:
 @dataclass(frozen=True)
 class MinDegReport:
     size: int
-    rhodes_semisimple: bool
     m: int
     per_class: tuple[JClassDegree, ...]
     witness: PartialAction
     total: TotalDegreeInfo
-    source: str  # "theory" | "oracle"
 
     def to_dict(self) -> dict:
+        # "source" and "rhodes_semisimple" are constant, kept for schema stability
         return {
             "schema": "sgmindeg.mindeg-report.v1",
-            "source": self.source,
+            "source": "theory",
             "size": self.size,
-            "rhodes_semisimple": self.rhodes_semisimple,
+            "rhodes_semisimple": True,
             "m": self.m,
             "classes": [
                 {
@@ -193,9 +185,6 @@ class MinDegReport:
                 "reason": self.total.reason,
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _resolve_total(
@@ -264,7 +253,7 @@ def min_partial_degree(
     faithful, pair = is_faithful(s, witness)
     if not faithful:
         raise InvariantViolated(f"assembled witness action is not faithful, offending pair {pair}")
-    if not faithful_by_criterion(s, witness, g, report, check_preconditions=False):
+    if not faithful_by_criterion(s, witness, g, report):
         raise InvariantViolated("assembled witness action fails the faithfulness criterion")
 
     per = []
@@ -290,88 +279,22 @@ def min_partial_degree(
     if m != witness.degree:
         raise InvariantViolated(f"sum of d_J is {m} but the witness has degree {witness.degree}")
     total = _resolve_total(s, m, witness, resolve_total_with_oracle, oracle_budget)
-    return MinDegReport(
-        size=s.size,
-        rhodes_semisimple=True,
-        m=m,
-        per_class=tuple(per),
-        witness=witness,
-        total=total,
-        source="theory",
-    )
+    return MinDegReport(size=s.size, m=m, per_class=tuple(per), witness=witness, total=total)
 
 
 # ---------------------------------------------------------------------------
 # Left degrees via the opposite semigroup
 
 
-@dataclass(frozen=True)
-class LeftDegreeReport:
-    left: MinDegReport
-    right_m: int | None
-    bound_ok: bool | None  # l(S) <= 2^m(S) - 1 when both sides are known
+def left_degrees(s: FiniteSemigroup, right_m: int) -> MinDegReport:
+    """Minimal degree report for the opposite semigroup (left actions of S),
+    given m(S) as computed by min_partial_degree.
 
-
-def _oracle_report(s: FiniteSemigroup, max_degree: int, budget: float | None) -> MinDegReport:
-    from .oracle import OracleQuery, brute_min_degree, close_embedding
-
-    res = brute_min_degree(
-        OracleQuery(semigroup=s, mode="partial", min_n=1, max_n=max_degree, budget_secs=budget)
-    )
-    if res.status != "found":
-        raise SemigroupError(
-            f"oracle fallback did not resolve the degree: {res.status} up to {max_degree}"
-        )
-    hom = close_embedding(s, res.witness)
-    if hom is None:
-        raise InvariantViolated("oracle witness does not close to an embedding")
-    maps = np.full((s.size, res.degree), -1, dtype=np.int32)
-    for el, pm in hom.items():
-        maps[el] = pm
-    witness = PartialAction(degree=res.degree, maps=maps)
-    m = res.degree
-    total = _resolve_total(s, m, witness, False, None)
-    return MinDegReport(
-        size=s.size,
-        rhodes_semisimple=False,
-        m=m,
-        per_class=(),
-        witness=witness,
-        total=total,
-        source="oracle",
-    )
-
-
-def left_degrees(
-    s: FiniteSemigroup,
-    right_m: int | None,
-    *,
-    oracle_max_degree: int | None = None,
-    oracle_budget: float | None = None,
-) -> LeftDegreeReport:
-    """Minimal degree report for the opposite semigroup (left actions of S).
-
-    ``right_m`` is m(S) as computed by min_partial_degree, or None when S is
-    not Rhodes semisimple.  Falls back to the brute-force oracle when the
-    opposite semigroup is not Rhodes semisimple; the search is capped at
-    2^m(S) - 1 when m(S) is known.  Checks the bound l(S) <= 2^m(S) - 1
-    whenever both sides are known."""
-    sop = opposite(s)
-    try:
-        left = min_partial_degree(sop)
-    except NotRhodesSemisimple:
-        cap = oracle_max_degree
-        if cap is None and right_m is not None:
-            cap = 2**right_m - 1
-        if cap is None:
-            raise
-        left = _oracle_report(sop, cap, oracle_budget)
-
-    bound_ok = None
-    if right_m is not None:
-        bound_ok = left.m <= 2**right_m - 1
-        if not bound_ok:
-            raise InvariantViolated(
-                f"left degree {left.m} violates the 2^m - 1 bound for m = {right_m}"
-            )
-    return LeftDegreeReport(left=left, right_m=right_m, bound_ok=bound_ok)
+    Rhodes semisimplicity, i.e. a faithful completely reducible complex
+    representation, is self-dual: transposing such a representation of S gives
+    one of S^op.  So S^op is semisimple whenever m(S) exists, and the theory
+    applies on both sides.  Raises InvariantViolated if l(S) <= 2^m(S) - 1 fails."""
+    left = min_partial_degree(opposite(s))
+    if left.m > 2**right_m - 1:
+        raise InvariantViolated(f"left degree {left.m} violates the 2^m - 1 bound for m = {right_m}")
+    return left

@@ -1,22 +1,25 @@
-"""Slow, independent reference implementations that the tests compare against.
+"""Slow, independent reference implementations that the tests compare against,
+and helpers that only the tests need.
 
-None of these is on the library's computation path: each one recomputes, by
-a different or more literal method, something the library computes or
-certifies, so that a test can check the two agree.
+None of these is on the library's computation path: each reference
+recomputes, by a different or more literal method, something the library
+computes or certifies, so that a test can check the two agree.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from sgmindeg.action import PartialAction
+from sgmindeg.action import UNDEF, PartialAction, orbits
 from sgmindeg.congruence import (
     Congruence,
     IrreducibilityReport,
     JClassIrreducibility,
+    _ggm_signature,
     rm_congruence_at,
     universal_congruence,
 )
@@ -26,12 +29,14 @@ from sgmindeg.core import (
     PartialMap,
     ReesCoordinatization,
     _partition_from_keys,
+    check_associativity,
     closure_mask,
     compose_maps,
     greens,
+    min_idempotent_of,
     small_generating_set,
 )
-from sgmindeg.errors import NotRegular
+from sgmindeg.errors import NotRegular, NotSubgroup
 from sgmindeg.grouptheory import (
     GroupAction,
     GroupTable,
@@ -50,6 +55,30 @@ from sgmindeg.oracle import (
     monogenic_type_of_map,
     prime_powers,
 )
+
+
+# ---------------------------------------------------------------------------
+# Text formats that the library reads but does not write
+
+
+def dump_pgen(degree: int, gens: list) -> str:
+    """A ``.pgen`` text: the degree, then one generator per line, '-' for undefined."""
+    lines = [str(degree)]
+    for m in gens:
+        lines.append(" ".join("-" if v < 0 else str(int(v)) for v in m))
+    return "\n".join(lines) + "\n"
+
+
+def dump_rees(group: FiniteSemigroup, sandwich: np.ndarray, zero: bool) -> str:
+    """A ``.rees`` text: the header, the group table, then the sandwich rows."""
+    c = np.asarray(sandwich)
+    nb, na = c.shape
+    lines = [f"G={group.size} A={na} B={nb} zero={1 if zero else 0}"]
+    for row in group.table:
+        lines.append(" ".join(str(int(v)) for v in row))
+    for row in c:
+        lines.append(" ".join(str(int(v)) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +221,70 @@ def restriction_is_injective(omega: PartialAction) -> bool:
     return True
 
 
+def strong_orbits_by_reachability(omega: PartialAction) -> np.ndarray:
+    """Orbit id of each point, ids ordered by lowest member: points with the
+    same forward-reachability set under S^1, the reflexive point graph squared
+    until it stops changing."""
+    d = omega.degree
+    reach = np.eye(d, dtype=bool)
+    rows = np.broadcast_to(np.arange(d), omega.maps.shape)
+    defined = omega.maps >= 0
+    reach[rows[defined], omega.maps[defined]] = True
+    while True:
+        nxt = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(nxt, reach):
+            return _partition_from_keys(np.packbits(reach, axis=1))[0]
+        reach = nxt
+
+
+def faithful_by_rows(s: FiniteSemigroup, omega: PartialAction) -> tuple[bool, tuple[int, int] | None]:
+    """``action.is_faithful`` by walking the elements in order: the first
+    element whose partial map was already seen, paired with the one that had it."""
+    seen: dict[bytes, int] = {}
+    for x in range(s.size):
+        key = omega.maps[x].tobytes()
+        if key in seen:
+            return False, (seen[key], x)
+        seen[key] = x
+    return True, None
+
+
+def schutzenberger_right(
+    s: FiniteSemigroup, r: ReesCoordinatization
+) -> tuple[PartialAction, tuple[int, ...]]:
+    """Action of S on the R-class of e_J by right multiplication, undefined
+    when the product leaves the R-class, with the element of each point."""
+    points = np.sort(r.triple_to_elem[0], axis=None)
+    pos = np.full(s.size, UNDEF, dtype=np.int32)  # UNDEF outside the R-class
+    pos[points] = np.arange(len(points))
+    maps = pos[s.table[points, :]].T  # (s, point) -> point_elem * s
+    return PartialAction(degree=len(points), maps=maps), tuple(int(x) for x in points)
+
+
+def semisimplify(
+    s: FiniteSemigroup, omega: PartialAction, g: GreensStructure | None = None
+) -> PartialAction:
+    """Keep the points lying in transitive strong orbits and restrict the
+    action within each orbit; images leaving the orbit become undefined."""
+    dec = orbits(s, omega, g)
+    keep: list[int] = []
+    for o in dec.orbits:
+        if o.kind == "transitive":
+            keep.extend(o.points)
+    keep.sort()
+    keep_arr = np.asarray(keep, dtype=np.int64)
+    newpos = np.full(omega.degree + 1, UNDEF, dtype=np.int32)
+    newpos[keep_arr] = np.arange(len(keep))
+    sub = omega.maps[:, keep_arr]
+    same_orbit = np.zeros_like(sub, dtype=bool)
+    valid = sub >= 0
+    same_orbit[valid] = dec.orbit_of[sub[valid]] == dec.orbit_of[keep_arr][
+        np.broadcast_to(np.arange(len(keep)), sub.shape)[valid]
+    ]
+    maps = np.where(valid & same_orbit, newpos[sub], UNDEF).astype(np.int32)
+    return PartialAction(degree=len(keep), maps=maps)
+
+
 def greens_congruence_fixpoint(s: FiniteSemigroup, omega: PartialAction, e: int) -> np.ndarray:
     """Green's congruence classes at e by Moore-style refinement over a
     generating set, with an explicit sink point.
@@ -232,14 +325,27 @@ def greens_congruence_fixpoint(s: FiniteSemigroup, omega: PartialAction, e: int)
 # Congruences
 
 
+def meet(a: Congruence, b: Congruence) -> Congruence:
+    """The intersection of two congruences."""
+    return Congruence(*_partition_from_keys(np.stack([a.class_of, b.class_of], axis=1)))
+
+
+def ggm_congruence_at(s: FiniteSemigroup, g: GreensStructure, j: int) -> Congruence:
+    """s ~ t iff for all x, y in J: xsy in J <=> xty in J, with xsy = xty when in J.
+
+    Decided on |B| x |A| entries per element (``congruence._ggm_signature``)."""
+    return Congruence(*_partition_from_keys(_ggm_signature(s, g, j)))
+
+
 def is_compatible(s: FiniteSemigroup, cong: Congruence) -> bool:
     """Full-scan test that the partition is a two-sided congruence."""
     ids = cong.class_of
     t = s.table
-    for u in s.elements():
-        if len(np.unique(np.stack([ids, ids[t[u]]], axis=1), axis=0)) != cong.num_classes:
+    k = len(cong.classes)
+    for u in range(s.size):
+        if len(np.unique(np.stack([ids, ids[t[u]]], axis=1), axis=0)) != k:
             return False
-        if len(np.unique(np.stack([ids, ids[t[:, u]]], axis=1), axis=0)) != cong.num_classes:
+        if len(np.unique(np.stack([ids, ids[t[:, u]]], axis=1), axis=0)) != k:
             return False
     return True
 
@@ -250,7 +356,7 @@ def rm_meet(s: FiniteSemigroup, g: GreensStructure | None = None) -> Congruence:
         g = greens(s)
     cong = universal_congruence(s.size)
     for j in g.regular_jclasses():
-        cong = cong.meet(rm_congruence_at(s, g, j))
+        cong = meet(cong, rm_congruence_at(s, g, j))
     return cong
 
 
@@ -279,10 +385,10 @@ def ggm_congruence_over_j(s: FiniteSemigroup, g: GreensStructure, j: int) -> Con
 
 def is_rhodes_semisimple_over_j(s: FiniteSemigroup, g: GreensStructure) -> tuple[bool, Congruence]:
     """The meet of ``ggm_congruence_over_j`` over the regular J-classes, one
-    ``Congruence.meet`` at a time, stopping at equality."""
+    ``meet`` at a time, stopping at equality."""
     cong = universal_congruence(s.size)
     for j in g.regular_jclasses():
-        cong = cong.meet(ggm_congruence_over_j(s, g, j))
+        cong = meet(cong, ggm_congruence_over_j(s, g, j))
         if cong.is_equality():
             break
     return cong.is_equality(), cong
@@ -319,7 +425,158 @@ def rm_irreducible_classes_by_loop(s: FiniteSemigroup, g: GreensStructure) -> Ir
 
 
 # ---------------------------------------------------------------------------
+# Inverse semigroups: join irreducibility in the natural partial order
+
+
+def inverses_of(s: FiniteSemigroup) -> list[int] | None:
+    """Per-element inverse (sts = s, tst = t), or None if some element has none."""
+    t = s.table
+    out: list[int] = []
+    for a in range(s.size):
+        found = -1
+        for b in range(s.size):
+            if t[t[a, b], a] == a and t[t[b, a], b] == b:
+                found = b
+                break
+        if found < 0:
+            return None
+        out.append(found)
+    return out
+
+
+def is_inverse_semigroup(s: FiniteSemigroup) -> bool:
+    """Every element has an inverse and idempotents commute."""
+    inv = inverses_of(s)
+    if inv is None:
+        return False
+    idem = [e for e in range(s.size) if s.is_idempotent(e)]
+    t = s.table
+    for i, e in enumerate(idem):
+        for f in idem[i + 1 :]:
+            if t[e, f] != t[f, e]:
+                return False
+    return True
+
+
+def natural_order(s: FiniteSemigroup, inv: list[int]) -> np.ndarray:
+    """Matrix leq[x, y] of the natural partial order x <= y (x = x x^-1 y)."""
+    t = s.table
+    n = s.size
+    ff = t[np.arange(n), inv]  # x x^-1
+    return t[ff, :] == np.arange(n)[:, None]
+
+
+@dataclass(frozen=True)
+class ScheinRow:
+    jclass: int
+    e: int
+    join_irreducible: bool
+    mj: tuple[int, ...]
+
+
+def schein_irreducibility_check(
+    s: FiniteSemigroup, g: GreensStructure | None = None
+) -> dict[int, ScheinRow]:
+    """Join-irreducibility of J-classes of an inverse semigroup, with the
+    order-theoretic description of the invisible subgroup (Easdown-Schein).
+
+    Agrees with ``rm_irreducible_classes`` on inverse semigroups; raises
+    ValueError on any other semigroup."""
+    inv = inverses_of(s)
+    if inv is None or not is_inverse_semigroup(s):
+        raise ValueError("semigroup is not inverse (missing inverses or non-commuting idempotents)")
+    if g is None:
+        g = greens(s)
+    leq = natural_order(s, inv)
+    n = s.size
+
+    out: dict[int, ScheinRow] = {}
+    for j in g.regular_jclasses():
+        e = min_idempotent_of(g, j)
+        below = [x for x in range(n) if leq[x, e] and x != e]
+        if below:
+            ub_mask = leq[below, :].all(axis=0)
+        else:
+            ub_mask = np.ones(n, dtype=bool)
+        upper = np.flatnonzero(ub_mask)
+        join_reducible = bool(leq[e, upper].all())
+
+        h_e = g.hclass_of[e]
+        if below:
+            mj = tuple(int(x) for x in g.hclasses[h_e] if leq[below, x].all())
+        else:
+            mj = tuple(int(x) for x in g.hclasses[h_e])
+        out[j] = ScheinRow(jclass=j, e=e, join_irreducible=not join_reducible, mj=mj)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Sandwich matrix proportionality
+
+
+@dataclass(frozen=True)
+class ProportionalityFlags:
+    rm: bool
+    lm: bool
+
+    @property
+    def ggm(self) -> bool:
+        return self.rm and self.lm
+
+
+def proportionality_flags(r: ReesCoordinatization) -> ProportionalityFlags:
+    """rm: no two sandwich columns are right proportional; lm: no two rows are
+    left proportional.  For a (0-)simple semigroup these characterize the
+    right-mapping / left-mapping / GGM properties in both directions."""
+    c = r.sandwich
+    gm, gi = r.group_mul, r.group_inv
+    nz = c != 0
+
+    def cols_proportional(a1: int, a2: int) -> bool:
+        if not np.array_equal(nz[:, a1], nz[:, a2]):
+            return False
+        rows = np.flatnonzero(nz[:, a1])
+        b0 = rows[0]
+        g0 = gm[gi[c[b0, a1] - 1], c[b0, a2] - 1]  # C[b0,a1]^-1 C[b0,a2]
+        return bool((gm[c[rows, a1] - 1, g0] == c[rows, a2] - 1).all())
+
+    def rows_proportional(b1: int, b2: int) -> bool:
+        if not np.array_equal(nz[b1], nz[b2]):
+            return False
+        cols = np.flatnonzero(nz[b1])
+        a0 = cols[0]
+        g0 = gm[c[b2, a0] - 1, gi[c[b1, a0] - 1]]  # C[b2,a0] C[b1,a0]^-1
+        return bool((gm[g0, c[b1, cols] - 1] == c[b2, cols] - 1).all())
+
+    rm = not any(
+        cols_proportional(a1, a2) for a1 in range(r.a_count) for a2 in range(a1 + 1, r.a_count)
+    )
+    lm = not any(
+        rows_proportional(b1, b2) for b1 in range(r.b_count) for b2 in range(b1 + 1, r.b_count)
+    )
+    return ProportionalityFlags(rm=rm, lm=lm)
+
+
+# ---------------------------------------------------------------------------
 # Group actions
+
+
+def group_table(table: np.ndarray | list, validate: bool = True) -> GroupTable:
+    """A GroupTable from a multiplication table with the identity at index 0."""
+    arr = np.array(table, dtype=np.int32)
+    m = arr.shape[0]
+    if validate:
+        check_associativity(arr)
+        if not (np.array_equal(arr[0], np.arange(m)) and np.array_equal(arr[:, 0], np.arange(m))):
+            raise NotSubgroup("identity must sit at index 0")
+    inv = np.empty(m, dtype=np.int32)
+    for i in range(m):
+        hits = np.flatnonzero(arr[i] == 0)
+        if len(hits) != 1:
+            raise NotSubgroup(f"element {i} has no unique inverse")
+        inv[i] = hits[0]
+    return GroupTable(table=arr, inv=inv)
+
 
 
 def subgroup_classes_by_closures(g: GroupTable) -> SubgroupLattice:

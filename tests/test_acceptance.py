@@ -12,15 +12,14 @@ import time
 import numpy as np
 
 import test_properties as props
-from sgmindeg import builders
-from sgmindeg.congruence import (
+from reference import (
     ggm_congruence_at,
-    is_rhodes_semisimple,
+    group_table,
     proportionality_flags,
-    rm_congruence_at,
-    rm_irreducible_classes,
     schein_irreducibility_check,
 )
+from sgmindeg import builders
+from sgmindeg.congruence import is_rhodes_semisimple, rm_congruence_at, rm_irreducible_classes
 from sgmindeg.core import from_table, greens, opposite, rees_coordinatize
 from sgmindeg.grouptheory import GroupTable, subgroup_classes
 from sgmindeg.mindeg import dj, left_degrees, min_partial_degree
@@ -95,10 +94,10 @@ def test_criterion_4_single_diagonal_spotcheck():
     rep = rm_irreducible_classes(s, g)
     (j,) = rep.irreducible_ids()
     r = rees_coordinatize(s, g, j)
-    computed = dj(r, rep).d
+    computed = dj(r, rep, subgroup_classes(GroupTable.of_rees(r))).d
 
     # independent enumeration of n|X| - sum_x |{i : g_i in G_x}| over C_4-sets
-    gt = GroupTable.from_table(c4.table)
+    gt = group_table(c4.table)
     lat = subgroup_classes(gt)
     n = 3
     best = None
@@ -157,9 +156,10 @@ def test_criterion_6_oracle_agreement():
         assert theory == oracle_partial(s, cap), f"{label}: theory != oracle"
     # the AGGM example also has l(S) = 3, resolved on the opposite side
     ag = builders.aggm_01(2, 3, [frozenset({0, 1})]).semigroup
-    lr = left_degrees(ag, min_partial_degree(ag).m)
-    assert (lr.right_m, lr.left.m) == (2, 3)
-    assert lr.left.m == oracle_partial(opposite(ag), 4)
+    right_m = min_partial_degree(ag).m
+    left_m = left_degrees(ag, right_m).m
+    assert (right_m, left_m) == (2, 3)
+    assert left_m == oracle_partial(opposite(ag), 4)
     report("criterion 6 PASS: oracle equals theory on the m <= 4 corpus (incl. AGGM m = 2, l = 3)")
 
 

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pytest
 
 from conftest import NULL2
-from reference import cayley_extended, check_compatibility, greens_congruence_fixpoint, rm_meet
+from reference import (
+    cayley_extended,
+    check_compatibility,
+    faithful_by_rows,
+    greens_congruence_fixpoint,
+    rm_meet,
+    schutzenberger_right,
+    semisimplify,
+    strong_orbits_by_reachability,
+)
 from sgmindeg import builders
 from sgmindeg.action import (
     PartialAction,
@@ -15,23 +22,20 @@ from sgmindeg.action import (
     greens_quotient,
     is_faithful,
     orbits,
-    parse_action,
-    dump_action,
-    schutzenberger_right,
-    semisimplify,
     tensor_action,
 )
 from sgmindeg.congruence import rm_irreducible_classes
 from sgmindeg.core import from_table, greens, opposite, rees_coordinatize
-from sgmindeg.errors import BadParameters, NotIdempotent, NotSemisimpleAction
+from sgmindeg.errors import NotIdempotent, NotRhodesSemisimple, NotSemisimpleAction
 from sgmindeg.grouptheory import GroupAction, GroupTable, coset_action, subgroup_classes
+from sgmindeg.mindeg import min_partial_degree
 
 
 def test_schutzenberger_group_regular():
     s = builders.symmetric_group(3).semigroup
     g = greens(s)
     r = rees_coordinatize(s, g, 0)
-    act = schutzenberger_right(s, r)
+    act = schutzenberger_right(s, r)[0]
     assert act.degree == 6 and act.is_total()
     assert is_faithful(s, act)[0]
 
@@ -39,7 +43,7 @@ def test_schutzenberger_group_regular():
 def test_schutzenberger_b2_rank1(b2):
     g = greens(b2)
     r = rees_coordinatize(b2, g, 1)
-    act = schutzenberger_right(b2, r)
+    act = schutzenberger_right(b2, r)[0]
     # the R-class of e has |G| * l_J = 3 points (one per L-class)
     assert act.degree == 3
     assert not act.is_total()
@@ -55,10 +59,10 @@ def test_schutzenberger_is_right_multiplication_on_r_class_of_e(builder_corpus):
         g = greens(s)
         for j in g.regular_jclasses():
             r = rees_coordinatize(s, g, j)
-            act = schutzenberger_right(s, r)
-            r_e = [y for y in s.elements() if g.rclass_of[y] == g.rclass_of[r.e]]
-            assert act.labels == tuple(r_e)  # ascending element indices
-            for x in s.elements():
+            act, labels = schutzenberger_right(s, r)
+            r_e = [y for y in range(s.size) if g.rclass_of[y] == g.rclass_of[r.e]]
+            assert labels == tuple(r_e)  # ascending element indices
+            for x in range(s.size):
                 images = [int(s.table[y, x]) for y in r_e]
                 assert act.maps[x].tolist() == [r_e.index(z) if z in r_e else -1 for z in images]
 
@@ -68,7 +72,7 @@ def test_schutzenberger_simple_total_degree12():
     s = b.semigroup
     g = greens(s)
     r = rees_coordinatize(s, g, 0)
-    act = schutzenberger_right(s, r)
+    act = schutzenberger_right(s, r)[0]
     assert act.degree == 12  # |G| * b_count = 6 * 2
     assert act.is_total()
 
@@ -116,7 +120,7 @@ def test_orbits_t2op_inverse_image():
 def test_semisimplify_idempotent_on_semisimple(sim2):
     g = greens(sim2)
     r = rees_coordinatize(sim2, g, 1)
-    act = schutzenberger_right(sim2, r)
+    act = schutzenberger_right(sim2, r)[0]
     ss = semisimplify(sim2, act, g)
     assert ss.degree == act.degree
     assert np.array_equal(ss.maps, act.maps)
@@ -152,11 +156,37 @@ def test_is_faithful_cayley(random_corpus):
         assert is_faithful(s, cayley_extended(s))[0]
 
 
+def test_orbits_and_faithfulness_match_references(random_corpus, builder_corpus):
+    # Cayley actions, natural actions and the witnesses, each also without its
+    # last point (images of that point become undefined), which can make it
+    # non-faithful
+    cases = [(s, cayley_extended(s)) for s, _ in random_corpus[:40]]
+    cases += [(s, act) for s, act in random_corpus[:40]]
+    for b in builder_corpus.values():
+        try:
+            cases.append((b.semigroup, min_partial_degree(b.semigroup).witness))
+        except NotRhodesSemisimple:
+            pass
+    cases += [
+        (s, PartialAction(degree=a.degree - 1, maps=np.where(a.maps == a.degree - 1, -1, a.maps)[:, :-1]))
+        for s, a in cases
+        if a.degree
+    ]
+    assert any(not faithful_by_rows(s, a)[0] for s, a in cases)
+    for s, act in cases:
+        assert is_faithful(s, act) == faithful_by_rows(s, act)
+        dec = orbits(s, act)
+        assert dec.orbit_of.tolist() == strong_orbits_by_reachability(act).tolist()
+        assert [o.points for o in dec.orbits] == [
+            tuple(np.flatnonzero(dec.orbit_of == k).tolist()) for k in range(len(dec.orbits))
+        ]
+
+
 def test_criterion_on_schutzenberger_coproduct(sim2):
     g = greens(sim2)
     rep = rm_irreducible_classes(sim2, g)
     blocks = [
-        schutzenberger_right(sim2, rees_coordinatize(sim2, g, j))
+        schutzenberger_right(sim2, rees_coordinatize(sim2, g, j))[0]
         for j in g.regular_jclasses()
     ]
     omega = coproduct_actions(blocks)
@@ -165,7 +195,7 @@ def test_criterion_on_schutzenberger_coproduct(sim2):
     # dropping the irreducible class's component breaks faithfulness
     reduced = coproduct_actions(
         [
-            schutzenberger_right(sim2, rees_coordinatize(sim2, g, j))
+            schutzenberger_right(sim2, rees_coordinatize(sim2, g, j))[0]
             for j in g.regular_jclasses()
             if j not in rep.irreducible_ids()
         ]
@@ -225,7 +255,7 @@ def test_tensor_regular_gset_is_schutzenberger():
     lat = subgroup_classes(gt)
     reg = coset_action(gt, lat.classes[0].rep)  # trivial subgroup: regular G-set
     t = tensor_action(reg, r)
-    schutz = schutzenberger_right(s, r)
+    schutz = schutzenberger_right(s, r)[0]
     assert t.degree == schutz.degree
     # equivariant bijection: match points by their full translation rows
     key_t = [tuple(t.maps[:, p]) for p in range(t.degree)]
@@ -244,7 +274,7 @@ def test_tensor_action_matches_its_definition(builder_corpus):
             reg = GroupAction(group=GroupTable.of_rees(r), npoints=r.group_order, act=r.group_mul)
             t = tensor_action(reg, r)
             nb = r.b_count
-            for x in s.elements():
+            for x in range(s.size):
                 for p in range(reg.npoints):
                     for tb in range(nb):
                         u = int(s.table[r.triple_to_elem[0, 0, tb], x])
@@ -287,7 +317,7 @@ def test_greens_quotient_methods_agree(sim2, b2):
         g = greens(s)
         for j in g.regular_jclasses():
             r = rees_coordinatize(s, g, j)
-            act = schutzenberger_right(s, r)
+            act = schutzenberger_right(s, r)[0]
             _, class_of = greens_quotient(s, act, r.e)
             assert np.array_equal(class_of, greens_congruence_fixpoint(s, act, r.e))
 
@@ -313,32 +343,6 @@ def test_greens_quotient_merges_all_undefined_points():
 
 def test_greens_quotient_requires_idempotent(sim2):
     nat = builders.symmetric_inverse(2).natural_action
-    non_idem = next(x for x in sim2.elements() if not sim2.is_idempotent(x))
+    non_idem = next(x for x in range(sim2.size) if not sim2.is_idempotent(x))
     with pytest.raises(NotIdempotent):
         greens_quotient(sim2, nat, non_idem)
-
-
-def test_act_format_roundtrip(sim2):
-    nat = builders.symmetric_inverse(2).natural_action
-    text = dump_action(nat)
-    back = parse_action(text)
-    assert back.degree == nat.degree
-    assert np.array_equal(back.maps, nat.maps)
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("", "row 1 (the degree) is missing"),
-        ("# only a comment\n\n", "row 1 (the degree) is missing"),
-        ("-1\n", "row 1 has degree -1"),
-        ("two\n0 1\n", "row 1 must be the degree"),
-        ("2\n0 1\n1 x\n", "row 3 has a token that is not '-' or an integer"),
-        ("2\n0 1\n1\n", "row 3 has 1 entries, expected 2"),
-        ("2\n# comment\n0 2\n", "row 2 has a value out of range for degree 2"),
-    ],
-    ids=["empty", "comments-only", "negative-degree", "bad-degree", "bad-token", "short-row", "out-of-range"],
-)
-def test_parse_action_names_the_bad_row(text, message):
-    with pytest.raises(BadParameters, match=re.escape(message)):
-        parse_action(text)

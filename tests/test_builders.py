@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from reference import acts_monoidally, check_compatibility
+from reference import acts_monoidally, check_compatibility, ggm_congruence_at
 from sgmindeg import builders
 from sgmindeg.builders import FamilySpec, build
-from sgmindeg.congruence import ggm_congruence_at
 from sgmindeg.core import check_associativity, compose_maps, greens, opposite, rees_coordinatize
 from sgmindeg.errors import BadParameters, SizeLimitExceeded
 

@@ -192,8 +192,7 @@ def test_analyze_non_semisimple(tmp_path, capsys):
 
 
 def test_rees_input_format(tmp_path, capsys):
-    from sgmindeg.fileio import dump_rees
-    import numpy as np
+    from reference import dump_rees
 
     g = builders.symmetric_group(3).semigroup
     p = tmp_path / "m.rees"
@@ -206,6 +205,36 @@ def test_rees_input_format(tmp_path, capsys):
 def test_make_unknown_family_exit_1(capsys):
     with pytest.raises(SystemExit):
         main(["make", "nonsense", "1"])  # argparse rejects the choice
+
+
+# one valid parameter list per `make` family
+MAKE_PARAMS = {
+    "full_transformation": ["2"],
+    "partial_transformation": ["2"],
+    "symmetric_inverse": ["2"],
+    "symmetric_group": ["3"],
+    "binary_relations": ["2"],
+    "matrix_monoid": ["2", "2"],
+    "rectangular_band": ["2", "2"],
+    "rectangular_group": ["S2", "2", "2"],
+    "chain_semilattice": ["3"],
+    "cyclic": ["4"],
+    "sigma_square": ["3", "1,0,2"],
+    "aggm_01": ["2", "3", "0,1"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(builders.FAMILY_USAGE))
+def test_make_wrong_parameter_count_exit_1(family, capsys):
+    params = MAKE_PARAMS[family]
+    assert main(["make", family, *params]) == 0
+    capsys.readouterr()
+    for wrong in (params[:-1], params + ["1"]):
+        assert main(["make", family, *wrong]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and builders.FAMILY_USAGE[family] in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_bad_file_exit_1(capsys):

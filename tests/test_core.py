@@ -45,7 +45,7 @@ def test_trivial_table():
 def test_null_semigroup():
     s = from_table(NULL2)
     assert s.zero == 0 and s.identity is None
-    assert s.idempotents() == [0]
+    assert [e for e in range(s.size) if s.is_idempotent(e)] == [0]
 
 
 def test_non_associative_witness():
@@ -106,7 +106,7 @@ def test_from_partial_maps_t2():
     assert s.size == 4
     assert s.identity is not None
     assert all(all(v >= 0 for v in m) for m in maps)  # closure stays total: it is T_2
-    assert len(s.idempotents()) == 3
+    assert sum(s.is_idempotent(e) for e in range(s.size)) == 3
 
 
 def test_from_partial_maps_trivial():

@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_small_semigroups
+from reference import dump_pgen, dump_rees
 from sgmindeg import builders
 from sgmindeg.cli import main
 from sgmindeg.errors import BadParameters, SemigroupError
 from sgmindeg.fileio import (
-    dump_pgen,
-    dump_rees,
     dump_sgt,
     parse_pgen,
     parse_rees,

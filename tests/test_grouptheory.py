@@ -9,6 +9,7 @@ import pytest
 
 from reference import (
     coset_action_by_points,
+    group_table,
     kernel_mask,
     subgroup_classes_by_closures,
     tensor_pair_classes_by_entries,
@@ -26,7 +27,7 @@ from sgmindeg.mindeg import tensor_pair_classes
 
 
 def gt_of(semigroup):
-    return GroupTable.from_table(semigroup.table)
+    return group_table(semigroup.table)
 
 
 def perm_indices(n, pred):
@@ -37,7 +38,12 @@ def perm_indices(n, pred):
 def perm_group(degree, gens):
     """The permutation group generated by gens, identity first."""
     s, _ = from_partial_maps(degree, [tuple(range(degree))] + list(gens))
-    return GroupTable.from_table(s.table)
+    return group_table(s.table)
+
+
+def by_index(lat):
+    """The cost of a subgroup class is its index."""
+    return lambda ci: lat.classes[ci].index
 
 
 def parity(p):
@@ -65,7 +71,7 @@ def test_subgroups_klein_all_normal():
     klein = builders.direct_product(
         builders.cyclic(2).semigroup, builders.cyclic(2).semigroup
     )
-    lat = subgroup_classes(GroupTable.from_table(klein.table))
+    lat = subgroup_classes(group_table(klein.table))
     assert len(lat.classes) == 5  # abelian: classes = subgroups
     for c in lat.classes:
         assert c.core == c.rep  # every subgroup is its own core
@@ -77,7 +83,7 @@ def test_subgroups_s4_class_count():
 
 
 def test_subgroups_s5_class_count():
-    g = GroupTable.from_table(
+    g = group_table(
         builders.symmetric_group(5).semigroup.table, validate=False
     )
     assert len(subgroup_classes(g).classes) == 19
@@ -93,7 +99,7 @@ def test_subgroups_s5_class_count():
 )
 def test_symmetric_group_lattice_pinned(n, count, digest):
     # the classes as (rep, index, core) must not drift: the d_J search reads all three
-    g = GroupTable.from_table(builders.symmetric_group(n).semigroup.table, validate=False)
+    g = group_table(builders.symmetric_group(n).semigroup.table, validate=False)
     classes = subgroup_classes(g).classes
     assert len(classes) == count
     rows = repr([(c.rep, c.index, c.core) for c in classes])
@@ -107,16 +113,16 @@ S3 = builders.symmetric_group(3).semigroup
 def named_group(name):
     kind, _, n = name.partition("_")
     if kind == "S":
-        return GroupTable.from_table(builders.symmetric_group(int(n)).semigroup.table, validate=False)
+        return group_table(builders.symmetric_group(int(n)).semigroup.table, validate=False)
     if kind == "C":
-        return GroupTable.from_table(builders.cyclic(int(n)).semigroup.table)
+        return group_table(builders.cyclic(int(n)).semigroup.table)
     s4 = builders.symmetric_group(4).semigroup
     return {
-        "C2^3": lambda: GroupTable.from_table(builders.direct_product(builders.direct_product(C2, C2), C2).table),
+        "C2^3": lambda: group_table(builders.direct_product(builders.direct_product(C2, C2), C2).table),
         "D_8(order16)": lambda: perm_group(8, [tuple((i + 1) % 8 for i in range(8)), tuple(-i % 8 for i in range(8))]),
         "A_5": lambda: perm_group(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]),
-        "S3xS3": lambda: GroupTable.from_table(builders.direct_product(S3, S3).table),
-        "C3xS4": lambda: GroupTable.from_table(builders.direct_product(builders.cyclic(3).semigroup, s4).table),
+        "S3xS3": lambda: group_table(builders.direct_product(S3, S3).table),
+        "C3xS4": lambda: group_table(builders.direct_product(builders.cyclic(3).semigroup, s4).table),
     }[name]()
 
 
@@ -185,7 +191,7 @@ def test_coset_action_rejects_non_subgroup():
 def test_min_degree_c6_whole_group():
     g = gt_of(builders.cyclic(6).semigroup)
     lat = subgroup_classes(g)
-    deg, wit = min_degree_faithful_on(g, tuple(range(6)), lat)
+    deg, wit = min_degree_faithful_on(g, tuple(range(6)), lat, by_index(lat))
     assert deg == 5  # 2 + 3
     cores = [set(lat.classes[ci].core) for ci in wit]
     inter = set(range(6))
@@ -197,14 +203,14 @@ def test_min_degree_c6_whole_group():
 def test_min_degree_trivial_subgroup_is_zero():
     g = gt_of(builders.cyclic(6).semigroup)
     lat = subgroup_classes(g)
-    assert min_degree_faithful_on(g, (0,), lat) == (0, ())
+    assert min_degree_faithful_on(g, (0,), lat, by_index(lat)) == (0, ())
 
 
 def test_min_degree_s3_on_a3():
     g = gt_of(builders.symmetric_group(3).semigroup)
     lat = subgroup_classes(g)
     a3 = perm_indices(3, lambda p: parity(p) == 0)
-    deg, wit = min_degree_faithful_on(g, a3, lat)
+    deg, wit = min_degree_faithful_on(g, a3, lat, by_index(lat))
     assert deg == 3
     assert len(wit) == 1 and lat.classes[wit[0]].index == 3
 
@@ -213,16 +219,15 @@ def test_min_degree_matches_bruteforce_on_small_groups():
     # exhaustive subset check against the branch and bound, with the index
     # cost and with a cost that is not the index, on N = G and on a proper N
     for sg in [builders.cyclic(12).semigroup, builders.symmetric_group(4).semigroup]:
-        g = GroupTable.from_table(sg.table)
+        g = group_table(sg.table)
         lat = subgroup_classes(g)
         k = len(lat.classes)
         proper = min(
             (c.rep for c in lat.classes if c.core == c.rep and 1 < len(c.rep) < g.order), key=len
         )
-        index_cost = lambda ci: lat.classes[ci].index
+        index_cost = by_index(lat)
         order_cost = lambda ci: len(lat.classes[ci].rep) + 1
         for n in (tuple(range(g.order)), proper):
-            assert min_degree_faithful_on(g, n, lat) == min_degree_faithful_on(g, n, lat, index_cost)
             for cost in (index_cost, order_cost):
                 deg, wit = min_degree_faithful_on(g, n, lat, cost)
                 assert deg == sum(cost(ci) for ci in wit)
@@ -243,7 +248,7 @@ def test_min_degree_rejects_non_normal():
     lat = subgroup_classes(g)
     c2 = next(c for c in lat.classes if len(c.rep) == 2)
     with pytest.raises(NotSubgroup):
-        min_degree_faithful_on(g, c2.rep, lat)
+        min_degree_faithful_on(g, c2.rep, lat, by_index(lat))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from reference import check_compatibility, restriction_is_injective
+from reference import check_compatibility, is_inverse_semigroup, restriction_is_injective
 from sgmindeg import builders
 from sgmindeg.congruence import rm_irreducible_classes
 from sgmindeg.core import from_table, greens, rees_coordinatize
@@ -30,7 +30,7 @@ def dj_of(s, j=None):
     if j is None:
         (j,) = rep.irreducible_ids()
     r = rees_coordinatize(s, g, j)
-    return dj(r, rep)
+    return dj(r, rep, subgroup_classes(GroupTable.of_rees(r)))
 
 
 def test_dj_b2(b2):
@@ -56,7 +56,7 @@ def test_dj_rejects_reducible(sim2):
     reducible = [j for j in rep.per_class if not rep.per_class[j].rm_irreducible][0]
     r = rees_coordinatize(sim2, g, reducible)
     with pytest.raises(NotIrreducible):
-        dj(r, rep)
+        dj(r, rep, subgroup_classes(GroupTable.of_rees(r)))
 
 
 def general_search_d(r, report):
@@ -87,7 +87,7 @@ def test_fast_path_consistency_with_general_search():
         rep = rm_irreducible_classes(s, g)
         for j in rep.irreducible_ids():
             r = rees_coordinatize(s, g, j)
-            fast = dj(r, rep)
+            fast = dj(r, rep, subgroup_classes(GroupTable.of_rees(r)))
             assert fast.fast_path in ("aggm", "column_condition")
             assert fast.d == general_search_d(r, rep)
 
@@ -104,9 +104,9 @@ def test_dj_matches_multiset_search_on_tiny_instances():
         rep = rm_irreducible_classes(s, g)
         (j,) = rep.irreducible_ids()
         r = rees_coordinatize(s, g, j)
-        res = dj(r, rep)
         gt = GroupTable.of_rees(r)
         lat = subgroup_classes(gt)
+        res = dj(r, rep, lat)
         gpos = {el: i for i, el in enumerate(r.group)}
         mpos = [gpos[el] for el in rep.per_class[j].mj]
         k = len(lat.classes)
@@ -178,38 +178,48 @@ def test_wrong_quotient_size_is_caught(monkeypatch):
 
 def test_left_degrees_aggm_example():
     s = builders.aggm_01(2, 3, [frozenset({0, 1})]).semigroup
-    lr = left_degrees(s, min_partial_degree(s).m)
-    assert lr.right_m == 2
-    assert lr.left.m == 3
-    assert lr.bound_ok
+    right_m = min_partial_degree(s).m
+    assert right_m == 2
+    assert left_degrees(s, right_m).m == 3
 
 
 def test_left_degrees_inverse_symmetric(sim2):
-    lr = left_degrees(sim2, min_partial_degree(sim2).m)
-    assert lr.left.m == 2 and lr.right_m == 2
+    right_m = min_partial_degree(sim2).m
+    assert left_degrees(sim2, right_m).m == right_m == 2
 
 
 def test_left_degrees_commutative_identical():
     s = builders.cyclic(6).semigroup
     right = min_partial_degree(s)
-    lr = left_degrees(s, right.m)
-    assert lr.left.m == right.m == 5
-    assert lr.left.to_json() == right.to_json()
+    left = left_degrees(s, right.m)
+    assert left.m == right.m == 5
+    assert left.to_dict() == right.to_dict()
+
+
+def test_left_degrees_bound_violation_raises():
+    # a left degree above 2^m - 1 must not pass silently, also under python -O
+    s = builders.aggm_01(2, 3, [frozenset({0, 1})]).semigroup
+    with pytest.raises(InvariantViolated):
+        left_degrees(s, 1)  # l(S) = 3 > 2^1 - 1
 
 
 def test_left_degrees_oracle_fallback():
-    # S_2 x RB(2,2) is not Rhodes semisimple on either side; m(S) is unknown,
-    # so an explicit cap is required, and the oracle resolves the left degree
+    # S_2 x RB(2,2) is not Rhodes semisimple on either side, so neither
+    # min_partial_degree nor left_degrees applies and its left degree is the
+    # oracle's alone: partial degree 3 is refuted for the opposite and 4 found
+    from sgmindeg.core import opposite
+    from sgmindeg.oracle import OracleQuery, brute_min_degree
+
     s = builders.rectangular_group(builders.cyclic(2).semigroup, 2, 2).semigroup
     with pytest.raises(NotRhodesSemisimple):
         min_partial_degree(s)
+    sop = opposite(s)
     with pytest.raises(NotRhodesSemisimple):
-        left_degrees(s, None)
-    lr = left_degrees(s, None, oracle_max_degree=4)
-    assert lr.left.source == "oracle"
-    # the semigroup is isomorphic to its opposite; the oracle refutes degree 3
-    assert lr.left.m == 4
-    assert lr.right_m is None and lr.bound_ok is None
+        min_partial_degree(sop)
+    refuted = brute_min_degree(OracleQuery(semigroup=sop, mode="partial", min_n=3, max_n=3))
+    assert refuted.status == "not_found"
+    found = brute_min_degree(OracleQuery(semigroup=sop, mode="partial", min_n=1, max_n=4))
+    assert found.status == "found" and found.degree == 4
 
 
 def test_clifford_chain_with_proper_invisible_subgroup(clifford_c4_c2):
@@ -234,7 +244,6 @@ def test_clifford_chain_with_proper_invisible_subgroup(clifford_c4_c2):
 def test_brandt_over_c2_theory_and_oracle_agree():
     # inverse semigroup with a nontrivial maximal subgroup in its irreducible
     # class: m = l_J * n_J = 2 * 2, confirmed by the oracle
-    from sgmindeg.congruence import is_inverse_semigroup
     from sgmindeg.oracle import OracleQuery, brute_min_degree
 
     s = builders.rees_matrix(
@@ -292,5 +301,7 @@ def test_monotone_sanity_group_bound(builder_corpus):
                 continue
             gt = GroupTable.of_rees(r)
             lat = subgroup_classes(gt)
-            deg, _ = min_degree_faithful_on(gt, tuple(range(gt.order)), lat)
+            deg, _ = min_degree_faithful_on(
+                gt, tuple(range(gt.order)), lat, lambda ci: lat.classes[ci].index
+            )
             assert rep.m >= deg
