@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import PartialAction
-from .core import MAX_ELEMENTS, FiniteSemigroup, PartialMap, from_table, rees_law
+from .core import MAX_ELEMENTS, FiniteSemigroup, PartialMap, _adopt_table, from_table, rees_law
 from .errors import BadParameters, InvariantViolated, SizeLimitExceeded
 
 
@@ -54,7 +54,7 @@ def _semigroup_from_all_maps(
     table = lookup[products @ weights]
     if (table < 0).any():
         raise InvariantViolated(f"the maps of {label} are not closed under composition")
-    s = from_table(table, validate=False)  # composition is associative
+    s = _adopt_table(table, validate=False)  # composition is associative
     return BuiltSemigroup(
         semigroup=s, natural_action=PartialAction(degree=degree, maps=act), label=label
     )
@@ -114,7 +114,7 @@ def binary_relations(n: int) -> BuiltSemigroup:
     for a in range(count):
         prods = np.einsum("ik,mkj->mij", mats[a], mats) > 0
         table[a] = (prods * weights).sum(axis=(1, 2))
-    return BuiltSemigroup(semigroup=from_table(table, validate=True), natural_action=None, label=f"B_{n}")
+    return BuiltSemigroup(semigroup=_adopt_table(table), natural_action=None, label=f"B_{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ def matrix_monoid(n: int, q: int) -> BuiltSemigroup:
             acc = add[acc, term]
         table[a] = (acc.astype(np.int64) * weights).sum(axis=(1, 2))
     return BuiltSemigroup(
-        semigroup=from_table(table, validate=True), natural_action=None, label=f"M_{n}(F_{q})"
+        semigroup=_adopt_table(table), natural_action=None, label=f"M_{n}(F_{q})"
     )
 
 
@@ -206,7 +206,7 @@ def rees_matrix(
     table = np.zeros((size, size), dtype=np.int32)
     table[z:, z:] = prods
     label = f"M{'0' if adjoin_zero else ''}(|G|={m},{na}x{nb})"
-    return BuiltSemigroup(semigroup=from_table(table, validate=True), natural_action=None, label=label)
+    return BuiltSemigroup(semigroup=_adopt_table(table), natural_action=None, label=label)
 
 
 def sigma_square(n: int, sigma: tuple[int, ...]) -> BuiltSemigroup:
@@ -262,7 +262,7 @@ def rectangular_band(m: int, n: int) -> BuiltSemigroup:
     i = np.arange(size) // n
     j = np.arange(size) % n
     table = (i[:, None] * n + j[None, :]).astype(np.int32)
-    return BuiltSemigroup(semigroup=from_table(table), natural_action=None, label=f"RB({m},{n})")
+    return BuiltSemigroup(semigroup=_adopt_table(table), natural_action=None, label=f"RB({m},{n})")
 
 
 def direct_product(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteSemigroup:
@@ -270,7 +270,7 @@ def direct_product(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteSemigroup:
     table = (
         s.table[:, None, :, None].astype(np.int64) * n2 + t.table[None, :, None, :]
     ).reshape(n1 * n2, n1 * n2)
-    return from_table(table.astype(np.int32), validate=False)
+    return _adopt_table(table.astype(np.int32), validate=False)
 
 
 def rectangular_group(group: FiniteSemigroup, m: int, n: int) -> BuiltSemigroup:
@@ -287,7 +287,7 @@ def chain_semilattice(k: int) -> BuiltSemigroup:
         raise BadParameters("chain_semilattice needs 1 <= k <= 64")
     i = np.arange(k)
     table = np.minimum(i[:, None], i[None, :]).astype(np.int32)
-    return BuiltSemigroup(semigroup=from_table(table), natural_action=None, label=f"chain_{k}")
+    return BuiltSemigroup(semigroup=_adopt_table(table), natural_action=None, label=f"chain_{k}")
 
 
 def cyclic(n: int) -> BuiltSemigroup:
@@ -295,11 +295,22 @@ def cyclic(n: int) -> BuiltSemigroup:
         raise BadParameters("cyclic needs 1 <= n <= 2000")
     i = np.arange(n)
     table = ((i[:, None] + i[None, :]) % n).astype(np.int32)
-    return BuiltSemigroup(semigroup=from_table(table, validate=False), natural_action=None, label=f"C_{n}")
+    return BuiltSemigroup(semigroup=_adopt_table(table, validate=False), natural_action=None, label=f"C_{n}")
 
 
 # ---------------------------------------------------------------------------
 # Family dispatch (shared by tests and the CLI)
+
+
+class _NotAnInteger(BadParameters):
+    """A family parameter that ``int()`` does not take; ``build`` names the usage."""
+
+
+def _int(text) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _NotAnInteger(f"{str(text)!r} is not an integer") from None
 
 
 def _group_from_name(name: str) -> FiniteSemigroup:
@@ -312,32 +323,32 @@ def _group_from_name(name: str) -> FiniteSemigroup:
 
 
 def _ints(text) -> tuple[int, ...]:
-    return tuple(int(v) for v in str(text).split(","))
+    return tuple(_int(v) for v in str(text).split(","))
 
 
 # family -> (parameter usage, constructor taking one argument per parameter)
 BUILDERS = {
-    "full_transformation": ("<n>", lambda n: full_transformation(int(n))),
-    "partial_transformation": ("<n>", lambda n: partial_transformation(int(n))),
-    "symmetric_inverse": ("<n>", lambda n: symmetric_inverse(int(n))),
-    "symmetric_group": ("<n>", lambda n: symmetric_group(int(n))),
-    "binary_relations": ("<n>", lambda n: binary_relations(int(n))),
-    "matrix_monoid": ("<n> <q>", lambda n, q: matrix_monoid(int(n), int(q))),
-    "rectangular_band": ("<m> <n>", lambda m, n: rectangular_band(int(m), int(n))),
+    "full_transformation": ("<n>", lambda n: full_transformation(_int(n))),
+    "partial_transformation": ("<n>", lambda n: partial_transformation(_int(n))),
+    "symmetric_inverse": ("<n>", lambda n: symmetric_inverse(_int(n))),
+    "symmetric_group": ("<n>", lambda n: symmetric_group(_int(n))),
+    "binary_relations": ("<n>", lambda n: binary_relations(_int(n))),
+    "matrix_monoid": ("<n> <q>", lambda n, q: matrix_monoid(_int(n), _int(q))),
+    "rectangular_band": ("<m> <n>", lambda m, n: rectangular_band(_int(m), _int(n))),
     "rectangular_group": (
         "<S|C><k> <m> <n>",
-        lambda grp, m, n: rectangular_group(_group_from_name(str(grp)), int(m), int(n)),
+        lambda grp, m, n: rectangular_group(_group_from_name(str(grp)), _int(m), _int(n)),
     ),
-    "chain_semilattice": ("<k>", lambda k: chain_semilattice(int(k))),
-    "cyclic": ("<n>", lambda n: cyclic(int(n))),
+    "chain_semilattice": ("<k>", lambda k: chain_semilattice(_int(k))),
+    "cyclic": ("<n>", lambda n: cyclic(_int(n))),
     "sigma_square": (
         "<n> <comma-separated images of sigma>",
-        lambda n, sigma: sigma_square(int(n), _ints(sigma)),
+        lambda n, sigma: sigma_square(_int(n), _ints(sigma)),
     ),
     "aggm_01": (
         "<n> <k> <semicolon-separated subsets, each comma-separated>",
         lambda n, k, subsets: aggm_01(
-            int(n), int(k), [frozenset(_ints(grp)) for grp in str(subsets).split(";")]
+            _int(n), _int(k), [frozenset(_ints(grp)) for grp in str(subsets).split(";")]
         ),
     ),
 }
@@ -346,7 +357,7 @@ FAMILY_USAGE = {family: usage for family, (usage, _) in BUILDERS.items()}
 
 def build(spec: FamilySpec) -> BuiltSemigroup:
     """The family member named by ``spec``; BadParameters names the usage when
-    the parameter count is wrong."""
+    the parameter count is wrong or a parameter is not an integer."""
     if spec.family not in BUILDERS:
         raise BadParameters(f"unknown family {spec.family!r}")
     usage, make = BUILDERS[spec.family]
@@ -356,4 +367,7 @@ def build(spec: FamilySpec) -> BuiltSemigroup:
             f"{spec.family} takes {want} parameter{'s' if want > 1 else ''} "
             f"({spec.family} {usage}), got {len(spec.params)}"
         )
-    return make(*spec.params)
+    try:
+        return make(*spec.params)
+    except _NotAnInteger as exc:
+        raise BadParameters(f"{spec.family}: {exc} ({spec.family} {usage})") from None

@@ -30,6 +30,10 @@ MAX_ELEMENTS = 10_000
 # temporaries stay small.
 _BLOCK_ROWS = 512
 
+# Entries per block of Light's test: its two int32 gathers and their
+# comparison then take about 300 KB, and B_3 (512 elements) has 8 blocks.
+_LIGHT_BLOCK_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True)
 class FiniteSemigroup:
@@ -89,15 +93,15 @@ def closure_mask(
     hit = np.zeros(n, dtype=bool)
     hit[new] = True
     if base is not None:
-        hit[table[np.flatnonzero(base)[:, None], new]] = True
-    frontier = np.flatnonzero(hit & ~mask)
+        hit[table[base.nonzero()[0][:, None], new]] = True
+    frontier = (hit > mask).nonzero()[0]  # hit and not yet in mask
     while len(frontier):
         mask[frontier] = True
         if stop is not None and mask[stop]:
             break
         hit[:] = False
         hit[table[frontier[:, None], gens]] = True
-        frontier = np.flatnonzero(hit & ~mask)
+        frontier = (hit > mask).nonzero()[0]
     return mask
 
 
@@ -115,14 +119,36 @@ def small_generating_set(table: np.ndarray) -> list[int]:
         if not covered[e]:
             gens.append(e)
             covered = closure_mask(table, gens, base=covered)
-    # gens generates everything, so gens minus g still does when g lies in <rest>
-    for g in list(gens):
-        if len(gens) == 1:
-            break
-        rest = [x for x in gens if x != g]
-        if closure_mask(table, rest, stop=g)[g]:
-            gens = rest
-    return gens
+    # The second pass, in order, drops g_i when it lies in the closure of the
+    # generators kept so far and all later ones, which holds <g_{i+1}, ...>.
+    # So the suffix closures, grown from the end, settle every g_i inside its
+    # suffix, and they are the whole test while nothing earlier is kept.
+    # For j >= 1, x lies in <g_j, ...> iff j <= reach[x].
+    reach = np.full(n, -1)
+    suffix = np.zeros(n, dtype=bool)
+    for i in range(len(gens) - 1, 0, -1):
+        g = gens[i]
+        if not suffix[g]:
+            suffix = closure_mask(table, gens[i:], base=suffix)
+        elif not suffix[table[suffix, g]].all():  # not closed under g: only in a magma
+            suffix = closure_mask(table, gens[i:])
+        reach[suffix & (reach < 0)] = i
+    kept: list[int] = []
+    for i, g in enumerate(gens):
+        if reach[g] > i:
+            continue
+        # reach > i is <later>, and no kept generator lies in it, so it is a
+        # valid base for the closure of later + kept
+        later = gens[i + 1 :]
+        if kept and closure_mask(table, later + kept, base=reach > i, stop=g)[g]:
+            continue
+        kept.append(g)
+    return kept
+
+
+def _light_block_rows(n: int) -> int:
+    """Rows per block of Light's test on an n-element table."""
+    return max(1, _LIGHT_BLOCK_ENTRIES // n)
 
 
 def check_associativity(table: np.ndarray, gens: Sequence[int] | None = None) -> None:
@@ -132,16 +158,24 @@ def check_associativity(table: np.ndarray, gens: Sequence[int] | None = None) ->
     ``gens`` is given), which is equivalent to the full O(n^3) triple scan but
     far cheaper when few generators suffice.  It is sound on any magma: the
     elements a with (xa)y = x(ay) for all x, y are closed under products, so
-    they are everything once the generators pass.
+    they are everything once the generators pass.  Each generator's test runs
+    over blocks of rows in ascending order, so the witness is the first failing
+    (x, y) in row-major order of the first failing generator, and the
+    temporaries stay O(block * n).
     """
     if gens is None:
         gens = small_generating_set(table)
+    n = table.shape[0]
+    rows = _light_block_rows(n)
     for a in gens:
-        lhs = table[table[:, a], :]  # (x, y) -> (x a) y
-        rhs = table[:, table[a, :]]  # (x, y) -> x (a y)
-        if not np.array_equal(lhs, rhs):
-            x, y = np.argwhere(lhs != rhs)[0]
-            raise NonAssociative((int(x), int(a), int(y)))
+        col_a, row_a = table[:, a], table[a]
+        for lo in range(0, n, rows):
+            lhs = table[col_a[lo : lo + rows]]  # (x, y) -> (x a) y
+            rhs = np.take(table[lo : lo + rows], row_a, axis=1)  # (x, y) -> x (a y)
+            differ = lhs != rhs
+            if differ.any():
+                x, y = np.argwhere(differ)[0]
+                raise NonAssociative((lo + int(x), int(a), int(y)))
 
 
 def _scan_identity_zero(table: np.ndarray) -> tuple[int | None, int | None]:
@@ -172,6 +206,38 @@ def _scan_identity_zero(table: np.ndarray) -> tuple[int | None, int | None]:
     return identity, zero
 
 
+def _check_table(arr: np.ndarray) -> None:
+    """Raise IndexOutOfRange unless ``arr`` is a non-empty square table of
+    entries 0..n-1."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise IndexOutOfRange(f"table must be square, got shape {arr.shape}")
+    n = arr.shape[0]
+    if n == 0:
+        raise IndexOutOfRange("table must have at least one element")
+    if arr.min() < 0 or arr.max() >= n:
+        bad = np.argwhere((arr < 0) | (arr >= n))[0]
+        raise IndexOutOfRange(
+            f"table entry at ({bad[0]}, {bad[1]}) = {arr[bad[0], bad[1]]} is out of range 0..{n - 1}"
+        )
+
+
+def _adopt_table(arr: np.ndarray, validate: bool = True) -> FiniteSemigroup:
+    """Build a semigroup on ``arr``, a C-order int32 table that the caller made
+    and hands over: no copy is made, and ``arr`` becomes read-only.
+
+    The table is range-checked, validated (unless ``validate`` is False) and
+    scanned for its identity and zero.  The generating set that validation
+    finds is kept on the semigroup."""
+    _check_table(arr)
+    gens = None
+    if validate:
+        gens = tuple(small_generating_set(arr))
+        check_associativity(arr, gens)
+    identity, zero = _scan_identity_zero(arr)
+    arr.setflags(write=False)
+    return FiniteSemigroup(table=arr, identity=identity, zero=zero, gens=gens)
+
+
 def from_table(table: Sequence[Sequence[int]] | np.ndarray, validate: bool = True) -> FiniteSemigroup:
     """Build a semigroup from a square table of element indices.
 
@@ -185,24 +251,8 @@ def from_table(table: Sequence[Sequence[int]] | np.ndarray, validate: bool = Tru
             arr = np.asarray(table, dtype=np.int64)
         except OverflowError as exc:
             raise IndexOutOfRange(f"table entry is out of range: {exc}") from None
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise IndexOutOfRange(f"table must be square, got shape {arr.shape}")
-    n = arr.shape[0]
-    if n == 0:
-        raise IndexOutOfRange("table must have at least one element")
-    if arr.min() < 0 or arr.max() >= n:
-        bad = np.argwhere((arr < 0) | (arr >= n))[0]
-        raise IndexOutOfRange(
-            f"table entry at ({bad[0]}, {bad[1]}) = {arr[bad[0], bad[1]]} is out of range 0..{n - 1}"
-        )
-    arr = arr.astype(np.int32, order="C")  # in range 0..n-1, so narrowing cannot wrap
-    gens = None
-    if validate:
-        gens = tuple(small_generating_set(arr))
-        check_associativity(arr, gens)
-    identity, zero = _scan_identity_zero(arr)
-    arr.setflags(write=False)
-    return FiniteSemigroup(table=arr, identity=identity, zero=zero, gens=gens)
+    _check_table(arr)  # in its own dtype: narrowing would wrap 2**32 to 0
+    return _adopt_table(arr.astype(np.int32, order="C"), validate)
 
 
 def compose_maps(f: PartialMap, g: PartialMap) -> PartialMap:
@@ -259,17 +309,21 @@ def from_partial_maps(
             row.append(index[h])
         right.append(row)
 
-    # column b of the table is y -> y b; for b = x * generator i that is
-    # y -> (y x) * generator i, and x < b, so fill columns in closure order
+    # One C-order table, filled in closure order from entries already filled.
+    # The generators' rows first, a column at a time: for y = x * generator i,
+    # generator j * y = (generator j * x) * generator i, and x < y.  Then row
+    # b = x * generator i is row x read at row i: b y = x (generator i * y).
     n = len(maps)
-    right_t = np.array(right, dtype=np.int32).T.copy()  # k x n
-    columns = np.empty((n, n), dtype=np.int32)  # columns[b] = table[:, b]
-    columns[:k] = right_t
+    right_arr = np.array(right, dtype=np.int32)  # right_arr[x, i] = x * generator i
+    table = np.empty((n, n), dtype=np.int32)
+    table[:k, :k] = right_arr[:k]
+    for y, (x, i) in enumerate(derivation, start=k):
+        table[:k, y] = right_arr[table[:k, x], i]
     for b, (x, i) in enumerate(derivation, start=k):
-        columns[b] = right_t[i][columns[x]]
+        table[b] = table[x][table[i]]
     # associativity holds by construction (map composition), skip revalidation;
     # elements 0..k-1 are the generators
-    return replace(from_table(columns.T, validate=False), gens=tuple(range(k))), maps
+    return replace(_adopt_table(table, validate=False), gens=tuple(range(k))), maps
 
 
 def opposite(s: FiniteSemigroup) -> FiniteSemigroup:

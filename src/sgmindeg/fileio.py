@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_ELEMENTS, FiniteSemigroup, from_partial_maps, from_table
+from .core import MAX_ELEMENTS, FiniteSemigroup, _adopt_table, from_partial_maps, from_table
 from .errors import BadParameters, SizeLimitExceeded
 
 
@@ -23,34 +23,41 @@ def _data_lines(text: str) -> list[str]:
     return out
 
 
-def _load_int_rows(rows: list[str]) -> np.ndarray:
+def _load_int_rows(rows: list[str], dtype: type = np.int64) -> np.ndarray:
     """Parse whitespace-separated decimal integers, one table row per string.
 
-    numpy 1.23-1.26 read a token such as '1.0' or '1e0' through float and only
-    warn; that warning is raised here, so such a token fails like 'x'."""
+    numpy 1.23-1.26 read a token such as '1.0', '1e0' or an integer beyond
+    ``dtype`` through float and only warn; that warning is raised here, so
+    such a token fails like 'x'."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
+        return np.loadtxt(rows, dtype=dtype, ndmin=2, comments=None)
+
+
+_PARSE_ERRORS = (ValueError, OverflowError, DeprecationWarning)
 
 
 def _int_rows(rows: list[str], what: str, width: int, hi: int) -> np.ndarray:
-    """``_load_int_rows``, raising BadParameters that names the first 1-based
-    row that does not parse on its own or lacks ``width`` entries."""
-    try:
-        return _load_int_rows(rows)
-    except (ValueError, DeprecationWarning):
-        pass
+    """``_load_int_rows`` as int32, else as int64 (an entry beyond int32 is
+    left to the range check), raising BadParameters that names the first
+    1-based row that does not parse on its own or lacks ``width`` entries."""
+    for dtype in (np.int32, np.int64):
+        try:
+            return _load_int_rows(rows, dtype)
+        except _PARSE_ERRORS:
+            pass
     for i, ln in enumerate(rows, 1):
         try:
             found = _load_int_rows([ln]).shape[1]
-        except (ValueError, DeprecationWarning):
+        except _PARSE_ERRORS:
             raise BadParameters(f"{what} row {i} has an entry that is not an integer in 0..{hi}") from None
         if found != width:
             raise BadParameters(f"{what} row {i} has {found} entries, expected {width}")
     raise BadParameters(f"{what} rows do not form a table of width {width}")
 
 
-def parse_sgt(text: str) -> FiniteSemigroup:
+def _sgt_table(text: str) -> np.ndarray:
+    """The table of an .sgt text as parsed, before its range check."""
     lines = _data_lines(text)
     if not lines:
         raise BadParameters("empty .sgt input")
@@ -64,7 +71,14 @@ def parse_sgt(text: str) -> FiniteSemigroup:
         raise SizeLimitExceeded(f".sgt element count {n} exceeds the limit of {MAX_ELEMENTS}")
     if len(lines) != n + 1:
         raise BadParameters(f".sgt expects {n} table rows, found {len(lines) - 1}")
-    return from_table(_int_rows(lines[1:], ".sgt data", n, n - 1))
+    return _int_rows(lines[1:], ".sgt data", n, n - 1)
+
+
+def parse_sgt(text: str) -> FiniteSemigroup:
+    table = _sgt_table(text)  # the text's lines are freed before validation
+    # a table that parsed as int32 is this call's own; an int64 one has an
+    # entry beyond int32, which from_table reports before narrowing
+    return _adopt_table(table) if table.dtype == np.int32 else from_table(table)
 
 
 def dump_sgt(s: FiniteSemigroup, header: str | None = None) -> str:

@@ -96,6 +96,18 @@ def table_by_composing_all_pairs(maps: list[PartialMap]) -> np.ndarray:
     return table
 
 
+def light_test_whole_table(table: np.ndarray, gens: list[int]) -> tuple[int, int, int] | None:
+    """Light's test with one n x n gather per generator: the witness (x, a, y)
+    of the first generator a that fails, first in row-major order, or None."""
+    for a in gens:
+        lhs = table[table[:, a], :]  # (x, y) -> (x a) y
+        rhs = table[:, table[a, :]]  # (x, y) -> x (a y)
+        if not np.array_equal(lhs, rhs):
+            x, y = np.argwhere(lhs != rhs)[0]
+            return int(x), int(a), int(y)
+    return None
+
+
 def scan_identity_zero_by_rows(table: np.ndarray) -> tuple[int | None, int | None]:
     """The lowest e whose row and column are 0..n-1, and the lowest whose row
     and column are constant e, one element at a time."""

@@ -237,6 +237,34 @@ def test_make_wrong_parameter_count_exit_1(family, capsys):
         assert "Traceback" not in captured.err
 
 
+# one non-integer parameter list per `make` family, each where an integer goes
+MAKE_NON_INTEGER = {
+    "full_transformation": ["x"],
+    "partial_transformation": ["2.0"],
+    "symmetric_inverse": [""],
+    "symmetric_group": ["three"],
+    "binary_relations": ["0x2"],
+    "matrix_monoid": ["2", "q"],
+    "rectangular_band": ["2", "1e1"],
+    "rectangular_group": ["S2", "2", "y"],
+    "chain_semilattice": ["k"],
+    "cyclic": ["x"],
+    "sigma_square": ["3", "1,0,x"],
+    "aggm_01": ["2", "3", "0,1;"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(builders.FAMILY_USAGE))
+def test_make_non_integer_parameter_exit_1(family, capsys):
+    params = MAKE_NON_INTEGER[family]
+    assert main(["make", family, *params]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {family}: ") and "is not an integer" in captured.err
+    assert builders.FAMILY_USAGE[family] in captured.err
+    assert "invalid literal" not in captured.err and "Traceback" not in captured.err
+
+
 def test_bad_file_exit_1(capsys):
     assert main(["analyze", "/nonexistent/file.sgt"]) == 1
 

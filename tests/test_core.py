@@ -9,6 +9,7 @@ from conftest import NULL2
 from reference import (
     greens_by_ideal_matrices,
     jorder_by_ideal_pairs,
+    light_test_whole_table,
     scan_identity_zero_by_rows,
     table_by_composing_all_pairs,
 )
@@ -99,6 +100,53 @@ def test_light_test_matches_full_scan():
         except NonAssociative:
             light_ok = False
         assert light_ok == full_ok
+
+
+def _light_witness(table, gens):
+    try:
+        check_associativity(table, gens)
+    except NonAssociative as exc:
+        return exc.witness
+    return None
+
+
+def test_light_test_in_blocks_matches_whole_table(all_tiny_semigroups, builder_corpus):
+    # one block covers the tiny tables; RB(20, 20) has 400 elements and five blocks
+    rb = builders.rectangular_band(20, 20).semigroup.table
+    assert core._light_block_rows(400) * 2 < 400
+    tables = [s.table for s in all_tiny_semigroups]
+    tables += [b.semigroup.table for b in builder_corpus.values()] + [rb]
+    for t in tables:
+        gens = small_generating_set(t)
+        assert _light_witness(t, gens) is None and light_test_whole_table(t, gens) is None
+    # one planted entry in an associative table: the same verdict and the same
+    # witness, also when the first mismatch lies past the first block or
+    # under a later generator
+    rng = np.random.default_rng(19)
+    bases = [
+        builders.full_transformation(3).semigroup.table,  # 27 elements, one block
+        builders.full_transformation(4).semigroup.table,  # 256, two blocks
+        builders.symmetric_inverse(4).semigroup.table,  # 209, two blocks
+        rb,
+    ]
+    past_first_block = later_generator = 0
+    for base in bases:
+        n = base.shape[0]
+        rows = core._light_block_rows(n)
+        for _ in range(30):
+            t = base.copy()
+            x, y = rng.integers(n, size=2)
+            t[x, y] = (t[x, y] + rng.integers(1, n)) % n
+            gens = small_generating_set(t)
+            want = light_test_whole_table(t, gens)
+            assert _light_witness(t, gens) == want
+            if want is not None:
+                past_first_block += want[0] >= rows
+                later_generator += want[1] != gens[0]
+                with pytest.raises(NonAssociative) as exc:
+                    from_table(t)
+                assert exc.value.witness == want
+    assert past_first_block and later_generator
 
 
 def test_from_partial_maps_t2():

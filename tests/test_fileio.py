@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -32,6 +33,23 @@ def test_sgt_roundtrip(tmp_path):
     p = tmp_path / "sim2.sgt"
     p.write_text(text)
     assert np.array_equal(read_semigroup(str(p)).table, s.table)
+
+
+def test_parse_sgt_peaks_near_one_int32_table():
+    # above its text, parsing holds the text's lines and one int32 table, and
+    # validation then adds scratch of a few blocks of rows
+    s = builders.binary_relations(3).semigroup
+    text = dump_sgt(s)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back = parse_sgt(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.table, s.table)
+    assert peak <= 3 * s.table.nbytes
 
 
 def test_sgt_comments_and_errors():
