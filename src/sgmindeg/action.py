@@ -18,7 +18,6 @@ from .core import (
     _partition_from_keys,
     _strong_components,
     greens,
-    min_idempotent_of,
 )
 from .errors import InvariantViolated, NotIdempotent, NotSemisimpleAction
 from .grouptheory import GroupAction
@@ -120,7 +119,26 @@ def orbits(
 
 
 # ---------------------------------------------------------------------------
-# Faithfulness
+# Compatibility and faithfulness
+
+
+def is_action(s: FiniteSemigroup, omega: PartialAction) -> tuple[bool, tuple[int, int] | None]:
+    """True iff p(xy) = (px)y for all elements x, y and points p, both sides
+    undefined together; the witness is the first (x, g), g a generator, where
+    it fails.
+
+    Generators suffice: if it holds for y and for g, then p(x(yg)) =
+    (p(xy))g = ((px)y)g = (px)(yg), so by induction on the length of y as a
+    word in the generators it holds for every y."""
+    maps = omega.maps
+    for g in s.generators():
+        # row x: the map of x·g, and the map of x followed by that of g (an
+        # undefined point, -1, picks the appended UNDEF); kept in maps' dtype
+        ext = np.append(maps[g], np.array([UNDEF], dtype=maps.dtype))
+        bad = (maps[s.table[:, g]] != ext[maps]).any(axis=1)
+        if bad.any():
+            return False, (int(bad.argmax()), int(g))
+    return True, None
 
 
 def is_faithful(
@@ -159,7 +177,7 @@ def faithful_by_criterion(
                 pts.extend(o.points)
         if not pts:
             return False
-        e = min_idempotent_of(g, j)
+        e = row.e
         imgs = omega.maps[e, pts]
         fixed = np.zeros(omega.degree, dtype=bool)
         fixed[imgs[imgs >= 0]] = True

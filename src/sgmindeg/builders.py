@@ -23,9 +23,6 @@ class FamilySpec:
     family: str
     params: tuple
 
-    def label(self) -> str:
-        return f"{self.family}({', '.join(str(p) for p in self.params)})"
-
 
 @dataclass(frozen=True)
 class BuiltSemigroup:
@@ -266,11 +263,16 @@ def rectangular_band(m: int, n: int) -> BuiltSemigroup:
 
 
 def direct_product(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteSemigroup:
+    """S x T, (a, b) numbered a·|T| + b; raises SizeLimitExceeded before any
+    table is allocated when |S|·|T| > MAX_ELEMENTS."""
     n1, n2 = s.size, t.size
-    table = (
-        s.table[:, None, :, None].astype(np.int64) * n2 + t.table[None, :, None, :]
-    ).reshape(n1 * n2, n1 * n2)
-    return _adopt_table(table.astype(np.int32), validate=False)
+    if n1 * n2 > MAX_ELEMENTS:
+        raise SizeLimitExceeded(
+            f"direct product of {n1} x {n2} = {n1 * n2} elements exceeds the limit of {MAX_ELEMENTS}"
+        )
+    # both tables are int32 and every entry is below n1·n2, so int32 holds it
+    table = (s.table[:, None, :, None] * n2 + t.table[None, :, None, :]).reshape(n1 * n2, n1 * n2)
+    return _adopt_table(table, validate=False)
 
 
 def rectangular_group(group: FiniteSemigroup, m: int, n: int) -> BuiltSemigroup:

@@ -160,12 +160,8 @@ def rm_irreducible_classes(
 
 def column_condition(r: ReesCoordinatization) -> bool:
     """For every pair of distinct sandwich rows, some column has exactly one
-    nonzero entry of the two.  Equivalent to: for any two L-classes of J there
-    is an R-class whose H-class meets exactly one of them in an idempotent."""
+    nonzero entry of the two, that is the rows' nonzero patterns are pairwise
+    distinct.  Equivalent to: for any two L-classes of J there is an R-class
+    whose H-class meets exactly one of them in an idempotent."""
     nz = r.sandwich != 0
-    nb = r.b_count
-    for b1 in range(nb):
-        for b2 in range(b1 + 1, nb):
-            if not (nz[b1] ^ nz[b2]).any():
-                return False
-    return True
+    return len({row.tobytes() for row in nz}) == r.b_count

@@ -20,6 +20,7 @@ from .action import (
     coproduct_actions,
     faithful_by_criterion,
     greens_quotient,
+    is_action,
     is_faithful,
     tensor_action,
 )
@@ -250,6 +251,9 @@ def min_partial_degree(
         witness = coproduct_actions(blocks)
     else:
         witness = PartialAction(degree=0, maps=np.empty((s.size, 0), dtype=np.int32))
+    acts, at = is_action(s, witness)
+    if not acts:
+        raise InvariantViolated(f"assembled witness is not an action: p(xg) != (px)g at (x, g) = {at}")
     faithful, pair = is_faithful(s, witness)
     if not faithful:
         raise InvariantViolated(f"assembled witness action is not faithful, offending pair {pair}")

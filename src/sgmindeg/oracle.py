@@ -28,11 +28,11 @@ undefined for every generator g.  An entry forced to two values, or a column
 of T that completes equal to another column (two elements on one map), makes
 the search backtrack at once.  A generator's map must also have the monogenic
 type (index, period) of its element: ``feasible`` drops a prefix of it that no
-completion can give that type.  Since the constraints and the value order do
-not depend on the deduction, the first solution is the least one in that
-order.  When every unknown is assigned, T holds the whole embedding;
-``verify_embedding`` closes the witness again from scratch, so the
-certificate does not rest on the deduction.
+completion can give that type, and a complete map of another type.  Since the
+constraints and the value order do not depend on the deduction, the first
+solution is the least one in that order.  When every unknown is assigned, T
+holds the whole embedding; ``verify_embedding`` closes the witness again from
+scratch, so the certificate does not rest on the deduction.
 
 The search's node count (``OracleResult.nodes``) is the number of values
 tried for the unknowns.
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
-from .core import FiniteSemigroup, PartialMap, closure_mask, compose_maps
+from .core import FiniteSemigroup, PartialMap, closure_mask
 from .errors import BadParameters, EmptyGeneratorSet, InvariantViolated, SemigroupError
 
 DEFAULT_BUDGET_SECS = 60.0
@@ -69,13 +69,11 @@ class OracleResult:
     witness: dict[int, PartialMap] | None  # generator element -> assigned map
     searched_up_to: int
     nodes: int
-    elapsed: float
 
 
 class _Budget:
     def __init__(self, secs: float):
         self.deadline = time.monotonic() + secs
-        self.start = time.monotonic()
         self.nodes = 0
 
     def tick(self) -> None:
@@ -84,9 +82,6 @@ class _Budget:
         self.nodes += 1
         if (self.nodes % 256 == 0 or self.nodes == 1) and time.monotonic() > self.deadline:
             raise _Timeout
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.start
 
 
 class _Timeout(Exception):
@@ -100,16 +95,6 @@ def monogenic_type_of_element(s: FiniteSemigroup, x: int) -> tuple[int, int]:
     while cur not in seen:
         seen[cur] = k
         cur = s.mul(cur, x)
-        k += 1
-    return seen[cur], k - seen[cur]
-
-
-def monogenic_type_of_map(m: PartialMap) -> tuple[int, int]:
-    seen: dict[PartialMap, int] = {}
-    cur, k = m, 1
-    while cur not in seen:
-        seen[cur] = k
-        cur = compose_maps(cur, m)
         k += 1
     return seen[cur], k - seen[cur]
 
@@ -140,7 +125,8 @@ def prime_powers(p: int) -> list[int]:
 def feasible(prefix: list[int], n: int, mtype: tuple[int, int], powers: list[int]) -> bool:
     """False when no map on n points that starts with ``prefix`` (undefined
     as -1) has monogenic type ``mtype`` = (index, period); ``powers`` is
-    ``prime_powers(period)``.
+    ``prime_powers(period)``.  On a complete map (all n points) the answer is
+    exact: True iff the map has type ``mtype``.
 
     Undefined acts as a fixed sink point.  A map's period is the lcm of its
     cycle lengths, and its index is max(1, largest height), a point's height
@@ -154,7 +140,7 @@ def feasible(prefix: list[int], n: int, mtype: tuple[int, int], powers: list[int
     # -2 unvisited, -3 on the current walk, -1 open (the walk ends at an
     # unassigned point), >= 0 the known height
     height = [-2] * k
-    cycle_lcm, closed, known = 1, 0, 0
+    cycle_lcm, closed, known, top = 1, 0, 0, 0
     for x in range(k):
         if height[x] != -2:
             continue
@@ -188,6 +174,9 @@ def feasible(prefix: list[int], n: int, mtype: tuple[int, int], powers: list[int
                     return False
                 known += 1
             height[z] = base
+        top = max(top, base)
+    if k == n:
+        return cycle_lcm == period and max(1, top) == index
     return sum(q for q in powers if cycle_lcm % q) <= n - closed - known
 
 
@@ -330,7 +319,8 @@ def _search_degree(
     gen_base = [g * n for g in gens]
     # The action table, flat: T[x * n + p] = p·φ(x), -1 undefined, _UNKNOWN not
     # yet deduced.  occ[q] lists the indices holding q and trail every index
-    # set, each in the order they were set.  A column's completion is checked
+    # set, each in the order they were set, so undoing the trail backwards pops
+    # each occ list in reverse too.  A column's completion is checked
     # when an entry of it is processed, after it is set; ``added`` lists the
     # completed columns as (trail length, element, column).
     T = [_UNKNOWN] * (s.size * n)
@@ -394,20 +384,19 @@ def _search_degree(
                     return False
         return True
 
-    def undo(mark: int, occ_mark: list[int]) -> None:
-        """Reset every entry set since the trail had length ``mark`` and the
-        lists of occ had lengths ``occ_mark``."""
+    def undo(mark: int) -> None:
+        """Reset every entry set since the trail had length ``mark``."""
         while added and added[-1][0] > mark:
             _, x, col = added.pop()
             columns.remove(col)
             in_columns[x] = False
-        for j in trail[mark:]:
+        for j in reversed(trail[mark:]):
+            v = T[j]
+            if v >= 0:
+                occ[v].pop()
             T[j] = _UNKNOWN
         del trail[mark:]
-        for o, m in zip(occ, occ_mark):
-            del o[m:]
 
-    least: dict[PartialMap, bool] = {}  # is_least_conjugate of each complete f_0
     values = ([-1] if mode != "total" else []) + list(range(n))
     injective = mode == "partial_bijection"
     powers = [prime_powers(t[1]) for t in gen_types]
@@ -430,24 +419,16 @@ def _search_degree(
             if injective and v >= 0 and v in prefix:
                 continue
             budget.tick()
-            if p + 1 < n:
-                if not feasible(prefix + [v], n, gen_types[i], powers[i]):
-                    continue
-            else:
-                f = (*prefix, v)
-                if monogenic_type_of_map(f) != gen_types[i]:
-                    continue
-                # the rest of the symmetry break, once per complete f_0
-                if i == 0:
-                    if f not in least:
-                        least[f] = is_least_conjugate(f)
-                    if not least[f]:
-                        continue
+            if not feasible(prefix + [v], n, gen_types[i], powers[i]):
+                continue
+            # the rest of the symmetry break, on the complete f_0
+            if u == n - 1 and not is_least_conjugate((*prefix, v)):
+                continue
             if known == _UNKNOWN:
-                mark, occ_mark = len(trail), [len(o) for o in occ]
+                mark = len(trail)
                 if deduce(j, v) and rec(u + 1):
                     return True
-                undo(mark, occ_mark)
+                undo(mark)
             elif rec(u + 1):
                 return True
         return False
@@ -487,34 +468,16 @@ def brute_min_degree(query: OracleQuery) -> OracleResult:
     gens.sort(key=lambda ge: (-types[ge][1], -types[ge][0], ge))
     gen_types = [types[ge] for ge in gens]
     budget = _Budget(secs)
+    status, degree, witness, searched_up_to = "not_found", None, None, query.max_n
     for n in range(query.min_n, query.max_n + 1):
         try:
             witness = _search_degree(s, gens, gen_types, n, query.mode, budget)
         except _Timeout:
-            return OracleResult(
-                status="timeout",
-                degree=None,
-                witness=None,
-                searched_up_to=n - 1,
-                nodes=budget.nodes,
-                elapsed=budget.elapsed(),
-            )
+            status, searched_up_to = "timeout", n - 1
+            break
         if witness is not None:
             if not verify_embedding(s, witness):
                 raise InvariantViolated(f"degree-{n} witness is not an embedding")
-            return OracleResult(
-                status="found",
-                degree=n,
-                witness=witness,
-                searched_up_to=n,
-                nodes=budget.nodes,
-                elapsed=budget.elapsed(),
-            )
-    return OracleResult(
-        status="not_found",
-        degree=None,
-        witness=None,
-        searched_up_to=query.max_n,
-        nodes=budget.nodes,
-        elapsed=budget.elapsed(),
-    )
+            status, degree, searched_up_to = "found", n, n
+            break
+    return OracleResult(status, degree, witness, searched_up_to, budget.nodes)

@@ -52,7 +52,6 @@ from sgmindeg.oracle import (
     feasible,
     generating_set,
     monogenic_type_of_element,
-    monogenic_type_of_map,
     prime_powers,
 )
 
@@ -569,6 +568,14 @@ def proportionality_flags(r: ReesCoordinatization) -> ProportionalityFlags:
     return ProportionalityFlags(rm=rm, lm=lm)
 
 
+def column_condition_by_pairs(sandwich: np.ndarray) -> bool:
+    """``congruence.column_condition`` by its definition: for every pair of
+    distinct rows, some column has exactly one nonzero entry of the two."""
+    nz = sandwich != 0
+    nb = len(nz)
+    return all((nz[b1] ^ nz[b2]).any() for b1 in range(nb) for b2 in range(b1 + 1, nb))
+
+
 # ---------------------------------------------------------------------------
 # Group actions
 
@@ -739,6 +746,18 @@ def close_embedding_from_scratch(
                 rev[my] = y
                 queue.append(y)
     return hom
+
+
+def monogenic_type_of_map(m: PartialMap) -> tuple[int, int]:
+    """(index, period) of the map's powers m, m², ..., by composing until one
+    repeats: the exact type that ``oracle.feasible`` decides on a complete map."""
+    seen: dict[PartialMap, int] = {}
+    cur, k = m, 1
+    while cur not in seen:
+        seen[cur] = k
+        cur = compose_maps(cur, m)
+        k += 1
+    return seen[cur], k - seen[cur]
 
 
 def maps_of_type(

@@ -265,6 +265,25 @@ def test_make_non_integer_parameter_exit_1(family, capsys):
     assert "invalid literal" not in captured.err and "Traceback" not in captured.err
 
 
+def test_make_rectangular_group_over_the_element_limit_exit_1(capsys):
+    # 720 · 10 · 10 = 72,000 elements, refused before the product table
+    # (720·100)² entries is allocated
+    assert main(["make", "rectangular_group", "S6", "10", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: direct product of 720 x 100 = 72000 elements exceeds the limit of 10000\n"
+
+
+def test_make_rectangular_group_at_the_element_limit(capsys, monkeypatch):
+    # the bound is |G|·m·n <= MAX_ELEMENTS; a lowered limit keeps the tables small
+    monkeypatch.setattr(builders, "MAX_ELEMENTS", 24)
+    assert main(["make", "rectangular_group", "S3", "2", "2"]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == "24"
+    assert main(["make", "rectangular_group", "S3", "5", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: direct product of 6 x 5 = 30 elements")
+
+
 def test_bad_file_exit_1(capsys):
     assert main(["analyze", "/nonexistent/file.sgt"]) == 1
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from reference import (
+    column_condition_by_pairs,
     ggm_congruence_at,
     ggm_congruence_over_j,
     inverses_of,
@@ -200,6 +203,21 @@ def test_column_condition_m2f3_rank1():
     g = greens(s)
     r = rees_coordinatize(s, g, 1)
     assert column_condition(r)
+
+
+def test_column_condition_matches_pairwise_definition():
+    # column_condition reads only the sandwich; group entries 1, 2 stand for
+    # any nonzero, so only the 0/1 pattern may matter
+    rng = np.random.default_rng(20)
+    seen = set()
+    for _ in range(600):
+        nb, na = rng.integers(1, 7), rng.integers(1, 5)
+        c = rng.integers(0, 3, size=(nb, na)) * rng.integers(0, 2, size=(nb, 1))
+        r = SimpleNamespace(sandwich=c, b_count=nb)
+        got = column_condition(r)
+        assert got == column_condition_by_pairs(c), c
+        seen.add(got)
+    assert seen == {True, False}
 
 
 def test_proportionality_single_nonidentity():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from reference import check_compatibility, is_inverse_semigroup, restriction_is_injective
@@ -283,6 +284,53 @@ def test_witness_action_verified(builder_corpus):
         assert rep.witness.degree == rep.m
         assert is_faithful(s, rep.witness)[0]
         assert check_compatibility(s, rep.witness)
+
+
+def test_is_action_matches_compatibility_on_witnesses(builder_corpus):
+    from sgmindeg.action import PartialAction, is_action
+
+    checked = 0
+    for b in builder_corpus.values():
+        s = b.semigroup
+        try:
+            witness = min_partial_degree(s).witness
+        except NotRhodesSemisimple:
+            continue
+        assert is_action(s, witness) == (True, None)
+        assert check_compatibility(s, witness)
+        if witness.degree == 0:
+            continue
+        # one entry of the last element's map moved to the next value, -1 after the last point
+        maps = witness.maps.copy()
+        maps[-1, 0] = (maps[-1, 0] + 2) % (witness.degree + 1) - 1
+        bad = PartialAction(degree=witness.degree, maps=maps)
+        acts, (x, g) = is_action(s, bad)
+        assert not acts and not check_compatibility(s, bad)
+        assert g in s.generators()
+        assert not (maps[s.mul(x, g)] == np.append(maps[g], -1)[maps[x]]).all()
+        checked += 1
+    assert checked == 12
+
+
+def test_witness_that_is_not_an_action_is_caught(monkeypatch):
+    # a witness that is faithful but no homomorphism must not pass silently,
+    # also under python -O: here two transpositions of S_3 swap their maps,
+    # which no automorphism of S_3 does while fixing the 3-cycles
+    import sgmindeg.mindeg as md
+    from sgmindeg.action import PartialAction
+
+    built = md.coproduct_actions
+
+    def swap_two_maps(parts):
+        w = built(parts)
+        maps = w.maps.copy()
+        maps[[1, 2]] = maps[[2, 1]]
+        return PartialAction(degree=w.degree, maps=maps)
+
+    monkeypatch.setattr(md, "coproduct_actions", swap_two_maps)
+    s = builders.symmetric_group(3).semigroup
+    with pytest.raises(InvariantViolated, match="not an action"):
+        min_partial_degree(s)
 
 
 def test_monotone_sanity_group_bound(builder_corpus):

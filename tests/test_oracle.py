@@ -9,6 +9,7 @@ from reference import (
     compose_pointwise,
     least_conjugate_by_all_relabelings,
     maps_of_type,
+    monogenic_type_of_map,
     oracle_search_from_scratch,
 )
 from sgmindeg import builders
@@ -18,10 +19,11 @@ from sgmindeg.oracle import (
     OracleQuery,
     brute_min_degree,
     close_embedding,
+    feasible,
     generating_set,
     is_least_conjugate,
     monogenic_type_of_element,
-    monogenic_type_of_map,
+    prime_powers,
     verify_embedding,
 )
 
@@ -214,6 +216,19 @@ def test_maps_of_type_equals_filtered_enumeration():
                     got = list(maps_of_type(n, mode, t, fresh_rule, lambda: ticks.append(1)))
                     assert got == want, (n, mode, fresh_rule, t)
     assert ticks
+
+
+def test_feasible_decides_the_type_of_a_complete_map():
+    # the search's only type check: on a complete map it must be exact
+    pairs = 0
+    for n in range(5):
+        types = [(index, period) for index in range(1, n + 2) for period in range(1, 7)]
+        for f in product(range(-1, n), repeat=n):
+            want = monogenic_type_of_map(f)
+            for t in types:
+                assert feasible(list(f), n, t, prime_powers(t[1])) == (want == t), (f, t)
+                pairs += 1
+    assert pairs == 20478
 
 
 # Answers of the full search from degree 1, recorded before the candidate maps
