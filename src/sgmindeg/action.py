@@ -37,15 +37,11 @@ class PartialAction:
 def coproduct_actions(parts: list[PartialAction]) -> PartialAction:
     if not parts:
         raise ValueError("need at least one action")
-    nelem = parts[0].maps.shape[0]
-    offs = 0
-    cols = []
+    cols, offs = [], 0
     for p in parts:
-        shifted = np.where(p.maps >= 0, p.maps + offs, UNDEF)
-        cols.append(shifted)
+        cols.append(np.where(p.maps >= 0, p.maps + offs, UNDEF))
         offs += p.degree
-    maps = np.concatenate(cols, axis=1) if cols else np.empty((nelem, 0), dtype=np.int32)
-    return PartialAction(degree=offs, maps=maps)
+    return PartialAction(degree=offs, maps=np.concatenate(cols, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -254,23 +250,13 @@ def greens_quotient(
     collapsed into the sink).  The restriction to the e-image embeds
     injectively into the quotient."""
     class_of = greens_congruence_classes(s, omega, e)
-    k = int(class_of.max()) + 1 if len(class_of) else 0
-    reps = np.full(k, -1, dtype=np.int64)
-    for p in range(omega.degree):
-        c = class_of[p]
-        if c >= 0 and reps[c] < 0:
-            reps[c] = p
-
-    n = s.size
+    # class ids follow first occurrence: a representative's id exceeds every earlier one
+    reps = np.flatnonzero(class_of > np.maximum.accumulate(np.append(-1, class_of[:-1])))
     ext = np.append(class_of, UNDEF)  # index -1 lands on the appended sink slot
-    qmaps = np.full((n, k), UNDEF, dtype=np.int32)
-    if k:
-        qmaps = ext[omega.maps[:, reps]].astype(np.int32)
-    # well-definedness: every point of a class must track its representative
-    mapped = ext[omega.maps]  # treats -1 action values as the sink
-    for p in range(omega.degree):
-        c = class_of[p]
-        expected = qmaps[:, c] if c >= 0 else np.full(n, UNDEF, dtype=np.int32)
-        if not np.array_equal(mapped[:, p], expected):
-            raise InvariantViolated("Green's congruence is not an action congruence")
-    return PartialAction(degree=k, maps=qmaps), class_of
+    qmaps = ext[omega.maps[:, reps]].astype(np.int32)
+    # well-definedness: every point of a class must track its representative,
+    # and a point collapsed into the sink the appended UNDEF column
+    qext = np.append(qmaps, np.full((s.size, 1), UNDEF, dtype=np.int32), axis=1)
+    if not np.array_equal(ext[omega.maps], qext[:, class_of]):
+        raise InvariantViolated("Green's congruence is not an action congruence")
+    return PartialAction(degree=len(reps), maps=qmaps), class_of

@@ -252,9 +252,14 @@ def aggm_01(n: int, k: int, subsets: list[frozenset[int]] | list[set[int]]) -> B
 
 
 def rectangular_band(m: int, n: int) -> BuiltSemigroup:
-    """RB(m, n) on pairs (i, j) with (i, j)(k, l) = (i, l)."""
-    if m < 1 or n < 1 or m * n > MAX_ELEMENTS:
-        raise BadParameters(f"rectangular_band needs positive sizes with m*n <= {MAX_ELEMENTS}")
+    """RB(m, n) on pairs (i, j) with (i, j)(k, l) = (i, l); raises
+    SizeLimitExceeded when m·n > MAX_ELEMENTS."""
+    if m < 1 or n < 1:
+        raise BadParameters("rectangular_band needs positive sizes")
+    if m * n > MAX_ELEMENTS:
+        raise SizeLimitExceeded(
+            f"rectangular band of {m} x {n} = {m * n} elements exceeds the limit of {MAX_ELEMENTS}"
+        )
     size = m * n
     i = np.arange(size) // n
     j = np.arange(size) % n

@@ -229,7 +229,7 @@ def min_partial_degree(
         raise NotRhodesSemisimple([list(c) for c in cong.classes])
     report = rm_irreducible_classes(s, g)
 
-    rows = []
+    per, blocks = [], []
     for j in report.irreducible_ids():
         r = rees_coordinatize(s, g, j)
         gt = GroupTable.of_rees(r)
@@ -244,24 +244,7 @@ def min_partial_degree(
             raise InvariantViolated(
                 f"J-class {j}: d_J = {res.d} but the assembled quotient has degree {quot.degree}"
             )
-        rows.append((j, r, lattice, res, quot))
-
-    blocks = [quot for _, _, _, _, quot in rows]
-    if blocks:
-        witness = coproduct_actions(blocks)
-    else:
-        witness = PartialAction(degree=0, maps=np.empty((s.size, 0), dtype=np.int32))
-    acts, at = is_action(s, witness)
-    if not acts:
-        raise InvariantViolated(f"assembled witness is not an action: p(xg) != (px)g at (x, g) = {at}")
-    faithful, pair = is_faithful(s, witness)
-    if not faithful:
-        raise InvariantViolated(f"assembled witness action is not faithful, offending pair {pair}")
-    if not faithful_by_criterion(s, witness, g, report):
-        raise InvariantViolated("assembled witness action fails the faithfulness criterion")
-
-    per = []
-    for j, r, lattice, res, quot in rows:
+        blocks.append(quot)
         per.append(
             JClassDegree(
                 jclass=j,
@@ -279,6 +262,20 @@ def min_partial_degree(
                 ),
             )
         )
+
+    if blocks:
+        witness = coproduct_actions(blocks)
+    else:
+        witness = PartialAction(degree=0, maps=np.empty((s.size, 0), dtype=np.int32))
+    acts, at = is_action(s, witness)
+    if not acts:
+        raise InvariantViolated(f"assembled witness is not an action: p(xg) != (px)g at (x, g) = {at}")
+    faithful, pair = is_faithful(s, witness)
+    if not faithful:
+        raise InvariantViolated(f"assembled witness action is not faithful, offending pair {pair}")
+    if not faithful_by_criterion(s, witness, g, report):
+        raise InvariantViolated("assembled witness action fails the faithfulness criterion")
+
     m = sum(c.d for c in per)
     if m != witness.degree:
         raise InvariantViolated(f"sum of d_J is {m} but the witness has degree {witness.degree}")

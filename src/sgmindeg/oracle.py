@@ -31,8 +31,10 @@ type (index, period) of its element: ``feasible`` drops a prefix of it that no
 completion can give that type, and a complete map of another type.  Since the
 constraints and the value order do not depend on the deduction, the first
 solution is the least one in that order.  When every unknown is assigned, T
-holds the whole embedding; ``verify_embedding`` closes the witness again from
-scratch, so the certificate does not rest on the deduction.
+holds the whole embedding.  The certificate does not rest on the deduction:
+``verify_embedding`` expands the generator maps along the right Cayley graph
+and checks the result with ``action.is_action`` and ``action.is_faithful``,
+the checks that certify the theory's witness.
 
 The search's node count (``OracleResult.nodes``) is the number of values
 tried for the unknowns.
@@ -43,9 +45,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter
 
-from .core import FiniteSemigroup, PartialMap, closure_mask
+import numpy as np
+
+from .action import PartialAction, is_action, is_faithful
+from .core import FiniteSemigroup, PartialMap, closure_mask, compose_maps
 from .errors import BadParameters, EmptyGeneratorSet, InvariantViolated, SemigroupError
 
 DEFAULT_BUDGET_SECS = 60.0
@@ -245,56 +249,38 @@ def is_least_conjugate(f: PartialMap) -> bool:
     return not smaller(0)
 
 
-def close_embedding(s: FiniteSemigroup, images: dict[int, PartialMap]) -> dict[int, PartialMap] | None:
-    """Propagate generator images through the table.
+def close_embedding(s: FiniteSemigroup, images: dict[int, PartialMap]) -> PartialAction | None:
+    """The action that the generator images force: each key's row is its
+    image, and row x·g is row x followed by ``images[g]``, assigned in
+    breadth-first order over the right Cayley graph on the keys.
 
-    Returns the element -> map assignment on the subsemigroup generated by the
-    image keys, or None on any inconsistency (a product forced to two
-    different maps, or two elements forced to one map)."""
-    if not images:
+    None when the images are empty, differ in degree or their keys do not
+    generate S; nothing else is checked."""
+    if len({len(m) for m in images.values()}) != 1:
         return None
-    product = s.table.item
-    hom: dict[int, PartialMap] = {}
-    rev: dict[PartialMap, int] = {}
-    for el, m in images.items():
-        if m in rev:
-            return None
-        hom[el] = m
-        rev[m] = el
-    # (element, map with -1 appended): itemgetter(*f)(that) is compose_maps(f, map)
-    every = [(el, m + (-1,)) for el, m in images.items()]
-    work = list(hom)
-    for x in work:  # work grows while it is walked
-        mx = hom[x]
-        # itemgetter of one index returns the entry, not a 1-tuple; of none, fails
-        pick = itemgetter(*mx) if len(mx) > 1 else lambda gx, mx=mx: tuple(map(gx.__getitem__, mx))
-        for el, gx in every:
-            y = product(x, el)
-            my = pick(gx)
-            known = hom.get(y)
-            if known is not None:
-                if known != my:
-                    return None
-            elif my in rev:
-                return None
-            else:
-                hom[y] = my
-                rev[my] = y
-                work.append(y)
-    return hom
+    rows: list[PartialMap | None] = [None] * s.size
+    for g, m in images.items():
+        rows[g] = m
+    right = s.table[:, list(images)].tolist()  # right[x][i] = x · (i-th key)
+    queue = list(images)  # every element with a row, in the order it got one
+    for x in queue:  # queue grows while it is walked
+        for y, m in zip(right[x], images.values()):
+            if rows[y] is None:
+                rows[y] = compose_maps(rows[x], m)
+                queue.append(y)
+    if len(queue) != s.size:
+        return None
+    maps = np.array(rows, dtype=np.int32)  # |S| x degree, even if the degree is 0
+    return PartialAction(degree=maps.shape[1], maps=maps)
 
 
 def verify_embedding(s: FiniteSemigroup, images: dict[int, PartialMap]) -> bool:
-    """True iff the images extend to an injective homomorphism defined on all of S."""
-    if not images:
-        return False
-    degs = {len(m) for m in images.values()}
-    if len(degs) != 1:
-        return False
-    if not closure_mask(s.table, images.keys()).all():
-        return False
-    hom = close_embedding(s, images)
-    return hom is not None and len(hom) == s.size
+    """True iff the images extend to an injective homomorphism defined on all
+    of S.  The action they force (``close_embedding``) is defined on all of S;
+    ``is_action`` over a generating set proves it a homomorphism, and
+    ``is_faithful`` proves it injective."""
+    omega = close_embedding(s, images)
+    return omega is not None and is_action(s, omega)[0] and is_faithful(s, omega)[0]
 
 
 _UNKNOWN = -2

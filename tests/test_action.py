@@ -14,7 +14,7 @@ from reference import (
     semisimplify,
     strong_orbits_by_reachability,
 )
-from sgmindeg import builders
+from sgmindeg import action, builders
 from sgmindeg.action import (
     PartialAction,
     coproduct_actions,
@@ -26,7 +26,7 @@ from sgmindeg.action import (
 )
 from sgmindeg.congruence import rm_irreducible_classes
 from sgmindeg.core import from_table, greens, opposite, rees_coordinatize
-from sgmindeg.errors import NotIdempotent, NotRhodesSemisimple, NotSemisimpleAction
+from sgmindeg.errors import InvariantViolated, NotIdempotent, NotRhodesSemisimple, NotSemisimpleAction
 from sgmindeg.grouptheory import GroupAction, GroupTable, coset_action, subgroup_classes
 from sgmindeg.mindeg import min_partial_degree
 
@@ -339,6 +339,21 @@ def test_greens_quotient_merges_all_undefined_points():
     assert class_of.tolist() == [0, -1, 0]
     assert quot.degree == 1
     assert greens_congruence_fixpoint(s, omega, 0).tolist() == [0, -1, 0]
+
+
+def test_greens_quotient_rejects_a_classing_that_is_no_congruence(b2, monkeypatch):
+    # merge two inequivalent tensor points: the quotient maps are no longer
+    # well defined, which the well-definedness check reports
+    g = greens(b2)
+    r = rees_coordinatize(b2, g, 1)
+    one = GroupAction(group=GroupTable.of_rees(r), npoints=1, act=np.zeros((1, 1), dtype=np.int32))
+    t = tensor_action(one, r)
+    real = action.greens_congruence_classes(b2, t, r.e)
+    assert real.tolist() == list(range(t.degree))  # every point its own class
+    merged = np.append(0, np.arange(t.degree - 1))  # points 0 and 1 share class 0
+    monkeypatch.setattr(action, "greens_congruence_classes", lambda s, omega, e: merged)
+    with pytest.raises(InvariantViolated, match="not an action congruence"):
+        greens_quotient(b2, t, r.e)
 
 
 def test_greens_quotient_requires_idempotent(sim2):

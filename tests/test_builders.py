@@ -144,6 +144,13 @@ def test_rees_zero_and_size():
     assert b.semigroup.zero == 0
 
 
+def test_rectangular_band_validation():
+    with pytest.raises(BadParameters, match="positive sizes"):
+        builders.rectangular_band(0, 3)
+    with pytest.raises(SizeLimitExceeded, match="101 x 100 = 10100 elements exceeds the limit of 10000"):
+        builders.rectangular_band(101, 100)  # checked before any allocation
+
+
 def test_aggm_01_validation():
     with pytest.raises(BadParameters):
         builders.aggm_01(2, 4, [frozenset({0, 1})])  # k mismatch

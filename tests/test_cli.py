@@ -274,6 +274,17 @@ def test_make_rectangular_group_over_the_element_limit_exit_1(capsys):
     assert captured.err == "error: direct product of 720 x 100 = 72000 elements exceeds the limit of 10000\n"
 
 
+@pytest.mark.parametrize(
+    "params", [["rectangular_band", "200", "100"], ["rectangular_group", "C2", "200", "100"]]
+)
+def test_make_rectangular_band_over_the_element_limit_exit_1(capsys, params):
+    # the band is refused before its table is built, also inside a rectangular group
+    assert main(["make", *params]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rectangular band of 200 x 100 = 20000 elements exceeds the limit of 10000\n"
+
+
 def test_make_rectangular_group_at_the_element_limit(capsys, monkeypatch):
     # the bound is |G|·m·n <= MAX_ELEMENTS; a lowered limit keeps the tables small
     monkeypatch.setattr(builders, "MAX_ELEMENTS", 24)

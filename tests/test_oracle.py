@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from reference import (
@@ -13,8 +14,10 @@ from reference import (
     oracle_search_from_scratch,
 )
 from sgmindeg import builders
-from sgmindeg.core import compose_maps, from_partial_maps, opposite
-from sgmindeg.errors import SemigroupError
+from sgmindeg.action import is_action, is_faithful
+from sgmindeg.core import closure_mask, compose_maps, from_partial_maps, opposite
+from sgmindeg.errors import NotRhodesSemisimple, SemigroupError
+from sgmindeg.mindeg import min_partial_degree
 from sgmindeg.oracle import (
     OracleQuery,
     brute_min_degree,
@@ -154,11 +157,19 @@ def test_close_embedding_detects_conflicts():
     s = builders.cyclic(4).semigroup
     gens = generating_set(s)
     assert gens == [1]
-    # an order-2 image cannot represent an order-4 generator injectively
-    assert close_embedding(s, {1: (1, 0)}) is None
-    hom = close_embedding(s, {1: (1, 2, 3, 0)})
-    assert hom is not None and len(hom) == 4
+    # an order-2 image forces an action, but not an injective one: the order-4
+    # generator is not represented faithfully
+    omega = close_embedding(s, {1: (1, 0)})
+    assert omega is not None and omega.maps.shape == (4, 2)
+    assert not verify_embedding(s, {1: (1, 0)})
+    omega = close_embedding(s, {1: (1, 2, 3, 0)})
+    assert omega.degree == 4 and omega.maps.shape == (4, 4) and omega.maps.dtype == np.int32
+    assert is_action(s, omega)[0] and is_faithful(s, omega)[0]
     assert verify_embedding(s, {1: (1, 2, 3, 0)})
+    # empty images, mixed degrees and keys that do not generate force nothing
+    assert close_embedding(s, {}) is None
+    assert close_embedding(builders.cyclic(2).semigroup, {1: (1, 0), 0: (0,)}) is None
+    assert close_embedding(s, {2: (1, 0)}) is None
 
 
 @pytest.mark.parametrize(
@@ -361,22 +372,22 @@ def test_pinned_searches_match_from_scratch_reference(pinned_inputs, name):
 
 
 def _prefix_cases(s, gens, witness, n, mode):
-    """(images, prefix): every prefix of the witness extended by the witness's
-    next image, by each of the first candidates of that generator's type, and
+    """Image sets: every prefix of the witness extended by the witness's next
+    image, by each of the first candidates of that generator's type, and
     by images of elements the prefix already covers, with their own map and
     with a wrong one."""
     for k in range(len(gens)):
         prefix = {g: witness[g] for g in gens[:k]}
-        yield {**prefix, gens[k]: witness[gens[k]]}, prefix
+        yield {**prefix, gens[k]: witness[gens[k]]}
         t = monogenic_type_of_element(s, gens[k])
         for i, cand in enumerate(maps_of_type(n, mode, t, False, lambda: None)):
             if i == 60:
                 break
-            yield {**prefix, gens[k]: cand}, prefix
-        for x, m in (close_embedding(s, prefix) or {}).items():
+            yield {**prefix, gens[k]: cand}
+        for x, m in (close_embedding_from_scratch(s, prefix) or {}).items():
             if x not in prefix:
-                yield {**prefix, x: m}, prefix
-                yield {**prefix, x: tuple(reversed(m))}, prefix
+                yield {**prefix, x: m}
+                yield {**prefix, x: tuple(reversed(m))}
 
 
 def test_close_embedding_extends_a_closed_prefix(random_corpus, pinned_inputs):
@@ -384,23 +395,45 @@ def test_close_embedding_extends_a_closed_prefix(random_corpus, pinned_inputs):
     cases += [(s, "total") for s, _ in random_corpus[:60]]
     cases += [(s, "partial") for s in pinned_inputs.values()]
     cases.append((builders.chain_semilattice(1).semigroup, "partial"))  # degree 0
-    compared = failed = extended = 0
+    accepted = rejected = 0
     for s, mode in cases:
         # the witness comes from the reference search, so that this test checks
-        # close_embedding alone
+        # close_embedding and verify_embedding alone
         status, degree, _, witness = oracle_search_from_scratch(
             OracleQuery(semigroup=s, mode=mode, min_n=0, max_n=7, budget_secs=200)
         )
         assert status == "found"
         gens = list(witness)
-        for images, prefix in _prefix_cases(s, gens, witness, degree, mode):
+        for images in _prefix_cases(s, gens, witness, degree, mode):
             want = close_embedding_from_scratch(s, images)
-            assert close_embedding(s, images) == want
-            if prefix:
-                compared += 1
-                failed += want is None
-                extended += want is not None and len(want) > len(close_embedding(s, prefix))
-    assert compared > 1000 and failed > 500 and extended > 100
+            omega = close_embedding(s, images)
+            generates = closure_mask(s.table, list(images)).all()
+            assert (omega is not None) == generates
+            if generates and want is not None:
+                # the forced action is the reference's map, row by row
+                assert [tuple(row) for row in omega.maps.tolist()] == [want[x] for x in range(s.size)]
+            ok = verify_embedding(s, images)
+            assert ok == (want is not None and len(want) == s.size)
+            accepted += ok
+            rejected += not ok
+    assert accepted > 800 and rejected > 4000
+
+
+def test_theory_witness_passes_the_oracle_checker(builder_corpus):
+    # both sides' witnesses pass one checker: the theory's witness, restricted
+    # to a generating set, is accepted by verify_embedding
+    checked = 0
+    for b in builder_corpus.values():
+        s = b.semigroup
+        try:
+            witness = min_partial_degree(s).witness
+        except NotRhodesSemisimple:
+            continue
+        images = {g: tuple(witness.maps[g].tolist()) for g in s.generators()}
+        assert verify_embedding(s, images), b.label
+        assert np.array_equal(close_embedding(s, images).maps, witness.maps), b.label
+        checked += 1
+    assert checked >= 10
 
 
 def test_compose_maps_is_pointwise_composition():
