@@ -38,17 +38,27 @@ class BuiltSemigroup:
 def _semigroup_from_all_maps(
     all_maps: list[PartialMap], degree: int, label: str
 ) -> BuiltSemigroup:
+    """The semigroup of a list of partial maps closed under composition, with
+    its natural action; element i is ``all_maps[i]``.
+
+    A map's code reads its images as base-(degree + 1) digits, undefined being
+    the digit ``degree``.  The code of ab (apply a first, then b) is built by
+    Horner's rule over the points p, one row gather each:
+    ``code = code * (degree + 1) + ext.T[ext[:, p]]``, where
+    ``ext.T[ext[a, p], b]`` is the image of p under ab."""
     n = len(all_maps)
     act = np.array(all_maps, dtype=np.int32).reshape(n, degree)
     # Undefined becomes the extra point `degree`, fixed by every map.
     ext = np.hstack([np.where(act < 0, degree, act), np.full((n, 1), degree, dtype=np.int32)])
-    # products[a, b, p] = ext[b, ext[a, p]]: apply a first, then b
-    products = ext[np.arange(n)[None, :, None], ext[:, None, :degree]]
-    # a map is found by its images read as base-(degree + 1) digits
+    ext_t = np.ascontiguousarray(ext.T)
     weights = (degree + 1) ** np.arange(degree - 1, -1, -1, dtype=np.int64)
     lookup = np.full((degree + 1) ** degree, -1, dtype=np.int32)
     lookup[ext[:, :degree] @ weights] = np.arange(n, dtype=np.int32)
-    table = lookup[products @ weights]
+    code = np.zeros((n, n), dtype=np.int32)  # codes stay below (degree + 1)^degree <= 7^6
+    for p in range(degree):
+        code *= degree + 1
+        code += ext_t[ext[:, p]]
+    table = lookup[code]
     if (table < 0).any():
         raise InvariantViolated(f"the maps of {label} are not closed under composition")
     s = _adopt_table(table, validate=False)  # composition is associative
@@ -94,28 +104,46 @@ def symmetric_group(n: int) -> BuiltSemigroup:
 
 
 # ---------------------------------------------------------------------------
-# Binary relations
+# Matrix monoids: binary relations and matrices over small finite fields
+
+
+def _matrix_table(n: int, add: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """The table of all n x n matrices over the semiring on 0..q-1 with the
+    given addition and multiplication tables, each matrix numbered by its
+    row-major base-q digits.
+
+    Row i of ab is (row i of a)·b.  So ``rowprod[v, b]``, the code of row
+    vector v times b, is computed once for all q^n row vectors v, and the
+    table is n row gathers ``rowprod[row_i(a)]``, each shifted to row i's
+    digits."""
+    q = len(add)
+    base = q**n  # a row's code is below base; row i sits at digits i*n .. i*n + n-1
+    codes = np.arange(base**n)
+    digits = codes[:, None] // q ** np.arange(n * n) % q
+    mats = digits.reshape(-1, n, n)  # mats[b, k, j]: entry (k, j) of b
+    vecs = digits[:base, :n]  # vecs[v, k]: entry k of row vector v
+    acc = np.zeros((base, len(codes), n), dtype=np.int64)
+    for k in range(n):
+        acc = add[acc, mul[vecs[:, k, None, None], mats[None, :, k, :]]]
+    rowprod = (acc @ q ** np.arange(n)).astype(np.int32)
+    rows = codes // base ** np.arange(n)[:, None] % base  # rows[i, a]: code of row i of a
+    table = rowprod[rows[0]]
+    for i in range(1, n):
+        table += rowprod[rows[i]] * base**i
+    return table
 
 
 def binary_relations(n: int) -> BuiltSemigroup:
     """B_n, all n x n Boolean matrices under Boolean product (2^(n^2) elements).
 
-    Element index is the row-major bit encoding of the matrix."""
+    Element index is the row-major bit encoding of the matrix.  Row i of ab is
+    the union of the rows k of b with a[i, k] set, so the table is built from
+    the codes of (row vector v)·b for all 2^n row vectors v."""
     if not 1 <= n <= 3:
         raise BadParameters("binary_relations needs 1 <= n <= 3")
-    count = 1 << (n * n)
-    bits = ((np.arange(count)[:, None] >> np.arange(n * n)[None, :]) & 1).astype(bool)
-    mats = bits.reshape(count, n, n)
-    weights = (1 << np.arange(n * n)).reshape(n, n)
-    table = np.empty((count, count), dtype=np.int32)
-    for a in range(count):
-        prods = np.einsum("ik,mkj->mij", mats[a], mats) > 0
-        table[a] = (prods * weights).sum(axis=(1, 2))
+    boolean_or, boolean_and = np.array([[0, 1], [1, 1]]), np.array([[0, 0], [0, 1]])
+    table = _matrix_table(n, boolean_or, boolean_and)
     return BuiltSemigroup(semigroup=_adopt_table(table), natural_action=None, label=f"B_{n}")
-
-
-# ---------------------------------------------------------------------------
-# Matrix monoids over small finite fields
 
 
 def _field_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,24 +160,16 @@ def _field_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
 def matrix_monoid(n: int, q: int) -> BuiltSemigroup:
     """M_n(F_q), all n x n matrices over the q-element field.
 
-    Element index is the row-major base-q encoding of the matrix."""
+    Element index is the row-major base-q encoding of the matrix.  Row i of ab
+    is the sum over k of a[i, k] times row k of b, so the table is built from
+    the codes of (row vector v)·b for all q^n row vectors v."""
     if not 1 <= n <= 3:
         raise BadParameters("matrix_monoid needs 1 <= n <= 3")
     add, mul = _field_tables(q)
     count = q ** (n * n)
     if count > 4096:
         raise BadParameters(f"matrix_monoid({n}, {q}) has {count} elements, beyond desk scale")
-    digits = (np.arange(count)[:, None] // (q ** np.arange(n * n))[None, :]) % q
-    mats = digits.reshape(count, n, n).astype(np.int8)
-    weights = (q ** np.arange(n * n)).reshape(n, n)
-    table = np.empty((count, count), dtype=np.int32)
-    for a in range(count):
-        acc = np.zeros((count, n, n), dtype=np.int8)
-        x = mats[a]
-        for k in range(n):
-            term = mul[x[:, k][None, :, None], mats[:, k, :][:, None, :]]
-            acc = add[acc, term]
-        table[a] = (acc.astype(np.int64) * weights).sum(axis=(1, 2))
+    table = _matrix_table(n, add, mul)
     return BuiltSemigroup(
         semigroup=_adopt_table(table), natural_action=None, label=f"M_{n}(F_{q})"
     )

@@ -81,13 +81,27 @@ def parse_sgt(text: str) -> FiniteSemigroup:
     return _adopt_table(table) if table.dtype == np.int32 else from_table(table)
 
 
+# label bytes gathered at a time; bounds dump_sgt's scratch memory
+_DUMP_BLOCK_BYTES = 1 << 24
+
+
 def dump_sgt(s: FiniteSemigroup, header: str | None = None) -> str:
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append(str(s.size))
-    lines.extend(" ".join(map(str, row)) for row in s.table.tolist())
-    return "\n".join(lines) + "\n"
+    """The .sgt text of ``s``: one '# ' line per line of ``header``, the
+    element count, then one line per table row, its entries separated by
+    single spaces."""
+    n = s.size
+    width = len(str(n - 1))
+    # labels[v]: the digits of v, NUL-padded to a common width, then a space
+    labels = np.full((n, width + 1), ord(" "), dtype=np.uint8)
+    labels[:, :width] = np.arange(n).astype(f"S{width}").view(np.uint8).reshape(n, width)
+    head = [f"# {ln}" for ln in header.splitlines()] if header else []
+    parts = ["\n".join([*head, str(n)]) + "\n"]
+    step = max(1, _DUMP_BLOCK_BYTES // (n * (width + 1)))
+    for start in range(0, n, step):
+        text = labels[s.table[start : start + step]].reshape(-1, n * (width + 1))
+        text[:, -1] = ord("\n")  # each row's last separator ends the line
+        parts.append(text[text != 0].tobytes().decode("ascii"))
+    return "".join(parts)
 
 
 def parse_pgen(text: str) -> tuple[FiniteSemigroup, list]:

@@ -15,6 +15,7 @@ from itertools import permutations
 import numpy as np
 
 from sgmindeg.action import UNDEF, PartialAction, orbits
+from sgmindeg.builders import _field_tables
 from sgmindeg.congruence import (
     Congruence,
     IrreducibilityReport,
@@ -57,7 +58,16 @@ from sgmindeg.oracle import (
 
 
 # ---------------------------------------------------------------------------
-# Text formats that the library reads but does not write
+# Text formats: the .sgt writer by row joins, and the formats that the
+# library reads but does not write
+
+
+def dump_sgt_by_row_joins(s: FiniteSemigroup, header: str | None = None) -> str:
+    """An ``.sgt`` text, one ``" ".join`` per table row."""
+    lines = [f"# {ln}" for ln in header.splitlines()] if header else []
+    lines.append(str(s.size))
+    lines.extend(" ".join(map(str, row)) for row in s.table.tolist())
+    return "\n".join(lines) + "\n"
 
 
 def dump_pgen(degree: int, gens: list) -> str:
@@ -92,6 +102,37 @@ def table_by_composing_all_pairs(maps: list[PartialMap]) -> np.ndarray:
     for a in range(n):
         for b in range(n):
             table[a, b] = index[compose_maps(maps[a], maps[b])]
+    return table
+
+
+def binary_relations_table_by_einsum(n: int) -> np.ndarray:
+    """The table of B_n, one einsum over all matrices per left factor."""
+    count = 1 << (n * n)
+    bits = ((np.arange(count)[:, None] >> np.arange(n * n)[None, :]) & 1).astype(bool)
+    mats = bits.reshape(count, n, n)
+    weights = (1 << np.arange(n * n)).reshape(n, n)
+    table = np.empty((count, count), dtype=np.int32)
+    for a in range(count):
+        prods = np.einsum("ik,mkj->mij", mats[a], mats) > 0
+        table[a] = (prods * weights).sum(axis=(1, 2))
+    return table
+
+
+def matrix_monoid_table_by_elements(n: int, q: int) -> np.ndarray:
+    """The table of M_n(F_q), one pass of field-table lookups per left factor."""
+    add, mul = _field_tables(q)
+    count = q ** (n * n)
+    digits = (np.arange(count)[:, None] // (q ** np.arange(n * n))[None, :]) % q
+    mats = digits.reshape(count, n, n).astype(np.int8)
+    weights = (q ** np.arange(n * n)).reshape(n, n)
+    table = np.empty((count, count), dtype=np.int32)
+    for a in range(count):
+        acc = np.zeros((count, n, n), dtype=np.int8)
+        x = mats[a]
+        for k in range(n):
+            term = mul[x[:, k][None, :, None], mats[:, k, :][:, None, :]]
+            acc = add[acc, term]
+        table[a] = (acc.astype(np.int64) * weights).sum(axis=(1, 2))
     return table
 
 

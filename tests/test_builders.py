@@ -6,11 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from reference import acts_monoidally, check_compatibility, ggm_congruence_at
+from reference import (
+    acts_monoidally,
+    binary_relations_table_by_einsum,
+    check_compatibility,
+    ggm_congruence_at,
+    matrix_monoid_table_by_elements,
+    table_by_composing_all_pairs,
+)
 from sgmindeg import builders
 from sgmindeg.builders import FamilySpec, build
-from sgmindeg.core import check_associativity, compose_maps, greens, opposite, rees_coordinatize
-from sgmindeg.errors import BadParameters, SizeLimitExceeded
+from sgmindeg.core import check_associativity, greens, opposite, rees_coordinatize
+from sgmindeg.errors import BadParameters, InvariantViolated, SizeLimitExceeded
 
 
 def test_sizes():
@@ -194,11 +201,6 @@ def test_natural_actions_are_faithful():
         assert check_compatibility(b.semigroup, b.natural_action)
 
 
-def _table_by_pairs(maps):
-    index = {m: i for i, m in enumerate(maps)}
-    return [[index[compose_maps(f, g)] for g in maps] for f in maps]
-
-
 @pytest.mark.parametrize(
     "family, sizes",
     [
@@ -212,4 +214,24 @@ def test_map_family_tables_match_pairwise_composition(family, sizes):
     for n in sizes:
         b = family(n)
         maps = [tuple(int(v) for v in row) for row in b.natural_action.maps]
-        assert b.semigroup.table.tolist() == _table_by_pairs(maps), b.label
+        assert np.array_equal(b.semigroup.table, table_by_composing_all_pairs(maps)), b.label
+
+
+def test_map_family_closure_check_raises():
+    # the swap composed with itself is the identity, which is not in the list
+    with pytest.raises(InvariantViolated, match="not closed under composition"):
+        builders._semigroup_from_all_maps([(1, 0)], 2, "swap")
+
+
+def test_binary_relations_match_einsum_reference():
+    for n in (1, 2, 3):
+        table = builders.binary_relations(n).semigroup.table
+        assert np.array_equal(table, binary_relations_table_by_einsum(n))
+
+
+@pytest.mark.parametrize(
+    "n, q", [(n, q) for n in (1, 2, 3) for q in (2, 3, 4, 5) if q ** (n * n) <= 4096]
+)
+def test_matrix_monoid_matches_per_element_reference(n, q):
+    table = builders.matrix_monoid(n, q).semigroup.table
+    assert np.array_equal(table, matrix_monoid_table_by_elements(n, q))

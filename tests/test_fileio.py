@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_small_semigroups
-from reference import dump_pgen, dump_rees
-from sgmindeg import builders
+from reference import dump_pgen, dump_rees, dump_sgt_by_row_joins
+from sgmindeg import builders, fileio
 from sgmindeg.cli import main
 from sgmindeg.errors import BadParameters, SemigroupError
 from sgmindeg.fileio import (
@@ -31,6 +31,44 @@ def test_sgt_roundtrip(tmp_path):
     back = parse_sgt(text)
     assert np.array_equal(back.table, s.table)
     p = tmp_path / "sim2.sgt"
+    p.write_text(text)
+    assert np.array_equal(read_semigroup(str(p)).table, s.table)
+
+
+# every family at desk scale, and element counts at and around digit-width changes
+DUMP_CORPUS = [
+    builders.build(builders.FamilySpec(family, tuple(params.split())))
+    for family, params in [
+        ("binary_relations", "1"), ("binary_relations", "3"), ("matrix_monoid", "3 2"),
+        ("matrix_monoid", "2 5"), ("full_transformation", "3"), ("partial_transformation", "4"),
+        ("symmetric_inverse", "4"), ("symmetric_group", "5"), ("rectangular_band", "3 4"),
+        ("rectangular_group", "S3 2 2"), ("chain_semilattice", "10"), ("sigma_square", "4 1,0,3,2"),
+        ("aggm_01", "3 4 0,1"),
+    ]
+] + [builders.cyclic(n) for n in (1, 9, 10, 11, 99, 100, 101, 1000, 1001)]
+
+
+@pytest.mark.parametrize("built", DUMP_CORPUS, ids=lambda b: b.label)
+def test_dump_sgt_matches_row_joins(built):
+    s = built.semigroup
+    for header in (None, built.label):
+        assert dump_sgt(s, header=header) == dump_sgt_by_row_joins(s, header=header)
+
+
+def test_dump_sgt_in_row_blocks(monkeypatch):
+    s = builders.cyclic(101).semigroup
+    want = dump_sgt_by_row_joins(s, header="C_101")
+    for block_bytes in (1, 404, 808, 10_000):  # a row of C_101 is 404 label bytes
+        monkeypatch.setattr(fileio, "_DUMP_BLOCK_BYTES", block_bytes)
+        assert dump_sgt(s, header="C_101") == want
+
+
+def test_multi_line_header_round_trips(tmp_path):
+    s = builders.cyclic(2).semigroup
+    text = dump_sgt(s, header="C_2\nsecond line\rthird\u2028fourth")
+    assert text == "# C_2\n# second line\n# third\n# fourth\n2\n0 1\n1 0\n"
+    assert np.array_equal(parse_sgt(text).table, s.table)
+    p = tmp_path / "c2.sgt"
     p.write_text(text)
     assert np.array_equal(read_semigroup(str(p)).table, s.table)
 
