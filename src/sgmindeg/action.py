@@ -17,6 +17,7 @@ from .core import (
     ReesCoordinatization,
     _partition_from_keys,
     _strong_components,
+    class_members,
     greens,
 )
 from .errors import InvariantViolated, NotIdempotent, NotSemisimpleAction
@@ -89,18 +90,18 @@ def orbits(
 
     # a strong orbit is a strongly connected component of the point graph
     comp = _strong_components([[q for q, hit in enumerate(row) if hit] for row in adj.tolist()])
-    orbit_of, classes = _partition_from_keys(np.array(comp))
+    orbit_of, _ = _partition_from_keys(np.array(comp))
 
     out: list[Orbit] = []
-    for pts_tuple in classes:
-        opts = np.asarray(pts_tuple)
+    for pts in class_members(orbit_of):
+        opts = np.asarray(pts)
         member = np.zeros(d + 1, dtype=bool)
         member[opts] = True
         sub = omega.maps[:, opts]  # n x |O|
         inside = (sub >= 0) & member[sub]
         invariant = bool(((sub < 0) | member[sub]).all())
         if len(opts) == 1 and not inside.any():
-            out.append(Orbit(points=pts_tuple, kind="null", apex=None, invariant=invariant))
+            out.append(Orbit(points=tuple(pts), kind="null", apex=None, invariant=invariant))
             continue
         acting = np.flatnonzero(inside.any(axis=1))
         jset = sorted(set(int(j) for j in g.jclass_of[acting]))
@@ -110,7 +111,7 @@ def orbits(
         apex = minimal[0]
         if not g.regular[apex]:
             raise InvariantViolated("apex J-class must be regular")
-        out.append(Orbit(points=pts_tuple, kind="transitive", apex=apex, invariant=invariant))
+        out.append(Orbit(points=tuple(pts), kind="transitive", apex=apex, invariant=invariant))
     return OrbitDecomposition(orbit_of=orbit_of, orbits=tuple(out))
 
 
@@ -142,13 +143,13 @@ def is_faithful(
 ) -> tuple[bool, tuple[int, int] | None]:
     """True iff distinct elements induce distinct partial maps; the witness is
     the lowest pair of elements acting identically."""
-    class_of, classes = _partition_from_keys(omega.maps)
-    if len(classes) == s.size:
+    class_of, first = _partition_from_keys(omega.maps)
+    if len(first) == s.size:
         return True, None
     # the first element that differs from the lowest member of its class
-    lowest = np.array([c[0] for c in classes])[class_of]
-    first = int((lowest != np.arange(s.size)).argmax())
-    return False, (int(lowest[first]), first)
+    lowest = first[class_of]
+    x = int((lowest != np.arange(s.size)).argmax())
+    return False, (int(lowest[x]), x)
 
 
 def faithful_by_criterion(

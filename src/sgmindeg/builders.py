@@ -284,7 +284,8 @@ def rectangular_band(m: int, n: int) -> BuiltSemigroup:
     i = np.arange(size) // n
     j = np.arange(size) % n
     table = (i[:, None] * n + j[None, :]).astype(np.int32)
-    return BuiltSemigroup(semigroup=_adopt_table(table), natural_action=None, label=f"RB({m},{n})")
+    s = _adopt_table(table, validate=False)  # (i, j)(k, l) = (i, l) is associative
+    return BuiltSemigroup(semigroup=s, natural_action=None, label=f"RB({m},{n})")
 
 
 def direct_product(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteSemigroup:

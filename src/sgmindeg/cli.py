@@ -13,12 +13,14 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .builders import FAMILY_USAGE, FamilySpec, build
 from .congruence import (
     is_rhodes_semisimple,
     rm_irreducible_classes,
 )
-from .core import greens, rees_coordinatize
+from .core import class_members, greens, rees_coordinatize
 from .errors import NotRhodesSemisimple, SemigroupError
 from .fileio import dump_sgt, read_semigroup
 from .mindeg import left_degrees, min_partial_degree
@@ -47,13 +49,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"identity: {s.identity if s.identity is not None else '-'}")
     print(f"zero: {s.zero if s.zero is not None else '-'}")
     print(f"idempotents: {len(g.idempotents)}")
-    print(
-        f"classes: R={len(g.rclasses)} L={len(g.lclasses)} J={len(g.jclasses)} H={len(g.hclasses)}"
-    )
+    counts = (int(ids.max()) + 1 for ids in (g.rclass_of, g.lclass_of, g.jclass_of, g.hclass_of))
+    print("classes: " + " ".join(f"{name}={k}" for name, k in zip("RLJH", counts)))
     ok, cong = is_rhodes_semisimple(s, g)
     report = rm_irreducible_classes(s, g)
-    for j in range(len(g.jclasses)):
-        size = len(g.jclasses[j])
+    for j, size in enumerate(np.bincount(g.jclass_of).tolist()):
         if not g.regular[j]:
             print(f"J{j}: size={size} non-regular")
             continue
@@ -66,7 +66,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
     print(f"rhodes_semisimple: {'yes' if ok else 'no'}")
     if not ok:
-        nontrivial = [list(c) for c in cong.classes if len(c) > 1]
+        nontrivial = [c for c in class_members(cong.class_of) if len(c) > 1]
         print(f"ggm_identifies: {nontrivial}")
     return 0
 
@@ -261,10 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SemigroupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (SemigroupError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

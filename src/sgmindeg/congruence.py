@@ -31,15 +31,16 @@ from .core import (
 class Congruence:
     """A partition of element indices that is compatible with multiplication."""
 
-    class_of: np.ndarray
-    classes: tuple[tuple[int, ...], ...]
+    class_of: np.ndarray  # class ids, numbered by lowest member
 
     def is_equality(self) -> bool:
-        return len(self.classes) == len(self.class_of)
+        # an id numbered by lowest member never exceeds its element, and the
+        # last element's reaches n - 1 only when every class is a singleton
+        return int(self.class_of[-1]) == len(self.class_of) - 1
 
 
 def universal_congruence(n: int) -> Congruence:
-    return Congruence(class_of=np.zeros(n, dtype=np.int64), classes=(tuple(range(n)),))
+    return Congruence(class_of=np.zeros(n, dtype=np.int64))
 
 
 def rm_congruence_at(s: FiniteSemigroup, g: GreensStructure, j: int) -> Congruence:
@@ -55,8 +56,7 @@ def rm_congruence_at(s: FiniteSemigroup, g: GreensStructure, j: int) -> Congruen
     _, _, q_reps = schutzenberger_reps(g, j)
     prods = s.table[q_reps].T  # (s, b) -> q_b s
     sig = np.where(g.jclass_of[prods] == j, prods, -1)
-    class_of, classes = _partition_from_keys(sig)
-    return Congruence(class_of=class_of, classes=classes)
+    return Congruence(class_of=_partition_from_keys(sig)[0])
 
 
 def _ggm_signature(s: FiniteSemigroup, g: GreensStructure, j: int) -> np.ndarray:
@@ -86,8 +86,7 @@ def is_rhodes_semisimple(
     cong = universal_congruence(s.size)
     for j in g.regular_jclasses():
         keys = np.concatenate([cong.class_of[:, None], _ggm_signature(s, g, j)], axis=1)
-        class_of, classes = _partition_from_keys(keys)
-        cong = Congruence(class_of=class_of, classes=classes)
+        cong = Congruence(class_of=_partition_from_keys(keys)[0])
         if cong.is_equality():
             break
     return cong.is_equality(), cong
@@ -127,23 +126,19 @@ def rm_irreducible_classes(
     for j in regs:
         lower = [rm[j2].class_of for j2 in regs if g.jorder_lt[j2, j]]
         keys = np.array(lower, dtype=np.int64).reshape(len(lower), n).T  # a column per lower class
-        plow_ids, plow_classes = _partition_from_keys(keys)  # the meet of their RM congruences
+        plow_ids, plow_first = _partition_from_keys(keys)  # the meet of their RM congruences
 
         # the first x whose RM class differs from that of the lowest member of
         # its plow class, paired with that member
-        lowest = np.array([c[0] for c in plow_classes])[plow_ids]
+        lowest = plow_first[plow_ids]
         rm_ids = rm[j].class_of
         differs = rm_ids[lowest] != rm_ids
         first = int(differs.argmax())
         witness = (int(lowest[first]), first) if differs[first] else None
 
         e = schutzenberger_reps(g, j)[0]
-        h_e = g.hclass_of[e]
-        mj = tuple(
-            int(x)
-            for x in g.hclasses[h_e]
-            if plow_ids[x] == plow_ids[e]
-        )
+        in_mj = (g.hclass_of == g.hclass_of[e]) & (plow_ids == plow_ids[e])
+        mj = tuple(np.flatnonzero(in_mj).tolist())
         per[j] = JClassIrreducibility(
             jclass=j,
             e=e,

@@ -340,16 +340,14 @@ def opposite(s: FiniteSemigroup) -> FiniteSemigroup:
 
 @dataclass(frozen=True)
 class GreensStructure:
-    """R/L/J/H partitions, the J-class order, regularity flags and idempotents."""
+    """R/L/J/H partitions, the J-class order, regularity flags and idempotents.
+
+    Each partition is an array of class ids, numbered by lowest member."""
 
     rclass_of: np.ndarray
     lclass_of: np.ndarray
     jclass_of: np.ndarray
     hclass_of: np.ndarray
-    rclasses: tuple[tuple[int, ...], ...]
-    lclasses: tuple[tuple[int, ...], ...]
-    jclasses: tuple[tuple[int, ...], ...]
-    hclasses: tuple[tuple[int, ...], ...]
     jorder_lt: np.ndarray  # jorder_lt[i, j] True iff J_i < J_j strictly
     regular: np.ndarray  # per J-class
     idempotents: tuple[int, ...]
@@ -361,20 +359,27 @@ class GreensStructure:
         return np.flatnonzero(self.regular).tolist()
 
 
-def _partition_from_keys(keys: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """Group elements by identical key rows; class ids ordered by lowest member."""
+def _partition_from_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group elements by identical key rows: the class id of each row, ids
+    numbered by lowest member, and ``first``, the lowest member of each class."""
     rows = np.ascontiguousarray(keys[:, None] if keys.ndim == 1 else keys)
-    buf, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+    n, width = len(rows), rows.shape[1] * rows.itemsize
+    if width == 0:  # all rows equal, and "V0" is not a valid view
+        return np.zeros(n, dtype=np.int64), np.zeros(min(n, 1), dtype=np.int64)
     ids: dict[bytes, int] = {}
-    class_of: list[int] = []
-    classes: list[list[int]] = []
-    for e in range(len(rows)):
-        c = ids.setdefault(buf[e * width : (e + 1) * width], len(ids))
-        if c == len(classes):
-            classes.append([])
-        classes[c].append(e)
-        class_of.append(c)
-    return np.array(class_of, dtype=np.int64), tuple(tuple(c) for c in classes)
+    row_bytes = rows.view(f"V{width}").ravel().tolist()  # each row read once, as one value
+    class_of = np.array([ids.setdefault(k, len(ids)) for k in row_bytes], dtype=np.int64)
+    # the running maximum of the ids first reaches c at the lowest member of c
+    first = np.searchsorted(np.maximum.accumulate(class_of), np.arange(len(ids)))
+    return class_of, first
+
+
+def class_members(class_of: np.ndarray) -> list[list[int]]:
+    """The ascending members of each class of a partition, by class id."""
+    out: list[list[int]] = [[] for _ in range(int(class_of.max()) + 1)]
+    for x, c in enumerate(class_of.tolist()):
+        out[c].append(x)
+    return out
 
 
 def _strong_components(succ: list[list[int]]) -> list[int]:
@@ -437,17 +442,17 @@ def greens(s: FiniteSemigroup) -> GreensStructure:
     left = t[gens].T
     both = np.concatenate((right, left), axis=1)
     rcomp, lcomp, jcomp = (np.array(_strong_components(a.tolist())) for a in (right, left, both))
-    rclass_of, rclasses = _partition_from_keys(rcomp)
-    lclass_of, lclasses = _partition_from_keys(lcomp)
-    jclass_of, jclasses = _partition_from_keys(jcomp)
+    rclass_of, _ = _partition_from_keys(rcomp)
+    lclass_of, _ = _partition_from_keys(lcomp)
+    jclass_of, jfirst = _partition_from_keys(jcomp)
 
     hkeys = rclass_of * (lclass_of.max() + 1) + lclass_of
-    hclass_of, hclasses = _partition_from_keys(hkeys)
+    hclass_of, _ = _partition_from_keys(hkeys)
 
     # below[c]: bitset of the components strictly below component c.  Every
     # edge between components leads to a lower number, so one ascending pass
     # over the condensed edges completes each below[c] before it is read.
-    nj = len(jclasses)
+    nj = len(jfirst)
     edge = np.zeros((nj, nj), dtype=bool)
     edge[jcomp[:, None], jcomp[both]] = True
     np.fill_diagonal(edge, False)
@@ -457,12 +462,12 @@ def greens(s: FiniteSemigroup) -> GreensStructure:
     width = (nj + 7) // 8
     bits = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in below), dtype=np.uint8)
     reach = np.unpackbits(bits.reshape(nj, width), axis=1, count=nj, bitorder="little").view(bool)
-    comp_of_j = jcomp[[c[0] for c in jclasses]]
+    comp_of_j = jcomp[jfirst]
     jorder_lt = reach.T[comp_of_j[:, None], comp_of_j]  # J_i < J_j iff comp(J_i) is below comp(J_j)
 
     diag = np.arange(n)
     idem = np.flatnonzero(t[diag, diag] == diag)
-    regular = np.zeros(len(jclasses), dtype=bool)
+    regular = np.zeros(nj, dtype=bool)
     regular[jclass_of[idem]] = True
 
     jorder_lt.setflags(write=False)
@@ -472,10 +477,6 @@ def greens(s: FiniteSemigroup) -> GreensStructure:
         lclass_of=lclass_of,
         jclass_of=jclass_of,
         hclass_of=hclass_of,
-        rclasses=rclasses,
-        lclasses=lclasses,
-        jclasses=jclasses,
-        hclasses=hclasses,
         jorder_lt=jorder_lt,
         regular=regular,
         idempotents=tuple(int(e) for e in idem),
@@ -560,19 +561,20 @@ def schutzenberger_reps(g: GreensStructure, j: int) -> tuple[int, np.ndarray, np
     if not g.regular[j]:
         raise NotRegular(f"J-class {j} contains no idempotent")
     e = min_idempotent_of(g, j)
-
-    def reps(class_of: np.ndarray, classes: tuple, side: tuple[int, ...]) -> list[int]:
-        """e, then the lowest element of ``side`` in each other class of J, by class id."""
-        lowest: dict[int, int] = {}
-        for x in side:  # ascending
-            lowest.setdefault(int(class_of[x]), x)
-        if sum(len(classes[c]) for c in lowest) != len(g.jclasses[j]):
-            raise NotRegular(f"regular J-class {j} has an empty H-class")
-        own = int(class_of[e])
-        return [e] + [lowest[c] for c in sorted(lowest) if c != own]
-
-    r_list = reps(g.rclass_of, g.rclasses, g.lclasses[g.lclass_of[e]])
-    q_list = reps(g.lclass_of, g.lclasses, g.rclasses[g.rclass_of[e]])
+    members = np.flatnonzero(g.jclass_of == j)
+    rs, ls = g.rclass_of[members].tolist(), g.lclass_of[members].tolist()
+    own_r, own_l = int(g.rclass_of[e]), int(g.lclass_of[e])
+    r_lowest: dict[int, int] = {}  # R-class of J -> its lowest member in L_e
+    q_lowest: dict[int, int] = {}  # L-class of J -> its lowest member in R_e
+    for x, rx, lx in zip(members.tolist(), rs, ls):  # ascending
+        if lx == own_l:
+            r_lowest.setdefault(rx, x)
+        if rx == own_r:
+            q_lowest.setdefault(lx, x)
+    if len(r_lowest) != len(set(rs)) or len(q_lowest) != len(set(ls)):
+        raise NotRegular(f"regular J-class {j} has an empty H-class")
+    r_list = [e] + [r_lowest[c] for c in sorted(r_lowest) if c != own_r]
+    q_list = [e] + [q_lowest[c] for c in sorted(q_lowest) if c != own_l]
     both = np.array(r_list + q_list)
     both.setflags(write=False)
     r_reps, q_reps = both[: len(r_list)], both[len(r_list) :]
@@ -590,8 +592,8 @@ def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoo
     """
     t = s.table
     e, r_reps, q_reps = schutzenberger_reps(g, j)
-    jelems = np.asarray(g.jclasses[j])
-    group = [e] + [x for x in g.hclasses[g.hclass_of[e]] if x != e]
+    jelems = np.flatnonzero(g.jclass_of == j)
+    group = [e] + [x for x in np.flatnonzero(g.hclass_of == g.hclass_of[e]).tolist() if x != e]
     m = len(group)
     # gpos[x] = position of x in group (-1 outside it)
     gpos = np.full(s.size, -1, dtype=np.int32)

@@ -33,6 +33,7 @@ from .congruence import (
 from .core import (
     FiniteSemigroup,
     ReesCoordinatization,
+    class_members,
     greens,
     opposite,
     rees_coordinatize,
@@ -226,7 +227,7 @@ def min_partial_degree(
     g = greens(s)
     ok, cong = is_rhodes_semisimple(s, g)
     if not ok:
-        raise NotRhodesSemisimple([list(c) for c in cong.classes])
+        raise NotRhodesSemisimple(class_members(cong.class_of))
     report = rm_irreducible_classes(s, g)
 
     per, blocks = [], []

@@ -163,6 +163,15 @@ def scan_identity_zero_by_rows(table: np.ndarray) -> tuple[int | None, int | Non
     return identity, zero
 
 
+def class_members(class_of: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The members of each class of a partition given as class ids, in
+    ascending order, by class id."""
+    out: list[list[int]] = [[] for _ in range(int(class_of.max()) + 1)]
+    for x, c in enumerate(class_of.tolist()):
+        out[c].append(x)
+    return tuple(tuple(c) for c in out)
+
+
 def greens_by_ideal_matrices(s: FiniteSemigroup) -> GreensStructure:
     """Green's relations from principal ideal equality, as n x n boolean
     matrices of the right, left and two-sided ideals."""
@@ -182,20 +191,19 @@ def greens_by_ideal_matrices(s: FiniteSemigroup) -> GreensStructure:
     # two-sided ideal of s: union of right ideals over the left ideal of s
     two = (left.astype(np.float32) @ right.astype(np.float32)) > 0.5
 
-    rclass_of, rclasses = _partition_from_keys(np.packbits(right, axis=1))
-    lclass_of, lclasses = _partition_from_keys(np.packbits(left, axis=1))
-    jclass_of, jclasses = _partition_from_keys(np.packbits(two, axis=1))
+    rclass_of, _ = _partition_from_keys(np.packbits(right, axis=1))
+    lclass_of, _ = _partition_from_keys(np.packbits(left, axis=1))
+    jclass_of, reps = _partition_from_keys(np.packbits(two, axis=1))
 
     hkeys = rclass_of * (lclass_of.max() + 1) + lclass_of
-    hclass_of, hclasses = _partition_from_keys(hkeys)
+    hclass_of, _ = _partition_from_keys(hkeys)
 
-    # J_i < J_j iff i != j and rep_i lies in the ideal of rep_j
-    reps = np.array([c[0] for c in jclasses])
+    # J_i < J_j iff i != j and rep_i, the lowest member of J_i, lies in the ideal of rep_j
     jorder_lt = two[reps[None, :], reps[:, None]]
     np.fill_diagonal(jorder_lt, False)
 
     idem = np.flatnonzero(t[diag, diag] == diag)
-    regular = np.zeros(len(jclasses), dtype=bool)
+    regular = np.zeros(len(reps), dtype=bool)
     regular[jclass_of[idem]] = True
 
     jorder_lt.setflags(write=False)
@@ -205,10 +213,6 @@ def greens_by_ideal_matrices(s: FiniteSemigroup) -> GreensStructure:
         lclass_of=lclass_of,
         jclass_of=jclass_of,
         hclass_of=hclass_of,
-        rclasses=rclasses,
-        lclasses=lclasses,
-        jclasses=jclasses,
-        hclasses=hclasses,
         jorder_lt=jorder_lt,
         regular=regular,
         idempotents=tuple(int(e) for e in idem),
@@ -220,7 +224,7 @@ def jorder_by_ideal_pairs(s: FiniteSemigroup, g: GreensStructure) -> np.ndarray:
     subset of J_j's, compared pair by pair."""
     t = s.table
     ideals = []
-    for c in g.jclasses:
+    for c in class_members(g.jclass_of):
         x = c[0]
         mask = np.zeros(s.size, dtype=bool)
         mask[x] = True
@@ -379,21 +383,21 @@ def greens_congruence_fixpoint(s: FiniteSemigroup, omega: PartialAction, e: int)
 
 def meet(a: Congruence, b: Congruence) -> Congruence:
     """The intersection of two congruences."""
-    return Congruence(*_partition_from_keys(np.stack([a.class_of, b.class_of], axis=1)))
+    return Congruence(_partition_from_keys(np.stack([a.class_of, b.class_of], axis=1))[0])
 
 
 def ggm_congruence_at(s: FiniteSemigroup, g: GreensStructure, j: int) -> Congruence:
     """s ~ t iff for all x, y in J: xsy in J <=> xty in J, with xsy = xty when in J.
 
     Decided on |B| x |A| entries per element (``congruence._ggm_signature``)."""
-    return Congruence(*_partition_from_keys(_ggm_signature(s, g, j)))
+    return Congruence(_partition_from_keys(_ggm_signature(s, g, j))[0])
 
 
 def is_compatible(s: FiniteSemigroup, cong: Congruence) -> bool:
     """Full-scan test that the partition is a two-sided congruence."""
     ids = cong.class_of
     t = s.table
-    k = len(cong.classes)
+    k = len(class_members(cong.class_of))
     for u in range(s.size):
         if len(np.unique(np.stack([ids, ids[t[u]]], axis=1), axis=0)) != k:
             return False
@@ -417,10 +421,10 @@ def rm_congruence_over_j(s: FiniteSemigroup, g: GreensStructure, j: int) -> Cong
     signature entry per element of J (xs, or -1 outside J)."""
     if not g.regular[j]:
         raise NotRegular(f"J-class {j} contains no idempotent")
-    jelems = np.asarray(g.jclasses[j])
+    jelems = np.asarray(class_members(g.jclass_of)[j])
     prods = s.table[jelems, :]  # (x, s) -> x s
     sig = np.where(g.jclass_of[prods] == j, prods, -1).T
-    return Congruence(*_partition_from_keys(sig))
+    return Congruence(_partition_from_keys(sig)[0])
 
 
 def ggm_congruence_over_j(s: FiniteSemigroup, g: GreensStructure, j: int) -> Congruence:
@@ -428,11 +432,11 @@ def ggm_congruence_over_j(s: FiniteSemigroup, g: GreensStructure, j: int) -> Con
     gets a row id, and s's signature is (row id of xs) over every x in J."""
     if not g.regular[j]:
         raise NotRegular(f"J-class {j} contains no idempotent")
-    jelems = np.asarray(g.jclasses[j])
+    jelems = np.asarray(class_members(g.jclass_of)[j])
     right = s.table[:, jelems]  # (u, y) -> u y
     row_id, _ = _partition_from_keys(np.where(g.jclass_of[right] == j, right, -1))
     sig = row_id[s.table[jelems, :]].T  # (row id of x s) over x
-    return Congruence(*_partition_from_keys(sig))
+    return Congruence(_partition_from_keys(sig)[0])
 
 
 def is_rhodes_semisimple_over_j(s: FiniteSemigroup, g: GreensStructure) -> tuple[bool, Congruence]:
@@ -469,7 +473,8 @@ def rm_irreducible_classes_by_loop(s: FiniteSemigroup, g: GreensStructure) -> Ir
                 witness = (first_by_class[c], x)
                 break
         e = min(x for x in g.idempotents if g.jclass_of[x] == j)
-        mj = tuple(int(x) for x in g.hclasses[g.hclass_of[e]] if plow_ids[x] == plow_ids[e])
+        h_e = class_members(g.hclass_of)[g.hclass_of[e]]
+        mj = tuple(x for x in h_e if plow_ids[x] == plow_ids[e])
         per[j] = JClassIrreducibility(
             jclass=j, e=e, rm_irreducible=witness is not None, witness=witness, mj=mj
         )
@@ -555,9 +560,9 @@ def schein_irreducibility_check(
 
         h_e = g.hclass_of[e]
         if below:
-            mj = tuple(int(x) for x in g.hclasses[h_e] if leq[below, x].all())
+            mj = tuple(x for x in class_members(g.hclass_of)[h_e] if leq[below, x].all())
         else:
-            mj = tuple(int(x) for x in g.hclasses[h_e])
+            mj = class_members(g.hclass_of)[h_e]
         out[j] = ScheinRow(jclass=j, e=e, join_irreducible=not join_reducible, mj=mj)
     return out
 

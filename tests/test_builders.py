@@ -37,6 +37,7 @@ def test_built_tables_are_associative():
         builders.matrix_monoid(2, 4),
         builders.matrix_monoid(2, 5),
         builders.rectangular_band(3, 2),
+        builders.rectangular_band(7, 5),  # built without validation
         builders.aggm_01(3, 5, [frozenset({0, 1}), frozenset({0, 1, 2})]),
         builders.rectangular_group(builders.symmetric_group(3).semigroup, 2, 2),
     ]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from reference import (
+    class_members,
     column_condition_by_pairs,
     ggm_congruence_at,
     ggm_congruence_over_j,
@@ -27,7 +28,14 @@ from sgmindeg.congruence import (
     rm_congruence_at,
     rm_irreducible_classes,
 )
-from sgmindeg.core import from_table, greens, opposite, rees_coordinatize, schutzenberger_reps
+from sgmindeg.core import (
+    _partition_from_keys,
+    from_table,
+    greens,
+    opposite,
+    rees_coordinatize,
+    schutzenberger_reps,
+)
 from sgmindeg.errors import NotRegular
 
 
@@ -45,9 +53,9 @@ def test_rm_t2_constants_is_equality(t2):
 
 def test_rm_rectangular_group_has_four_classes(s2_rb22):
     g = greens(s2_rb22)
-    assert len(g.jclasses) == 1
+    assert len(class_members(g.jclass_of)) == 1
     cong = rm_congruence_at(s2_rb22, g, 0)
-    assert len(cong.classes) == 4
+    assert len(class_members(cong.class_of)) == 4
     assert is_compatible(s2_rb22, cong)
 
 
@@ -67,7 +75,7 @@ def test_ggm_reading_pinned_by_matrix_monoid(m2f2):
 def test_ggm_rectangular_group_has_two_classes(s2_rb22):
     g = greens(s2_rb22)
     cong = ggm_congruence_at(s2_rb22, g, 0)
-    assert len(cong.classes) == 2
+    assert len(class_members(cong.class_of)) == 2
     assert is_compatible(s2_rb22, cong)
 
 
@@ -78,7 +86,7 @@ def test_rm_subset_of_ggm(random_corpus):
             rm = rm_congruence_at(s, g, j)
             gg = ggm_congruence_at(s, g, j)
             # rm refines ggm
-            assert len(meet(rm, gg).classes) == len(rm.classes)
+            assert len(class_members(meet(rm, gg).class_of)) == len(class_members(rm.class_of))
 
 
 def test_rhodes_semisimple_inverse(sim2):
@@ -90,7 +98,7 @@ def test_rhodes_semisimple_t2_false(t2):
     ok, cong = is_rhodes_semisimple(t2)
     assert not ok
     # the congruence identifies exactly the two constant maps
-    big = [c for c in cong.classes if len(c) > 1]
+    big = [c for c in class_members(cong.class_of) if len(c) > 1]
     assert len(big) == 1 and len(big[0]) == 2
 
 
@@ -274,7 +282,7 @@ def test_congruences_require_regular_class():
 def _assert_same_congruence(got, want):
     assert got.class_of.dtype == want.class_of.dtype
     assert np.array_equal(got.class_of, want.class_of)
-    assert got.classes == want.classes
+    assert np.array_equal(got.class_of, _partition_from_keys(got.class_of)[0])  # ids by lowest member
 
 
 def _assert_congruences_match_over_j(s):
@@ -330,10 +338,11 @@ def test_schutzenberger_reps_are_the_lowest_h_class_members(builder_corpus, rand
                 (r_reps, g.lclass_of, g.rclass_of),  # r_a: in L_e, one per R-class of J
                 (q_reps, g.rclass_of, g.lclass_of),  # q_b: in R_e, one per L-class of J
             ]:
-                want = sorted({int(other[x]) for x in g.jclasses[j]} - {int(other[e])})
+                jel = class_members(g.jclass_of)[j]
+                want = sorted({int(other[x]) for x in jel} - {int(other[e])})
                 assert reps[0] == e and [int(other[x]) for x in reps[1:]] == want
                 for x in reps[1:]:
-                    side = [y for y in g.jclasses[j] if same[y] == same[e] and other[y] == other[x]]
+                    side = [y for y in jel if same[y] == same[e] and other[y] == other[x]]
                     assert x == min(side)
             assert schutzenberger_reps(g, j) is schutzenberger_reps(g, j)  # kept on g
             rc = rees_coordinatize(s, g, j)

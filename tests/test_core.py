@@ -7,6 +7,7 @@ import pytest
 
 from conftest import NULL2
 from reference import (
+    class_members,
     greens_by_ideal_matrices,
     jorder_by_ideal_pairs,
     light_test_whole_table,
@@ -253,14 +254,14 @@ def test_opposite_commutative_fixed():
 def test_greens_group():
     s = builders.symmetric_group(3).semigroup
     g = greens(s)
-    assert len(g.jclasses) == 1 and g.regular[0]
-    assert len(g.hclasses) == 1  # H is the whole group
+    assert len(class_members(g.jclass_of)) == 1 and g.regular[0]
+    assert len(class_members(g.hclass_of)) == 1  # H is the whole group
 
 
 def test_greens_t2():
     s = builders.full_transformation(2).semigroup
     g = greens(s)
-    assert len(g.jclasses) == 2
+    assert len(class_members(g.jclass_of)) == 2
     assert g.regular.all()
     units = g.jclass_of[s.identity]
     consts = 1 - units
@@ -269,7 +270,7 @@ def test_greens_t2():
 
 def test_greens_null():
     g = greens(from_table(NULL2))
-    assert len(g.jclasses) == 2
+    assert len(class_members(g.jclass_of)) == 2
     assert g.regular[g.jclass_of[0]]
     assert not g.regular[g.jclass_of[1]]
 
@@ -329,7 +330,8 @@ def test_greens_on_a_10000_element_band():
     table = np.add.outer(e // m * m, e % m)
     s = FiniteSemigroup(table=table, identity=None, zero=None, gens=tuple(range(0, m * m, m + 1)))
     g = greens(s)
-    assert (len(g.rclasses), len(g.lclasses), len(g.jclasses), len(g.hclasses)) == (m, m, 1, m * m)
+    counts = [len(class_members(ids)) for ids in (g.rclass_of, g.lclass_of, g.jclass_of, g.hclass_of)]
+    assert counts == [m, m, 1, m * m]
     assert g.regular.all() and not g.jorder_lt.any()
     assert np.array_equal(g.rclass_of, e // m) and np.array_equal(g.lclass_of, e % m)
 
@@ -349,7 +351,8 @@ def test_generating_set_is_kept_and_passed_on(monkeypatch):
 
 
 def _partition_by_unique(keys):
-    """Reference: np.unique, then class ids relabelled by lowest member."""
+    """Reference: np.unique, then class ids relabelled by lowest member, and
+    the lowest member of each class."""
     if keys.ndim == 1:
         _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
     else:
@@ -357,11 +360,7 @@ def _partition_by_unique(keys):
     order = np.argsort(first, kind="stable")
     relabel = np.empty(len(first), dtype=np.int64)
     relabel[order] = np.arange(len(first))
-    class_of = relabel[inv.reshape(-1)]
-    classes = [[] for _ in range(len(first))]
-    for e, c in enumerate(class_of):
-        classes[c].append(e)
-    return class_of, tuple(tuple(c) for c in classes)
+    return relabel[inv.reshape(-1)], first[order]
 
 
 def test_partition_from_keys_matches_unique_reference():
@@ -373,12 +372,14 @@ def test_partition_from_keys_matches_unique_reference():
         cases.append(rng.integers(-1, 3, size=(n, 3)).astype(np.int32))  # int32 with -1
         cases.append(np.packbits(rng.random((n, 11)) < 0.3, axis=1))  # packed uint8
         cases.append(rng.integers(0, 3, size=(n, 4))[:, ::2])  # non-contiguous view
+        cases.append(rng.integers(-1, 3, size=(n, 2)))  # C-order int64 with -1
     cases += [np.array([[5, -1, 2]]), np.zeros((7, 3), dtype=np.int64), np.full(9, 3)]
+    cases.append(np.zeros((5, 0), dtype=np.int64))  # zero-width keys: one class
     for keys in cases:
-        class_of, classes = _partition_from_keys(keys)
-        ref_of, ref_classes = _partition_by_unique(keys)
+        class_of, first = _partition_from_keys(keys)
+        ref_of, ref_first = _partition_by_unique(keys)
         assert class_of.dtype == np.int64 and np.array_equal(class_of, ref_of)
-        assert classes == ref_classes
+        assert np.array_equal(first, ref_first)
 
 
 def _rees_tables_by_loops(s, g, j):
@@ -389,19 +390,20 @@ def _rees_tables_by_loops(s, g, j):
     lowest-element order; all of it is read off ``greens`` alone.
     """
     t = s.table
-    jel = g.jclasses[j]
+    jel = class_members(g.jclass_of)[j]
     e = min(x for x in g.idempotents if g.jclass_of[x] == j)
     group = [e] + [x for x in jel if x != e and g.hclass_of[x] == g.hclass_of[e]]
 
-    def reps(class_of, classes, side_of):
+    def reps(class_of, side_of):
+        classes = class_members(class_of)
         others = {int(class_of[x]) for x in jel} - {int(class_of[e])}
         return [e] + [
             min(x for x in jel if class_of[x] == c and side_of[x] == side_of[e])
             for c in sorted(others, key=lambda c: classes[c][0])
         ]
 
-    r_reps = reps(g.rclass_of, g.rclasses, g.lclass_of)  # in L_e
-    q_reps = reps(g.lclass_of, g.lclasses, g.rclass_of)  # in R_e
+    r_reps = reps(g.rclass_of, g.lclass_of)  # in L_e
+    q_reps = reps(g.lclass_of, g.rclass_of)  # in R_e
     gpos = {x: i for i, x in enumerate(group)}
     m = len(group)
     group_mul = np.array([[gpos[int(t[x, y])] for y in group] for x in group], dtype=np.int32)
@@ -442,7 +444,7 @@ def _corruptible_rees_classes():
     for b in (builders.sigma_square(4, (1, 2, 3, 0)), builders.aggm_01(2, 3, [frozenset({0, 1})])):
         s = b.semigroup
         g = greens(s)
-        j = max(g.regular_jclasses(), key=lambda j: len(g.jclasses[j]))
+        j = max(g.regular_jclasses(), key=lambda j: len(class_members(g.jclass_of)[j]))
         out.append((s, g, rees_coordinatize(s, g, j)))
     return out
 
@@ -503,7 +505,7 @@ def test_rees_sigma_square_recovers_sandwich():
     b = builders.sigma_square(3, (1, 0, 2))  # sigma a transposition
     s = b.semigroup
     g = greens(s)
-    assert len(g.jclasses) == 1
+    assert len(class_members(g.jclass_of)) == 1
     r = rees_coordinatize(s, g, 0)
     assert r.group_order == 6 and r.a_count == 2 and r.b_count == 2
     x = _normalize_2x2(r)
@@ -524,7 +526,7 @@ def test_rees_idempotent_count_equals_sandwich_support(builder_corpus):
         s = b.semigroup
         g = greens(s)
         for j in g.regular_jclasses():
-            if len(g.jclasses[j]) > 600:
+            if len(class_members(g.jclass_of)[j]) > 600:
                 continue
             r = rees_coordinatize(s, g, j)
             idem_in_j = sum(1 for e in g.idempotents if g.jclass_of[e] == j)
@@ -544,7 +546,7 @@ def test_jorder_is_a_strict_partial_order(builder_corpus):
         g = greens(b.semigroup)
         lt = g.jorder_lt
         assert not lt.diagonal().any()
-        k = len(g.jclasses)
+        k = len(class_members(g.jclass_of))
         for i in range(k):
             for j in range(k):
                 if lt[i, j]:

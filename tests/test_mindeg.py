@@ -5,7 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from reference import check_compatibility, is_inverse_semigroup, restriction_is_injective
+from reference import (
+    check_compatibility,
+    class_members,
+    is_inverse_semigroup,
+    restriction_is_injective,
+)
 from sgmindeg import builders
 from sgmindeg.congruence import rm_irreducible_classes
 from sgmindeg.core import from_table, greens, rees_coordinatize
@@ -234,7 +239,7 @@ def test_clifford_chain_with_proper_invisible_subgroup(clifford_c4_c2):
     rep = rm_irreducible_classes(s, g)
     assert rep.irreducible_ids() == [0, 1]
     top = rep.per_class[0]
-    assert len(top.mj) == 2 and len(g.hclasses[g.hclass_of[top.e]]) == 4
+    assert len(top.mj) == 2 and len(class_members(g.hclass_of)[g.hclass_of[top.e]]) == 4
     r = min_partial_degree(s)
     assert r.m == 6
     assert [c.d for c in r.per_class] == [4, 2]

@@ -15,6 +15,7 @@ from reference import (
     canonical_rep,
     cayley_extended,
     check_compatibility,
+    class_members,
     ggm_congruence_at,
     greens_congruence_fixpoint,
     is_compatible,
@@ -65,12 +66,12 @@ def battery_associativity(corpus):
 def battery_rm_refines_ggm(corpus):
     for s, _ in corpus:
         g = greens(s)
-        for cls in g.rclasses + g.lclasses:
+        for cls in class_members(g.rclass_of) + class_members(g.lclass_of):
             assert len({int(g.jclass_of[x]) for x in cls}) == 1
         for j in g.regular_jclasses():
             rm = rm_congruence_at(s, g, j)
             gg = ggm_congruence_at(s, g, j)
-            assert len(meet(rm, gg).classes) == len(rm.classes)
+            assert len(class_members(meet(rm, gg).class_of)) == len(class_members(rm.class_of))
 
 
 def battery_congruences_compatible(corpus):
@@ -108,7 +109,7 @@ def battery_irredundant(corpus):
         # non-omittability: translate the witness into a pair separated at J only
         for j in rep.irreducible_ids():
             s0, t0 = rep.per_class[j].witness
-            jelems = g.jclasses[j]
+            jelems = class_members(g.jclass_of)[j]
             x = next(
                 (
                     x0
