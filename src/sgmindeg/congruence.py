@@ -21,6 +21,7 @@ from .core import (
     GreensStructure,
     ReesCoordinatization,
     _partition_from_keys,
+    _regular_classes,
     greens,
     min_idempotent_of,  # unused here, but bench/tracing.py wraps it under this module's name
     schutzenberger_reps,
@@ -136,9 +137,8 @@ def rm_irreducible_classes(
         first = int(differs.argmax())
         witness = (int(lowest[first]), first) if differs[first] else None
 
-        e = schutzenberger_reps(g, j)[0]
-        in_mj = (g.hclass_of == g.hclass_of[e]) & (plow_ids == plow_ids[e])
-        mj = tuple(np.flatnonzero(in_mj).tolist())
+        (e, _, _), h_e, _ = _regular_classes(g)[j]
+        mj = tuple(x for x, p in zip(h_e, plow_ids[h_e].tolist()) if p == plow_ids[e])
         per[j] = JClassIrreducibility(
             jclass=j,
             e=e,

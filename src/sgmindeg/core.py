@@ -26,8 +26,8 @@ PartialMap = tuple[int, ...]  # length = degree, entries are points or -1 for un
 # Largest element count accepted from any input: the dense tables are n x n.
 MAX_ELEMENTS = 10_000
 
-# Rows per block when a whole table or the Rees law on J x J is scanned, so the
-# temporaries stay small.
+# Rows per block when a whole table, or J against the Rees check's generators,
+# is scanned, so the temporaries stay small.
 _BLOCK_ROWS = 512
 
 # Entries per block of Light's test: its two int32 gathers and their
@@ -113,12 +113,7 @@ def small_generating_set(table: np.ndarray) -> list[int]:
     generator only when it is a left-normed product of the others.
     """
     n = table.shape[0]
-    gens: list[int] = []
-    covered = np.zeros(n, dtype=bool)
-    for e in range(n):
-        if not covered[e]:
-            gens.append(e)
-            covered = closure_mask(table, gens, base=covered)
+    gens = _greedy_generators(table, np.zeros(n, dtype=bool))
     # The second pass, in order, drops g_i when it lies in the closure of the
     # generators kept so far and all later ones, which holds <g_{i+1}, ...>.
     # So the suffix closures, grown from the end, settle every g_i inside its
@@ -144,6 +139,17 @@ def small_generating_set(table: np.ndarray) -> list[int]:
             continue
         kept.append(g)
     return kept
+
+
+def _greedy_generators(table: np.ndarray, covered: np.ndarray) -> list[int]:
+    """Each lowest element outside ``covered`` and the closure of the elements
+    picked before it.  ``covered`` is empty, or a group's identity alone."""
+    gens: list[int] = []
+    for e in range(table.shape[0]):
+        if not covered[e]:
+            gens.append(e)
+            covered = closure_mask(table, gens, base=covered)
+    return gens
 
 
 def _light_block_rows(n: int) -> int:
@@ -353,7 +359,7 @@ class GreensStructure:
     idempotents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_reps", {})  # schutzenberger_reps per J-class, on first use
+        object.__setattr__(self, "_regular", None)  # _regular_classes, on first use
 
     def regular_jclasses(self) -> list[int]:
         return np.flatnonzero(self.regular).tolist()
@@ -489,7 +495,7 @@ def greens(s: FiniteSemigroup) -> GreensStructure:
 
 def min_idempotent_of(g: GreensStructure, j: int) -> int:
     """e_J, the lowest-index idempotent of J-class j."""
-    return min(x for x in g.idempotents if g.jclass_of[x] == j)
+    return schutzenberger_reps(g, j)[0]
 
 
 def rees_law(group_mul: np.ndarray, sandwich: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -547,6 +553,37 @@ class ReesCoordinatization:
         return self.triple_to_elem.shape[2]
 
 
+def _regular_classes(g: GreensStructure) -> dict[int, tuple]:
+    """Per regular J-class: the ``schutzenberger_reps`` triple, H_e and J, both
+    ascending.  Found for every class in one pass over the elements, kept on ``g``."""
+    if g._regular is None:
+        js, rs, ls = (a.tolist() for a in (g.jclass_of, g.rclass_of, g.lclass_of))
+        own: dict[int, tuple[int, int, int]] = {}  # regular J-class -> e, its R- and L-class
+        for e in g.idempotents:  # ascending
+            own.setdefault(js[e], (e, rs[e], ls[e]))
+        found = {j: ([], [], [e], [e]) for j, (e, _, _) in own.items()}  # J, H_e, r_a, q_b
+        lowest: dict[tuple[int, int], int] = {}  # (0, R-class) in L_e, (1, L-class) in R_e
+        for x, (j, rx, lx) in enumerate(zip(js, rs, ls)):
+            if j in own:
+                _, own_r, own_l = own[j]
+                found[j][0].append(x)
+                if lx == own_l and rx == own_r:
+                    found[j][1].append(x)
+                elif lx == own_l or rx == own_r:
+                    lowest.setdefault((0, rx) if lx == own_l else (1, lx), x)
+        for (side, _), x in sorted(lowest.items()):  # the classes of e first, then by id
+            found[js[x]][2 + side].append(x)
+        out = {}
+        for j, (members, group, r_list, q_list) in found.items():
+            if len(r_list) * len(q_list) * len(group) != len(members):
+                raise NotRegular(f"regular J-class {j} has an empty H-class")
+            both = np.array(r_list + q_list)
+            both.setflags(write=False)
+            out[j] = (r_list[0], both[: len(r_list)], both[len(r_list) :]), group, members
+        object.__setattr__(g, "_regular", out)
+    return g._regular
+
+
 def schutzenberger_reps(g: GreensStructure, j: int) -> tuple[int, np.ndarray, np.ndarray]:
     """e = e_J and the H-class representatives r_a in L_e and q_b in R_e.
 
@@ -554,32 +591,11 @@ def schutzenberger_reps(g: GreensStructure, j: int) -> tuple[int, np.ndarray, np
     ``q_reps[b]`` the lowest element of R_e in the b-th L-class of J.  The
     classes of e come first with r_0 = q_0 = e; the others follow in class-id
     order.  Every x in J is r_a h q_b for exactly one (a, h, b) with h in H_e.
-    Computed once per J-class and kept on ``g``.
+    Computed for every regular J-class at once and kept on ``g``.
     """
-    if j in g._reps:
-        return g._reps[j]
     if not g.regular[j]:
         raise NotRegular(f"J-class {j} contains no idempotent")
-    e = min_idempotent_of(g, j)
-    members = np.flatnonzero(g.jclass_of == j)
-    rs, ls = g.rclass_of[members].tolist(), g.lclass_of[members].tolist()
-    own_r, own_l = int(g.rclass_of[e]), int(g.lclass_of[e])
-    r_lowest: dict[int, int] = {}  # R-class of J -> its lowest member in L_e
-    q_lowest: dict[int, int] = {}  # L-class of J -> its lowest member in R_e
-    for x, rx, lx in zip(members.tolist(), rs, ls):  # ascending
-        if lx == own_l:
-            r_lowest.setdefault(rx, x)
-        if rx == own_r:
-            q_lowest.setdefault(lx, x)
-    if len(r_lowest) != len(set(rs)) or len(q_lowest) != len(set(ls)):
-        raise NotRegular(f"regular J-class {j} has an empty H-class")
-    r_list = [e] + [r_lowest[c] for c in sorted(r_lowest) if c != own_r]
-    q_list = [e] + [q_lowest[c] for c in sorted(q_lowest) if c != own_l]
-    both = np.array(r_list + q_list)
-    both.setflags(write=False)
-    r_reps, q_reps = both[: len(r_list)], both[len(r_list) :]
-    g._reps[j] = e, r_reps, q_reps
-    return g._reps[j]
+    return _regular_classes(g)[j][0]
 
 
 def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoordinatization:
@@ -592,32 +608,32 @@ def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoo
     """
     t = s.table
     e, r_reps, q_reps = schutzenberger_reps(g, j)
-    jelems = np.flatnonzero(g.jclass_of == j)
-    group = [e] + [x for x in np.flatnonzero(g.hclass_of == g.hclass_of[e]).tolist() if x != e]
+    _, h_e, members = _regular_classes(g)[j]
+    group = np.array([e] + [x for x in h_e if x != e])
     m = len(group)
     # gpos[x] = position of x in group (-1 outside it)
     gpos = np.full(s.size, -1, dtype=np.int32)
     gpos[group] = np.arange(m, dtype=np.int32)
 
-    group_mul = gpos[t[np.ix_(group, group)]]
+    group_mul = gpos[t[group[:, None], group]]
     group_inv = np.argmax(group_mul == 0, axis=1).astype(np.int32)
 
-    prods = t[np.ix_(q_reps, r_reps)]
+    prods = t[q_reps[:, None], r_reps]
     sandwich = np.where(g.jclass_of[prods] == j, gpos[prods] + 1, 0).astype(np.int32)
     if not (sandwich.any(axis=0).all() and sandwich.any(axis=1).all()):
         raise NotRegular(f"sandwich matrix of J-class {j} has a zero row or column")
     if sandwich[0, 0] != 1:
         raise InvariantViolated("normalization C[b0][a0] = identity failed")
 
-    triple_to_elem = t[t[np.ix_(r_reps, group)][:, :, None], q_reps[None, None, :]]
-    if not np.array_equal(np.sort(triple_to_elem, axis=None), jelems):
+    triple_to_elem = t[t[r_reps[:, None], group][:, :, None], q_reps]
+    if not np.array_equal(np.sort(triple_to_elem, axis=None), members):
         raise NotRegular(f"Rees coordinates of J-class {j} are not a bijection")
 
     rc = ReesCoordinatization(
         semigroup=s,
         jclass=j,
         e=e,
-        group=tuple(group),
+        group=tuple(group.tolist()),
         sandwich=sandwich,
         triple_to_elem=triple_to_elem,
         group_mul=group_mul,
@@ -630,14 +646,40 @@ def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoo
 def _verify_rees_multiplication(
     s: FiniteSemigroup, g: GreensStructure, rc: ReesCoordinatization
 ) -> None:
-    """Check the table against ``rees_law`` on J x J, a block of rows at a time."""
+    """Check the table against the Rees law on J x Y, a block of rows of J at a time.
+
+    Y is the r_a, the q_b and a greedy generating set of H_e, and psi maps J
+    to its coordinates in M0(G, A, B, C) and products that leave J to 0.  The
+    check gives psi(x y) = psi(x) psi(y) for x in J and y in Y, and that is
+    the law on J x J.  As C[0][0] is the identity, each y = (a, h_1 ... h_k, b)
+    in J is the left-normed word r_a h_1 ... h_k q_b over Y, whose partial
+    products stay in J and follow the law.  For x in J, associativity gives
+    x y = (...(x y_1) ...) y_k; by induction each step is a J x Y product, or
+    starts from a product that has left J and stays out, being J-below it.
+    So psi(x y) = psi(x) psi(y_1) ... psi(y_k) = psi(x) psi(y), as M0 is
+    associative.  The table's associativity is proved by Light's test when it
+    is loaded, or guaranteed by the builder that made it.
+    """
+    nb, na = rc.sandwich.shape
+    m = rc.group_order
+    hgens = _greedy_generators(rc.group_mul, np.arange(m) == 0)  # H_e's identity is in Y as e
+    # Y in coordinates, the identity of H_e at position 0: r_a = (a, 0, 0), then
+    # q_b = (0, 0, b) for b >= 1, then (0, h, 0) for the generators h
+    ya = np.array([*range(na), *[0] * (nb - 1 + len(hgens))])
+    yh = np.array([*[0] * (na + nb - 1), *hgens])
+    yb = np.array([*[0] * na, *range(1, nb), *[0] * len(hgens)])
+    ys = rc.triple_to_elem[ya, yh, yb]
+    c = rc.sandwich[:, ya]  # (b, y) -> C[b, a_y]
     elems = rc.triple_to_elem.ravel()
     for lo in range(0, len(elems), _BLOCK_ROWS):
         rows = np.arange(lo, min(lo + _BLOCK_ROWS, len(elems)))
-        prods = s.table[np.ix_(elems[rows], elems)]
-        law = rees_law(rc.group_mul, rc.sandwich, rows)
-        zero = law < 0
-        if ((elems[law] != prods) & ~zero).any():
+        a, h, b = np.unravel_index(rows, (na, m, nb))
+        cb = c[b]
+        # (a, h, b)(a_y, h_y, b_y) = (a, h C[b, a_y] h_y, b_y), or 0 where C[b, a_y] = 0
+        law = rc.triple_to_elem[a[:, None], rc.group_mul[rc.group_mul[h[:, None], cb - 1], yh], yb]
+        prods = s.table[elems[rows][:, None], ys]
+        zero = cb == 0
+        if ((law != prods) & ~zero).any():
             raise InvariantViolated("Rees law: coordinate product disagrees with the table")
         if (g.jclass_of[prods[zero]] == rc.jclass).any():
             raise InvariantViolated("Rees law: product with zero sandwich entry stayed in J")

@@ -194,13 +194,18 @@ def min_degree_faithful_on(
     normal: tuple[int, ...] | np.ndarray,
     lattice: SubgroupLattice,
     cost: Callable[[int], int],
+    lower: Callable[[int], int] = lambda ci: 0,
 ) -> tuple[int, tuple[int, ...]]:
     """Minimize the summed cost over sets of pairwise non-conjugate subgroup
     classes whose cores intersect the given normal subgroup trivially.
 
     ``cost`` maps a class position in the lattice to a positive cost, such as
-    the index [G:H].  It is called only for classes whose core does not
-    contain the normal subgroup.  Returns (cost, class positions in the
+    the index [G:H], and ``lower`` to a lower bound on it, such as the index
+    again.  Among the classes whose core does not contain the normal
+    subgroup, ``cost`` is called in order of (bound, position), and only while
+    the bound is at most the cheapest cost found so far: a dearer class
+    cannot be in a cheapest set, and one that ties is priced so that ties
+    break as if every class were.  Returns (cost, class positions in the
     lattice).  A trivial normal subgroup gives cost 0 with the empty witness;
     callers decide whether an empty collection is admissible.
     """
@@ -216,30 +221,45 @@ def min_degree_faithful_on(
     if n_mask.sum() == 1:
         return 0, ()
 
-    costs = []
-    cores = []
-    ids = []
-    for ci, cl in enumerate(lattice.classes):
-        core_mask = np.zeros(m, dtype=bool)
-        core_mask[np.asarray(cl.core, dtype=np.int64)] = True
-        if (core_mask & n_mask).sum() == n_mask.sum():
-            continue  # core contains N: can never shrink the residual
-        costs.append(cost(ci))
-        cores.append(core_mask)
-        ids.append(ci)
-    order = sorted(range(len(ids)), key=lambda i: (costs[i], ids[i]))
-    costs = [costs[i] for i in order]
-    cores = [cores[i] for i in order]
-    ids = [ids[i] for i in order]
+    n_set = set(members.tolist())
+    # a class whose core holds N never shrinks the residual
+    candidates = [ci for ci, cl in enumerate(lattice.classes) if not n_set <= set(cl.core)]
+    costs: dict[int, int] = {}
+    cores: dict[int, np.ndarray] = {}  # core masks of the classes priced
+    meet = n_mask.copy()
+    best, searched = None, 0  # the cheapest set among the first ``searched`` classes priced
+    for ci in sorted(candidates, key=lambda ci: (lower(ci), ci)):
+        if best is not None and lower(ci) > best[0]:
+            break
+        costs[ci] = cost(ci)
+        cores[ci] = np.zeros(m, dtype=bool)
+        cores[ci][list(lattice.classes[ci].core)] = True
+        meet &= cores[ci]
+        if meet.sum() == 1 and (best is None or costs[ci] < best[0]):
+            best, searched = _cheapest_set(costs, cores, n_mask), len(costs)
+    if best is None:
+        raise InvariantViolated("no faithful collection found")
+    if searched < len(costs):  # a class priced since may tie, and change the witness
+        best = _cheapest_set(costs, cores, n_mask)
+    return best
 
+
+def _cheapest_set(
+    costs: dict[int, int], cores: dict[int, np.ndarray], n_mask: np.ndarray
+) -> tuple[int, tuple[int, ...]]:
+    """Branch and bound over the classes in ``costs``, cheapest first, for the
+    cheapest set whose cores meet N trivially; one must exist.  Of the sets
+    that tie, the first in include-first search order wins."""
+    ids = sorted(costs, key=lambda ci: (costs[ci], ci))
+    cost_of = [costs[ci] for ci in ids]
+    core_of = [cores[ci] for ci in ids]
     k = len(ids)
-    suffix = [None] * (k + 1)
-    suffix[k] = np.ones(m, dtype=bool)
+    suffix = [n_mask] * (k + 1)  # suffix[i]: N meet the cores of classes i, i + 1, ...
     for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] & cores[i]
+        suffix[i] = suffix[i + 1] & core_of[i]
 
-    best_cost = [sum(costs) + 1]
-    best_set: list[tuple[int, ...] | None] = [None]
+    best_cost = [sum(cost_of) + 1]
+    best_set: list[tuple[int, ...]] = [()]
 
     def rec(i: int, residual: np.ndarray, spent: int, chosen: tuple[int, ...]) -> None:
         if residual.sum() == 1:
@@ -249,16 +269,14 @@ def min_degree_faithful_on(
             return
         if i == k:
             return
-        if spent + costs[i] >= best_cost[0]:
+        if spent + cost_of[i] >= best_cost[0]:
             return  # at least one more class is needed; costs are sorted
         if (residual & suffix[i]).sum() > 1:
             return  # remaining cores cannot finish the job
-        shrunk = residual & cores[i]
+        shrunk = residual & core_of[i]
         if shrunk.sum() < residual.sum():
-            rec(i + 1, shrunk, spent + costs[i], chosen + (ids[i],))
+            rec(i + 1, shrunk, spent + cost_of[i], chosen + (ids[i],))
         rec(i + 1, residual, spent, chosen)
 
-    rec(0, n_mask.copy(), 0, ())
-    if best_set[0] is None:
-        raise InvariantViolated("no faithful collection found")
+    rec(0, n_mask, 0, ())
     return best_cost[0], tuple(sorted(best_set[0]))

@@ -11,6 +11,7 @@ trusted blindly.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,11 @@ def dj(r: ReesCoordinatization, report: IrreducibilityReport, lattice: SubgroupL
 
     Under the row-separation (column) condition the quotient size is b_count
     times the number of points of the G_J-set, so the search runs on subgroup
-    indices; otherwise each orbit costs its own tensor quotient size.  The
+    indices; otherwise each orbit costs its own tensor quotient size.  That
+    size is at least the orbit's index [G:H]: the points (p, b_0) of X (x) R_J
+    stay apart in the quotient, as C[b_0][a_0] is the identity.  So classes
+    are priced in order of index, only while the index is at most the best
+    cost found, and a cost below its index raises InvariantViolated.  The
     empty G_J-set is never admissible, so a trivial invisible subgroup still
     costs one orbit, the cheapest."""
     j = r.jclass
@@ -92,25 +97,32 @@ def dj(r: ReesCoordinatization, report: IrreducibilityReport, lattice: SubgroupL
     gpos = {el: i for i, el in enumerate(r.group)}
     mj_pos = tuple(sorted(gpos[el] for el in row.mj))
 
+    def index(ci: int) -> int:
+        return lattice.classes[ci].index
+
     if column_condition(r):
         scale = r.b_count
         fast_path = "aggm" if gt.order == 1 else "column_condition"
-
-        def cost(ci: int) -> int:
-            return lattice.classes[ci].index
-
+        cost = index
     else:
         scale = 1
         fast_path = "general_search"
 
         @functools.cache
         def cost(ci: int) -> int:
-            return tensor_quotient_size(coset_action(gt, lattice.classes[ci].rep), r)
+            size = tensor_quotient_size(coset_action(gt, lattice.classes[ci].rep), r)
+            if size < index(ci):
+                raise InvariantViolated(f"J-class {j}: tensor quotient {size} below its index {index(ci)}")
+            return size
 
-    d, wit = min_degree_faithful_on(gt, mj_pos, lattice, cost)
-    if not wit:
-        best = min(range(len(lattice.classes)), key=lambda ci: (cost(ci), ci))
-        d, wit = cost(best), (best,)
+    d, wit = min_degree_faithful_on(gt, mj_pos, lattice, cost, index)
+    if not wit:  # the cheapest single class, priced by index in the same way
+        best = (math.inf, -1)
+        for ci in sorted(range(len(lattice.classes)), key=lambda ci: (index(ci), ci)):
+            if index(ci) > best[0]:
+                break
+            best = min(best, (cost(ci), ci))
+        d, wit = best[0], best[1:]
     return DjResult(d=scale * d, witness_classes=wit, fast_path=fast_path)
 
 

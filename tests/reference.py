@@ -18,6 +18,7 @@ from sgmindeg.action import UNDEF, PartialAction, orbits
 from sgmindeg.builders import _field_tables
 from sgmindeg.congruence import (
     Congruence,
+    column_condition,
     IrreducibilityReport,
     JClassIrreducibility,
     _ggm_signature,
@@ -35,16 +36,20 @@ from sgmindeg.core import (
     compose_maps,
     greens,
     min_idempotent_of,
+    rees_law,
     small_generating_set,
 )
-from sgmindeg.errors import NotRegular, NotSubgroup
+from sgmindeg.errors import InvariantViolated, NotRegular, NotSubgroup
 from sgmindeg.grouptheory import (
     GroupAction,
     GroupTable,
     SubgroupClass,
     SubgroupLattice,
     _validate_subgroup,
+    coset_action,
+    min_degree_faithful_on,
 )
+from sgmindeg.mindeg import DjResult, tensor_quotient_size
 from sgmindeg.oracle import (
     DEFAULT_BUDGET_SECS,
     OracleQuery,
@@ -620,6 +625,47 @@ def column_condition_by_pairs(sandwich: np.ndarray) -> bool:
     nz = sandwich != 0
     nb = len(nz)
     return all((nz[b1] ^ nz[b2]).any() for b1 in range(nb) for b2 in range(b1 + 1, nb))
+
+
+def verify_rees_multiplication_over_j(
+    s: FiniteSemigroup, g: GreensStructure, rc: ReesCoordinatization
+) -> None:
+    """``core._verify_rees_multiplication`` on all of J x J rather than J x Y:
+    the table against ``rees_law``, a block of rows at a time."""
+    elems = rc.triple_to_elem.ravel()
+    for lo in range(0, len(elems), 512):
+        rows = np.arange(lo, min(lo + 512, len(elems)))
+        prods = s.table[np.ix_(elems[rows], elems)]
+        law = rees_law(rc.group_mul, rc.sandwich, rows)
+        zero = law < 0
+        if ((elems[law] != prods) & ~zero).any():
+            raise InvariantViolated("Rees law: coordinate product disagrees with the table")
+        if (g.jclass_of[prods[zero]] == rc.jclass).any():
+            raise InvariantViolated("Rees law: product with zero sandwich entry stayed in J")
+
+
+def dj_pricing_every_class(
+    r: ReesCoordinatization, report: IrreducibilityReport, lattice: SubgroupLattice
+) -> DjResult:
+    """``mindeg.dj`` with every subgroup class priced up front: the search
+    gets no lower bound, and a trivial M_J takes the least (cost, position)
+    over all classes."""
+    row = report.per_class[r.jclass]
+    gt = lattice.group
+    gpos = {el: i for i, el in enumerate(r.group)}
+    mj_pos = tuple(sorted(gpos[el] for el in row.mj))
+    if column_condition(r):
+        scale = r.b_count
+        fast_path = "aggm" if gt.order == 1 else "column_condition"
+        costs = [c.index for c in lattice.classes]
+    else:
+        scale, fast_path = 1, "general_search"
+        costs = [tensor_quotient_size(coset_action(gt, c.rep), r) for c in lattice.classes]
+    d, wit = min_degree_faithful_on(gt, mj_pos, lattice, costs.__getitem__)
+    if not wit:
+        d, best = min((c, ci) for ci, c in enumerate(costs))
+        wit = (best,)
+    return DjResult(d=scale * d, witness_classes=wit, fast_path=fast_path)
 
 
 # ---------------------------------------------------------------------------

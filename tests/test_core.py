@@ -13,6 +13,7 @@ from reference import (
     light_test_whole_table,
     scan_identity_zero_by_rows,
     table_by_composing_all_pairs,
+    verify_rees_multiplication_over_j,
 )
 from sgmindeg import builders, core
 from sgmindeg.core import (
@@ -468,6 +469,91 @@ def test_rees_law_rejects_dropped_sandwich_entry():
         bad = dataclasses.replace(rc, sandwich=sandwich)
         with pytest.raises(InvariantViolated, match="product with zero sandwich entry stayed in J"):
             _verify_rees_multiplication(s, g, bad)
+
+
+def test_rees_law_rejects_swap_outside_generators():
+    # (a, h, b) with a >= 1 and b >= 1 is none of the checked columns r_a =
+    # (a, 1, 0), q_b = (0, 1, b) and (0, h, 0): the rows of J catch the swap
+    for s, g, rc in _corruptible_rees_classes():
+        triples = rc.triple_to_elem.copy()
+        p, q = (1, 0, 1), (rc.a_count - 1, rc.group_order - 1, rc.b_count - 1)
+        assert p != q
+        triples[p], triples[q] = triples[q], triples[p]
+        bad = dataclasses.replace(rc, triple_to_elem=triples)
+        with pytest.raises(InvariantViolated, match="coordinate product disagrees"):
+            _verify_rees_multiplication(s, g, bad)
+        with pytest.raises(InvariantViolated):
+            verify_rees_multiplication_over_j(s, g, bad)
+
+
+def _rees_corruptions(rc, rng):
+    """``rc`` itself, then copies with two triples swapped, a nonzero sandwich
+    entry other than C[0][0] dropped or changed, and a zero entry filled."""
+    out = [rc]
+    flat = rc.triple_to_elem.ravel().copy()
+    if len(flat) > 1:
+        i, k = rng.choice(len(flat), size=2, replace=False)
+        flat[[i, k]] = flat[[k, i]]
+        out.append(dataclasses.replace(rc, triple_to_elem=flat.reshape(rc.triple_to_elem.shape)))
+    nonzero = [tuple(p) for p in np.argwhere(rc.sandwich != 0) if tuple(p) != (0, 0)]
+    zero = [tuple(p) for p in np.argwhere(rc.sandwich == 0)]
+    m = rc.group_order
+    edits = []
+    if nonzero:
+        p = nonzero[rng.integers(len(nonzero))]
+        edits.append((p, 0))
+        if m > 1:
+            edits.append((p, 1 + (rc.sandwich[p] - 1 + rng.integers(1, m)) % m))
+    if zero:
+        edits.append((zero[rng.integers(len(zero))], 1 + rng.integers(m)))
+    for p, value in edits:
+        sandwich = rc.sandwich.copy()
+        sandwich[p] = value
+        out.append(dataclasses.replace(rc, sandwich=sandwich))
+    return out
+
+
+def _accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except InvariantViolated:
+        return False
+    return True
+
+
+def test_rees_check_on_generators_agrees_with_whole_j(builder_corpus, random_corpus):
+    # J x Y accepts exactly what J x J accepts, on sound coordinates and on
+    # corrupted ones that keep C[0][0] = 1 and the coordinates a bijection
+    golden = [
+        builders.binary_relations(2),
+        builders.matrix_monoid(2, 3),
+        builders.sigma_square(3, (1, 0, 2)),
+        builders.sigma_square(4, (1, 2, 3, 0)),
+        builders.chain_semilattice(3),
+        builders.symmetric_inverse(3),
+        builders.aggm_01(2, 3, [frozenset({0, 1})]),
+    ]
+    pinned = [
+        builders.binary_relations(3),
+        builders.matrix_monoid(3, 2),
+        builders.partial_transformation(4),
+        builders.symmetric_inverse(4),
+        builders.sigma_square(5, (1, 2, 3, 4, 0)),
+        builders.rees_matrix(builders.cyclic(3).semigroup, [[1, 1], [1, 2]], adjoin_zero=True),
+    ]
+    semigroups = [b.semigroup for b in golden + pinned + list(builder_corpus.values())]
+    semigroups += [s for s, _ in random_corpus]
+    rng = np.random.default_rng(27)
+    verdicts = []
+    for s in semigroups:
+        g = greens(s)
+        for j in g.regular_jclasses():
+            for k, rc in enumerate(_rees_corruptions(rees_coordinatize(s, g, j), rng)):
+                ok = _accepts(_verify_rees_multiplication, s, g, rc)
+                assert ok == _accepts(verify_rees_multiplication_over_j, s, g, rc)
+                verdicts.append((k == 0, ok))
+    assert all(ok for sound, ok in verdicts if sound)
+    assert sum(not ok for _, ok in verdicts) > 100
 
 
 def test_rees_t2_constants():

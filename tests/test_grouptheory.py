@@ -243,6 +243,41 @@ def test_min_degree_matches_bruteforce_on_small_groups():
                 assert deg == best
 
 
+def test_min_degree_with_a_lower_bound_prices_only_what_can_matter():
+    # with the index as a lower bound on the cost, the search prices a class
+    # only while its index is at most the best cost found, yet returns the
+    # cost and the witness of pricing every class, ties included
+    for sg in [
+        builders.cyclic(12).semigroup,
+        builders.symmetric_group(4).semigroup,
+        builders.symmetric_group(5).semigroup,
+    ]:
+        g = group_table(sg.table)
+        lat = subgroup_classes(g)
+        index = by_index(lat)
+        normals = [c.rep for c in lat.classes if c.core == c.rep and len(c.rep) > 1]
+        costs = [
+            index,  # every class ties with its bound
+            lambda ci: index(ci) + len(lat.classes[ci].rep) % 3,
+            lambda ci: 2 * index(ci) - 1,
+        ]
+        for n in normals:
+            for cost in costs:
+                priced = []
+
+                def counted(ci, cost=cost):
+                    priced.append(ci)
+                    return cost(ci)
+
+                deg, wit = min_degree_faithful_on(g, n, lat, counted, lower=index)
+                assert (deg, wit) == min_degree_faithful_on(g, n, lat, cost)
+                assert len(set(priced)) == len(priced)
+                assert all(index(ci) <= deg for ci in priced)
+                assert set(priced) >= {
+                    ci for ci, c in enumerate(lat.classes) if cost(ci) <= deg and not set(n) <= set(c.core)
+                }
+
+
 def test_min_degree_rejects_non_normal():
     g = gt_of(builders.symmetric_group(3).semigroup)
     lat = subgroup_classes(g)

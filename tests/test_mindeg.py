@@ -8,6 +8,7 @@ import pytest
 from reference import (
     check_compatibility,
     class_members,
+    dj_pricing_every_class,
     is_inverse_semigroup,
     restriction_is_injective,
 )
@@ -179,6 +180,99 @@ def test_wrong_quotient_size_is_caught(monkeypatch):
     monkeypatch.setattr(md, "tensor_quotient_size", lambda x, r: true_size(x, r) + 1)
     s = builders.sigma_square(3, (1, 0, 2)).semigroup
     with pytest.raises(InvariantViolated):
+        min_partial_degree(s)
+
+
+def _partitions(n, most=None):
+    """The partitions of n into parts of at most ``most``, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _cycle_type_sigmas(n):
+    """One permutation of {0..n-1} per cycle type, cycles on consecutive points."""
+    out = []
+    for parts in _partitions(n):
+        sigma: list[int] = []
+        for k in parts:
+            start = len(sigma)
+            sigma += [start + (i + 1) % k for i in range(k)]
+        out.append(tuple(sigma))
+    return out
+
+
+S6_CASES = [(1, 2, 3, 4, 5, 0), (1, 2, 0, 4, 5, 3), (1, 0, 3, 2, 5, 4)]
+
+
+def _dj_lazy_and_eager(monkeypatch, s):
+    """(lazy dj, dj pricing every class, [(index, cost)] of the classes the
+    lazy one priced) for each RM-irreducible class of s."""
+    import sgmindeg.mindeg as md
+
+    priced = []
+    true_size = md.tensor_quotient_size
+
+    def counted(x, r):
+        size = true_size(x, r)
+        priced.append((x.npoints, size))  # a coset action has [G:H] points
+        return size
+
+    monkeypatch.setattr(md, "tensor_quotient_size", counted)
+    g = greens(s)
+    rep = rm_irreducible_classes(s, g)
+    out = []
+    for j in rep.irreducible_ids():
+        r = rees_coordinatize(s, g, j)
+        lat = subgroup_classes(GroupTable.of_rees(r))
+        priced.clear()
+        lazy = dj(r, rep, lat)
+        out.append((lazy, dj_pricing_every_class(r, rep, lat), list(priced), lat))
+    return out
+
+
+def test_lazy_pricing_matches_pricing_every_class(monkeypatch, builder_corpus, random_corpus):
+    # the same d_J, witness and fast path, and no class priced below its index
+    pinned = [
+        builders.binary_relations(3),
+        builders.matrix_monoid(3, 2),
+        builders.partial_transformation(4),
+        builders.symmetric_inverse(4),
+        builders.rees_matrix(builders.cyclic(3).semigroup, [[1, 1], [1, 2]], adjoin_zero=True),
+    ]
+    semigroups = [b.semigroup for b in pinned + list(builder_corpus.values())]
+    semigroups += [s for s, _ in random_corpus]
+    semigroups += [builders.sigma_square(n, p).semigroup for n in (4, 5) for p in _cycle_type_sigmas(n)]
+    assert len(_cycle_type_sigmas(4)) == 5 and len(_cycle_type_sigmas(5)) == 7
+    general = 0
+    for s in semigroups:
+        for lazy, eager, priced, _ in _dj_lazy_and_eager(monkeypatch, s):
+            assert lazy == eager
+            assert all(size >= index for index, size in priced)
+            general += lazy.fast_path == "general_search"
+    assert general >= 10
+
+
+def test_lazy_pricing_on_s6_prices_only_classes_within_d(monkeypatch):
+    # pricing every class costs 55 tensor quotients per case; the index bound
+    # leaves only classes of index <= d_J
+    for sigma in S6_CASES:
+        ((lazy, eager, priced, lat),) = _dj_lazy_and_eager(monkeypatch, builders.sigma_square(6, sigma).semigroup)
+        assert lazy == eager and lazy.fast_path == "general_search"
+        assert all(size >= index for index, size in priced)
+        assert 0 < len(priced) <= sum(c.index <= lazy.d for c in lat.classes) < 55
+
+
+def test_quotient_below_its_index_is_caught(monkeypatch):
+    # the index bound is what lets classes go unpriced, so a cost below it raises
+    import sgmindeg.mindeg as md
+
+    monkeypatch.setattr(md, "tensor_quotient_size", lambda x, r: x.npoints - 1)
+    s = builders.sigma_square(3, (1, 0, 2)).semigroup
+    with pytest.raises(InvariantViolated, match="below its index"):
         min_partial_degree(s)
 
 
