@@ -194,20 +194,19 @@ def min_degree_faithful_on(
     normal: tuple[int, ...] | np.ndarray,
     lattice: SubgroupLattice,
     cost: Callable[[int], int],
-    lower: Callable[[int], int] = lambda ci: 0,
 ) -> tuple[int, tuple[int, ...]]:
-    """Minimize the summed cost over sets of pairwise non-conjugate subgroup
-    classes whose cores intersect the given normal subgroup trivially.
+    """Minimize the summed cost over nonempty sets of pairwise non-conjugate
+    subgroup classes whose cores meet the normal subgroup N trivially.
 
-    ``cost`` maps a class position in the lattice to a positive cost, such as
-    the index [G:H], and ``lower`` to a lower bound on it, such as the index
-    again.  Among the classes whose core does not contain the normal
-    subgroup, ``cost`` is called in order of (bound, position), and only while
-    the bound is at most the cheapest cost found so far: a dearer class
-    cannot be in a cheapest set, and one that ties is priced so that ties
-    break as if every class were.  Returns (cost, class positions in the
-    lattice).  A trivial normal subgroup gives cost 0 with the empty witness;
-    callers decide whether an empty collection is admissible.
+    ``cost`` maps a class position in the lattice to a cost of at least the
+    class's index [G:H]; a cost below it raises InvariantViolated.  The
+    candidates are the classes whose core does not contain N, or every class
+    when N is trivial.  They are priced in order of (index, position), and
+    only while the index is at most the cheapest cost found so far: a dearer
+    class cannot be in a cheapest set, and one that ties is priced so that
+    ties break as if every class were.  The empty G-set is never admissible,
+    so a trivial N costs the cheapest single class.  Returns (cost, class
+    positions in the lattice).
     """
     m = g.order
     n_mask = np.zeros(m, dtype=bool)
@@ -215,23 +214,25 @@ def min_degree_faithful_on(
     if not n_mask[0]:
         raise NotSubgroup("normal subgroup must contain the identity")
     members = np.flatnonzero(n_mask)
-    xs = np.arange(m)[:, None]
-    if not n_mask[g.table[g.table[g.inv[xs], members], xs]].all():  # x^-1 N x <= N for all x
-        raise NotSubgroup("subgroup is not normal")
-    if n_mask.sum() == 1:
-        return 0, ()
+    if 1 < len(members) < m:  # 1 and G are always normal
+        xs = np.arange(m)[:, None]
+        if not n_mask[g.table[g.table[g.inv[xs], members], xs]].all():  # x^-1 N x <= N for all x
+            raise NotSubgroup("subgroup is not normal")
 
     n_set = set(members.tolist())
-    # a class whose core holds N never shrinks the residual
-    candidates = [ci for ci, cl in enumerate(lattice.classes) if not n_set <= set(cl.core)]
+    # a class whose core holds a nontrivial N never shrinks the residual
+    candidates = [ci for ci, cl in enumerate(lattice.classes) if len(members) == 1 or not n_set <= set(cl.core)]
     costs: dict[int, int] = {}
     cores: dict[int, np.ndarray] = {}  # core masks of the classes priced
     meet = n_mask.copy()
     best, searched = None, 0  # the cheapest set among the first ``searched`` classes priced
-    for ci in sorted(candidates, key=lambda ci: (lower(ci), ci)):
-        if best is not None and lower(ci) > best[0]:
+    for ci in sorted(candidates, key=lambda ci: (lattice.classes[ci].index, ci)):
+        index = lattice.classes[ci].index
+        if best is not None and index > best[0]:
             break
         costs[ci] = cost(ci)
+        if costs[ci] < index:
+            raise InvariantViolated(f"subgroup class {ci}: cost {costs[ci]} below its index {index}")
         cores[ci] = np.zeros(m, dtype=bool)
         cores[ci][list(lattice.classes[ci].core)] = True
         meet &= cores[ci]
@@ -248,8 +249,10 @@ def _cheapest_set(
     costs: dict[int, int], cores: dict[int, np.ndarray], n_mask: np.ndarray
 ) -> tuple[int, tuple[int, ...]]:
     """Branch and bound over the classes in ``costs``, cheapest first, for the
-    cheapest set whose cores meet N trivially; one must exist.  Of the sets
-    that tie, the first in include-first search order wins."""
+    cheapest nonempty set whose cores meet N trivially; one must exist.  A
+    class joins a set only if it shrinks the residual, except the first,
+    which a trivial N needs.  Of the sets that tie, the first in include-first
+    search order wins."""
     ids = sorted(costs, key=lambda ci: (costs[ci], ci))
     cost_of = [costs[ci] for ci in ids]
     core_of = [cores[ci] for ci in ids]
@@ -262,7 +265,7 @@ def _cheapest_set(
     best_set: list[tuple[int, ...]] = [()]
 
     def rec(i: int, residual: np.ndarray, spent: int, chosen: tuple[int, ...]) -> None:
-        if residual.sum() == 1:
+        if chosen and residual.sum() == 1:
             if spent < best_cost[0]:
                 best_cost[0] = spent
                 best_set[0] = chosen
@@ -274,7 +277,7 @@ def _cheapest_set(
         if (residual & suffix[i]).sum() > 1:
             return  # remaining cores cannot finish the job
         shrunk = residual & core_of[i]
-        if shrunk.sum() < residual.sum():
+        if not chosen or shrunk.sum() < residual.sum():
             rec(i + 1, shrunk, spent + cost_of[i], chosen + (ids[i],))
         rec(i + 1, residual, spent, chosen)
 

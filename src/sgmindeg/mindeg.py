@@ -10,8 +10,6 @@ trusted blindly.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,11 +82,10 @@ def dj(r: ReesCoordinatization, report: IrreducibilityReport, lattice: SubgroupL
     times the number of points of the G_J-set, so the search runs on subgroup
     indices; otherwise each orbit costs its own tensor quotient size.  That
     size is at least the orbit's index [G:H]: the points (p, b_0) of X (x) R_J
-    stay apart in the quotient, as C[b_0][a_0] is the identity.  So classes
-    are priced in order of index, only while the index is at most the best
-    cost found, and a cost below its index raises InvariantViolated.  The
-    empty G_J-set is never admissible, so a trivial invisible subgroup still
-    costs one orbit, the cheapest."""
+    stay apart in the quotient, as C[b_0][a_0] is the identity.  So
+    ``min_degree_faithful_on`` prices classes in order of index, whether M_J
+    is trivial or not, and only while the index is at most the best cost
+    found."""
     j = r.jclass
     row = report.per_class[j]
     if not row.rm_irreducible:
@@ -96,33 +93,21 @@ def dj(r: ReesCoordinatization, report: IrreducibilityReport, lattice: SubgroupL
     gt = lattice.group
     gpos = {el: i for i, el in enumerate(r.group)}
     mj_pos = tuple(sorted(gpos[el] for el in row.mj))
-
-    def index(ci: int) -> int:
-        return lattice.classes[ci].index
-
     if column_condition(r):
         scale = r.b_count
         fast_path = "aggm" if gt.order == 1 else "column_condition"
-        cost = index
+
+        def cost(ci: int) -> int:
+            return lattice.classes[ci].index
+
     else:
         scale = 1
         fast_path = "general_search"
 
-        @functools.cache
         def cost(ci: int) -> int:
-            size = tensor_quotient_size(coset_action(gt, lattice.classes[ci].rep), r)
-            if size < index(ci):
-                raise InvariantViolated(f"J-class {j}: tensor quotient {size} below its index {index(ci)}")
-            return size
+            return tensor_quotient_size(coset_action(gt, lattice.classes[ci].rep), r)
 
-    d, wit = min_degree_faithful_on(gt, mj_pos, lattice, cost, index)
-    if not wit:  # the cheapest single class, priced by index in the same way
-        best = (math.inf, -1)
-        for ci in sorted(range(len(lattice.classes)), key=lambda ci: (index(ci), ci)):
-            if index(ci) > best[0]:
-                break
-            best = min(best, (cost(ci), ci))
-        d, wit = best[0], best[1:]
+    d, wit = min_degree_faithful_on(gt, mj_pos, lattice, cost)
     return DjResult(d=scale * d, witness_classes=wit, fast_path=fast_path)
 
 

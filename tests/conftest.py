@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-import itertools
 import random
 
 import numpy as np
 import pytest
 
+from reference import associative_tables
 from sgmindeg import builders
 from sgmindeg.action import PartialAction
 from sgmindeg.core import from_partial_maps, from_table
@@ -51,14 +51,9 @@ def random_corpus():
 @pytest.fixture(scope="session")
 def all_tiny_semigroups():
     """Every associative table on 1, 2 or 3 labelled elements: 1 + 8 + 113."""
-    tables = []
-    for n in (1, 2, 3):
-        for flat in itertools.product(range(n), repeat=n * n):
-            t = np.array(flat, dtype=np.int64).reshape(n, n)
-            if all(np.array_equal(t[t[:, a], :], t[:, t[a, :]]) for a in range(n)):
-                tables.append(t)
-    assert [sum(1 for t in tables if t.shape[0] == n) for n in (1, 2, 3)] == [1, 8, 113]
-    return [from_table(t) for t in tables]
+    tables = [associative_tables(n) for n in (1, 2, 3)]
+    assert [len(t) for t in tables] == [1, 8, 113]
+    return [from_table(t) for by_order in tables for t in by_order]
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -45,9 +45,9 @@ from sgmindeg.grouptheory import (
     GroupTable,
     SubgroupClass,
     SubgroupLattice,
+    _cheapest_set,
     _validate_subgroup,
     coset_action,
-    min_degree_faithful_on,
 )
 from sgmindeg.mindeg import DjResult, tensor_quotient_size
 from sgmindeg.oracle import (
@@ -166,6 +166,55 @@ def scan_identity_zero_by_rows(table: np.ndarray) -> tuple[int | None, int | Non
         if zero is None and (table[e] == e).all() and (table[:, e] == e).all():
             zero = e
     return identity, zero
+
+
+def associative_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every associative table on 0..n-1, by backtracking over the cells in
+    row-major order: each cell takes every value in turn, and a branch is cut
+    as soon as some (xy)z = x(yz) whose four products are all set fails."""
+    t = [[-1] * n for _ in range(n)]
+    cells = [(x, y) for x in range(n) for y in range(n)]
+    triples = list(product(range(n), repeat=3))
+    out = []
+
+    def consistent() -> bool:
+        for a, b, c in triples:
+            ab, bc = t[a][b], t[b][c]
+            if ab < 0 or bc < 0:
+                continue
+            left, right = t[ab][c], t[a][bc]
+            if left >= 0 and right >= 0 and left != right:
+                return False
+        return True
+
+    def rec(k: int) -> None:
+        if k == len(cells):
+            out.append(tuple(map(tuple, t)))
+            return
+        x, y = cells[k]
+        for v in range(n):
+            t[x][y] = v
+            if consistent():
+                rec(k + 1)
+        t[x][y] = -1
+
+    rec(0)
+    return out
+
+
+def canonical_form(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The least row-major relabeling of a table over all permutations of its
+    elements: two tables are isomorphic iff their forms are equal."""
+    n = len(table)
+    best = None
+    for p in permutations(range(n)):
+        inv = [0] * n
+        for x, px in enumerate(p):
+            inv[px] = x
+        key = tuple(p[table[inv[x]][inv[y]]] for x in range(n) for y in range(n))
+        if best is None or key < best:
+            best = key
+    return best
 
 
 def class_members(class_of: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -644,12 +693,26 @@ def verify_rees_multiplication_over_j(
             raise InvariantViolated("Rees law: product with zero sandwich entry stayed in J")
 
 
+def min_degree_pricing_every_class(
+    g: GroupTable, normal: tuple[int, ...], lattice: SubgroupLattice, cost: Callable[[int], int]
+) -> tuple[int, tuple[int, ...]]:
+    """``grouptheory.min_degree_faithful_on`` with every subgroup class priced
+    up front and searched, with no index bound and no candidate filter."""
+    n_mask = np.zeros(g.order, dtype=bool)
+    n_mask[list(normal)] = True
+    costs, cores = {}, {}
+    for ci, c in enumerate(lattice.classes):
+        costs[ci] = cost(ci)
+        cores[ci] = np.zeros(g.order, dtype=bool)
+        cores[ci][list(c.core)] = True
+    return _cheapest_set(costs, cores, n_mask)
+
+
 def dj_pricing_every_class(
     r: ReesCoordinatization, report: IrreducibilityReport, lattice: SubgroupLattice
 ) -> DjResult:
-    """``mindeg.dj`` with every subgroup class priced up front: the search
-    gets no lower bound, and a trivial M_J takes the least (cost, position)
-    over all classes."""
+    """``mindeg.dj`` with every subgroup class priced up front and searched,
+    a trivial M_J included."""
     row = report.per_class[r.jclass]
     gt = lattice.group
     gpos = {el: i for i, el in enumerate(r.group)}
@@ -661,10 +724,7 @@ def dj_pricing_every_class(
     else:
         scale, fast_path = 1, "general_search"
         costs = [tensor_quotient_size(coset_action(gt, c.rep), r) for c in lattice.classes]
-    d, wit = min_degree_faithful_on(gt, mj_pos, lattice, costs.__getitem__)
-    if not wit:
-        d, best = min((c, ci) for ci, c in enumerate(costs))
-        wit = (best,)
+    d, wit = min_degree_pricing_every_class(gt, mj_pos, lattice, costs.__getitem__)
     return DjResult(d=scale * d, witness_classes=wit, fast_path=fast_path)
 
 

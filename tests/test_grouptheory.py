@@ -11,12 +11,13 @@ from reference import (
     coset_action_by_points,
     group_table,
     kernel_mask,
+    min_degree_pricing_every_class,
     subgroup_classes_by_closures,
     tensor_pair_classes_by_entries,
 )
 from sgmindeg import builders
 from sgmindeg.core import from_partial_maps, greens, rees_coordinatize
-from sgmindeg.errors import GroupTooLarge, NotSubgroup
+from sgmindeg.errors import GroupTooLarge, InvariantViolated, NotSubgroup
 from sgmindeg.grouptheory import (
     GroupTable,
     coset_action,
@@ -200,10 +201,28 @@ def test_min_degree_c6_whole_group():
     assert inter == {0}
 
 
-def test_min_degree_trivial_subgroup_is_zero():
-    g = gt_of(builders.cyclic(6).semigroup)
-    lat = subgroup_classes(g)
-    assert min_degree_faithful_on(g, (0,), lat, by_index(lat)) == (0, ())
+def test_min_degree_trivial_subgroup_is_the_cheapest_class():
+    # every G-set is faithful on 1, but the empty one is not admissible: the
+    # search returns the least (cost, position) single class, pricing classes
+    # in order of index only while the index is at most the best cost found
+    for sg in [builders.cyclic(6).semigroup, builders.symmetric_group(4).semigroup]:
+        g = gt_of(sg)
+        lat = subgroup_classes(g)
+        index = by_index(lat)
+        for cost in (index, lambda ci: index(ci) + len(lat.classes[ci].rep) % 3):
+            priced = []
+
+            def counted(ci, cost=cost):
+                priced.append(ci)
+                return cost(ci)
+
+            deg, wit = min_degree_faithful_on(g, (0,), lat, counted)
+            best = min((cost(ci), ci) for ci in range(len(lat.classes)))
+            assert (deg, wit) == (best[0], best[1:])
+            assert priced == sorted(
+                (ci for ci in range(len(lat.classes)) if index(ci) <= deg), key=lambda ci: (index(ci), ci)
+            )
+            assert len(priced) < len(lat.classes)
 
 
 def test_min_degree_s3_on_a3():
@@ -216,8 +235,9 @@ def test_min_degree_s3_on_a3():
 
 
 def test_min_degree_matches_bruteforce_on_small_groups():
-    # exhaustive subset check against the branch and bound, with the index
-    # cost and with a cost that is not the index, on N = G and on a proper N
+    # exhaustive check over nonempty subsets against the branch and bound,
+    # with the index cost and with a cost above it, on N = G, on a proper N
+    # and on N = 1
     for sg in [builders.cyclic(12).semigroup, builders.symmetric_group(4).semigroup]:
         g = group_table(sg.table)
         lat = subgroup_classes(g)
@@ -226,9 +246,9 @@ def test_min_degree_matches_bruteforce_on_small_groups():
             (c.rep for c in lat.classes if c.core == c.rep and 1 < len(c.rep) < g.order), key=len
         )
         index_cost = by_index(lat)
-        order_cost = lambda ci: len(lat.classes[ci].rep) + 1
-        for n in (tuple(range(g.order)), proper):
-            for cost in (index_cost, order_cost):
+        above_index = lambda ci: lat.classes[ci].index + len(lat.classes[ci].rep)  # never below the index
+        for n in (tuple(range(g.order)), proper, (0,)):
+            for cost in (index_cost, above_index):
                 deg, wit = min_degree_faithful_on(g, n, lat, cost)
                 assert deg == sum(cost(ci) for ci in wit)
                 best = None
@@ -244,9 +264,9 @@ def test_min_degree_matches_bruteforce_on_small_groups():
 
 
 def test_min_degree_with_a_lower_bound_prices_only_what_can_matter():
-    # with the index as a lower bound on the cost, the search prices a class
+    # the index bounds every cost from below, so the search prices a class
     # only while its index is at most the best cost found, yet returns the
-    # cost and the witness of pricing every class, ties included
+    # cost and the witness of pricing and searching every class, ties included
     for sg in [
         builders.cyclic(12).semigroup,
         builders.symmetric_group(4).semigroup,
@@ -255,7 +275,7 @@ def test_min_degree_with_a_lower_bound_prices_only_what_can_matter():
         g = group_table(sg.table)
         lat = subgroup_classes(g)
         index = by_index(lat)
-        normals = [c.rep for c in lat.classes if c.core == c.rep and len(c.rep) > 1]
+        normals = [c.rep for c in lat.classes if c.core == c.rep]
         costs = [
             index,  # every class ties with its bound
             lambda ci: index(ci) + len(lat.classes[ci].rep) % 3,
@@ -269,13 +289,40 @@ def test_min_degree_with_a_lower_bound_prices_only_what_can_matter():
                     priced.append(ci)
                     return cost(ci)
 
-                deg, wit = min_degree_faithful_on(g, n, lat, counted, lower=index)
-                assert (deg, wit) == min_degree_faithful_on(g, n, lat, cost)
+                deg, wit = min_degree_faithful_on(g, n, lat, counted)
+                assert wit and (deg, wit) == min_degree_pricing_every_class(g, n, lat, cost)
                 assert len(set(priced)) == len(priced)
                 assert all(index(ci) <= deg for ci in priced)
                 assert set(priced) >= {
-                    ci for ci, c in enumerate(lat.classes) if cost(ci) <= deg and not set(n) <= set(c.core)
+                    ci
+                    for ci, c in enumerate(lat.classes)
+                    if cost(ci) <= deg and (len(n) == 1 or not set(n) <= set(c.core))
                 }
+
+
+def test_min_degree_cost_below_its_index_raises():
+    # the index bound is what lets classes go unpriced, so the search itself
+    # refuses a cost below it, for a trivial N as for any other
+    g = gt_of(builders.symmetric_group(3).semigroup)
+    lat = subgroup_classes(g)
+    a3 = perm_indices(3, lambda p: parity(p) == 0)
+    for n in ((0,), a3, tuple(range(6))):
+        with pytest.raises(InvariantViolated, match="below its index"):
+            min_degree_faithful_on(g, n, lat, lambda ci: lat.classes[ci].index - 1)
+
+
+def test_min_degree_accepts_normal_subgroups():
+    # V_4 and A_4 are normal in S_4, and 1 and G are normal in every group;
+    # the regular action of S_4 on the cosets of S_3 is faithful, at 4 points
+    g = gt_of(builders.symmetric_group(4).semigroup)
+    lat = subgroup_classes(g)
+    v4 = perm_indices(4, lambda p: parity(p) == 0 and all(p[p[i]] == i for i in range(4)))
+    a4 = perm_indices(4, lambda p: parity(p) == 0)
+    assert (len(v4), len(a4)) == (4, 12)
+    for n in (v4, a4, tuple(range(24))):
+        deg, wit = min_degree_faithful_on(g, n, lat, by_index(lat))
+        assert deg == 4 and [lat.classes[ci].index for ci in wit] == [4]
+    assert min_degree_faithful_on(g, (0,), lat, by_index(lat))[0] == 1  # the trivial G-set
 
 
 def test_min_degree_rejects_non_normal():

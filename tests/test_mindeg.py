@@ -67,8 +67,8 @@ def test_dj_rejects_reducible(sim2):
 
 
 def general_search_d(r, report):
-    """d_J with every subgroup class costed by its tensor quotient size; the
-    empty G_J-set is not admissible, so a trivial M_J costs the cheapest orbit."""
+    """d_J with every subgroup class costed by its tensor quotient size, a
+    trivial M_J included."""
     gt = GroupTable.of_rees(r)
     lat = subgroup_classes(gt)
     gpos = {el: i for i, el in enumerate(r.group)}
@@ -77,8 +77,7 @@ def general_search_d(r, report):
     def cost(ci):
         return tensor_quotient_size(coset_action(gt, lat.classes[ci].rep), r)
 
-    d, wit = min_degree_faithful_on(gt, mj_pos, lat, cost=cost)
-    return d if wit else min(cost(ci) for ci in range(len(lat.classes)))
+    return min_degree_faithful_on(gt, mj_pos, lat, cost=cost)[0]
 
 
 def test_fast_path_consistency_with_general_search():
