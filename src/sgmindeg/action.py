@@ -18,7 +18,6 @@ from .core import (
     _partition_from_keys,
     _strong_components,
     class_members,
-    greens,
 )
 from .errors import InvariantViolated, NotIdempotent, NotSemisimpleAction
 from .grouptheory import GroupAction
@@ -66,17 +65,13 @@ class OrbitDecomposition:
         return all(o.kind == "transitive" and o.invariant for o in self.orbits)
 
 
-def orbits(
-    s: FiniteSemigroup, omega: PartialAction, g: GreensStructure | None = None
-) -> OrbitDecomposition:
+def orbits(s: FiniteSemigroup, omega: PartialAction, g: GreensStructure) -> OrbitDecomposition:
     """Strong orbits (equal forward-reachability sets under S^1), their kinds,
     invariance flags, and the apex of each transitive orbit.
 
     The apex is the unique minimal J-class acting nonemptily on the orbit
     (with the action restricted to the orbit); uniqueness and regularity are
     checked, a violation indicates a bug."""
-    if g is None:
-        g = greens(s)
     d = omega.degree
     n = s.size
     if d == 0:
@@ -103,12 +98,13 @@ def orbits(
         if len(opts) == 1 and not inside.any():
             out.append(Orbit(points=tuple(pts), kind="null", apex=None, invariant=invariant))
             continue
-        acting = np.flatnonzero(inside.any(axis=1))
-        jset = sorted(set(int(j) for j in g.jclass_of[acting]))
-        minimal = [j for j in jset if not any(g.jorder_lt[j2, j] for j2 in jset if j2 != j)]
+        acts = np.zeros(len(g.regular), dtype=bool)  # per J-class: acts within the orbit
+        acts[g.jclass_of[inside.any(axis=1)]] = True
+        jset = np.flatnonzero(acts)
+        minimal = jset[~g.jorder_lt[jset[:, None], jset].any(axis=0)]  # nothing acting below
         if len(minimal) != 1:
             raise InvariantViolated(f"orbit has {len(minimal)} minimal acting J-classes")
-        apex = minimal[0]
+        apex = int(minimal[0])
         if not g.regular[apex]:
             raise InvariantViolated("apex J-class must be regular")
         out.append(Orbit(points=tuple(pts), kind="transitive", apex=apex, invariant=invariant))
@@ -179,14 +175,12 @@ def faithful_by_criterion(
         fixed = np.zeros(omega.degree, dtype=bool)
         fixed[imgs[imgs >= 0]] = True
         fixed = np.flatnonzero(fixed)
-        for m in row.mj:
-            if m == e:
-                continue
-            moved = omega.maps[m, fixed]
-            if not (moved >= 0).all():
-                raise InvariantViolated("group element must act totally on the e_J-image")
-            if (moved == fixed).all():
-                return False
+        mj = np.array(row.mj)
+        moved = omega.maps[mj[mj != e, None], fixed]  # a row per nontrivial element of M_J
+        if not (moved >= 0).all():
+            raise InvariantViolated("group element must act totally on the e_J-image")
+        if (moved == fixed).all(axis=1).any():
+            return False
     return True
 
 

@@ -21,8 +21,6 @@ from .core import (
     GreensStructure,
     ReesCoordinatization,
     _partition_from_keys,
-    _regular_classes,
-    greens,
     min_idempotent_of,  # unused here, but bench/tracing.py wraps it under this module's name
     schutzenberger_reps,
 )
@@ -74,16 +72,12 @@ def _ggm_signature(s: FiniteSemigroup, g: GreensStructure, j: int) -> np.ndarray
     return np.where(g.jclass_of[prods] == j, prods, -1).reshape(s.size, -1)
 
 
-def is_rhodes_semisimple(
-    s: FiniteSemigroup, g: GreensStructure | None = None
-) -> tuple[bool, Congruence]:
+def is_rhodes_semisimple(s: FiniteSemigroup, g: GreensStructure) -> tuple[bool, Congruence]:
     """Whether the GGM congruence (meet over all regular J-classes) is trivial.
 
     The meet is refined one class at a time, each by one partition of the
     current class ids next to the class's GGM signature, until it is equality.
     """
-    if g is None:
-        g = greens(s)
     cong = universal_congruence(s.size)
     for j in g.regular_jclasses():
         keys = np.concatenate([cong.class_of[:, None], _ggm_signature(s, g, j)], axis=1)
@@ -111,14 +105,10 @@ class IrreducibilityReport:
         return sorted(j for j, row in self.per_class.items() if row.rm_irreducible)
 
 
-def rm_irreducible_classes(
-    s: FiniteSemigroup, g: GreensStructure | None = None
-) -> IrreducibilityReport:
+def rm_irreducible_classes(s: FiniteSemigroup, g: GreensStructure) -> IrreducibilityReport:
     """Decide, per regular J-class, whether its right-mapping congruence is
     implied by those of the strictly lower regular classes, and compute the
     subgroup of G_J that the lower classes cannot see."""
-    if g is None:
-        g = greens(s)
     n = s.size
     regs = g.regular_jclasses()
     rm = {j: rm_congruence_at(s, g, j) for j in regs}
@@ -137,7 +127,7 @@ def rm_irreducible_classes(
         first = int(differs.argmax())
         witness = (int(lowest[first]), first) if differs[first] else None
 
-        (e, _, _), h_e, _ = _regular_classes(g)[j]
+        (e, _, _), h_e, _ = g.regular_classes[j]
         mj = tuple(x for x, p in zip(h_e, plow_ids[h_e].tolist()) if p == plow_ids[e])
         per[j] = JClassIrreducibility(
             jclass=j,

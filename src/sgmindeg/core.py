@@ -157,20 +157,18 @@ def _light_block_rows(n: int) -> int:
     return max(1, _LIGHT_BLOCK_ENTRIES // n)
 
 
-def check_associativity(table: np.ndarray, gens: Sequence[int] | None = None) -> None:
+def check_associativity(table: np.ndarray, gens: Sequence[int]) -> None:
     """Raise NonAssociative with a witness triple if the table is not associative.
 
-    Uses Light's test over a generating set (``small_generating_set`` unless
-    ``gens`` is given), which is equivalent to the full O(n^3) triple scan but
-    far cheaper when few generators suffice.  It is sound on any magma: the
-    elements a with (xa)y = x(ay) for all x, y are closed under products, so
-    they are everything once the generators pass.  Each generator's test runs
-    over blocks of rows in ascending order, so the witness is the first failing
-    (x, y) in row-major order of the first failing generator, and the
-    temporaries stay O(block * n).
+    Uses Light's test over ``gens``, a generating set of the table's magma
+    such as ``small_generating_set`` gives, which is equivalent to the full
+    O(n^3) triple scan but far cheaper when few generators suffice.  It is
+    sound on any magma: the elements a with (xa)y = x(ay) for all x, y are
+    closed under products, so they are everything once the generators pass.
+    Each generator's test runs over blocks of rows in ascending order, so the
+    witness is the first failing (x, y) in row-major order of the first
+    failing generator, and the temporaries stay O(block * n).
     """
-    if gens is None:
-        gens = small_generating_set(table)
     n = table.shape[0]
     rows = _light_block_rows(n)
     for a in gens:
@@ -346,9 +344,13 @@ def opposite(s: FiniteSemigroup) -> FiniteSemigroup:
 
 @dataclass(frozen=True)
 class GreensStructure:
-    """R/L/J/H partitions, the J-class order, regularity flags and idempotents.
+    """R/L/J/H partitions, the J-class order, regularity flags, idempotents and
+    the data of each regular J-class: the one Green's analysis of a semigroup.
 
-    Each partition is an array of class ids, numbered by lowest member."""
+    Each partition is an array of class ids, numbered by lowest member.
+    ``regular_classes[j]`` is, for a regular J-class j, the
+    ``schutzenberger_reps`` triple (e, r_reps, q_reps), then H_e and then the
+    members of j, both ascending."""
 
     rclass_of: np.ndarray
     lclass_of: np.ndarray
@@ -357,9 +359,7 @@ class GreensStructure:
     jorder_lt: np.ndarray  # jorder_lt[i, j] True iff J_i < J_j strictly
     regular: np.ndarray  # per J-class
     idempotents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_regular", None)  # _regular_classes, on first use
+    regular_classes: dict[int, tuple]
 
     def regular_jclasses(self) -> list[int]:
         return np.flatnonzero(self.regular).tolist()
@@ -478,6 +478,7 @@ def greens(s: FiniteSemigroup) -> GreensStructure:
 
     jorder_lt.setflags(write=False)
     regular.setflags(write=False)
+    idempotents = tuple(int(e) for e in idem)
     return GreensStructure(
         rclass_of=rclass_of,
         lclass_of=lclass_of,
@@ -485,8 +486,40 @@ def greens(s: FiniteSemigroup) -> GreensStructure:
         hclass_of=hclass_of,
         jorder_lt=jorder_lt,
         regular=regular,
-        idempotents=tuple(int(e) for e in idem),
+        idempotents=idempotents,
+        regular_classes=_regular_classes(jclass_of, rclass_of, lclass_of, idempotents),
     )
+
+
+def _regular_classes(
+    jclass_of: np.ndarray, rclass_of: np.ndarray, lclass_of: np.ndarray, idempotents: Sequence[int]
+) -> dict[int, tuple]:
+    """Per regular J-class: the ``schutzenberger_reps`` triple, H_e and J, both
+    ascending.  Found for every class in one pass over the elements."""
+    js, rs, ls = (a.tolist() for a in (jclass_of, rclass_of, lclass_of))
+    own: dict[int, tuple[int, int, int]] = {}  # regular J-class -> e, its R- and L-class
+    for e in idempotents:  # ascending
+        own.setdefault(js[e], (e, rs[e], ls[e]))
+    found = {j: ([], [], [e], [e]) for j, (e, _, _) in own.items()}  # J, H_e, r_a, q_b
+    lowest: dict[tuple[int, int], int] = {}  # (0, R-class) in L_e, (1, L-class) in R_e
+    for x, (j, rx, lx) in enumerate(zip(js, rs, ls)):
+        if j in own:
+            _, own_r, own_l = own[j]
+            found[j][0].append(x)
+            if lx == own_l and rx == own_r:
+                found[j][1].append(x)
+            elif lx == own_l or rx == own_r:
+                lowest.setdefault((0, rx) if lx == own_l else (1, lx), x)
+    for (side, _), x in sorted(lowest.items()):  # the classes of e first, then by id
+        found[js[x]][2 + side].append(x)
+    out = {}
+    for j, (members, group, r_list, q_list) in found.items():
+        if len(r_list) * len(q_list) * len(group) != len(members):
+            raise NotRegular(f"regular J-class {j} has an empty H-class")
+        both = np.array(r_list + q_list)
+        both.setflags(write=False)
+        out[j] = (r_list[0], both[: len(r_list)], both[len(r_list) :]), group, members
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -553,37 +586,6 @@ class ReesCoordinatization:
         return self.triple_to_elem.shape[2]
 
 
-def _regular_classes(g: GreensStructure) -> dict[int, tuple]:
-    """Per regular J-class: the ``schutzenberger_reps`` triple, H_e and J, both
-    ascending.  Found for every class in one pass over the elements, kept on ``g``."""
-    if g._regular is None:
-        js, rs, ls = (a.tolist() for a in (g.jclass_of, g.rclass_of, g.lclass_of))
-        own: dict[int, tuple[int, int, int]] = {}  # regular J-class -> e, its R- and L-class
-        for e in g.idempotents:  # ascending
-            own.setdefault(js[e], (e, rs[e], ls[e]))
-        found = {j: ([], [], [e], [e]) for j, (e, _, _) in own.items()}  # J, H_e, r_a, q_b
-        lowest: dict[tuple[int, int], int] = {}  # (0, R-class) in L_e, (1, L-class) in R_e
-        for x, (j, rx, lx) in enumerate(zip(js, rs, ls)):
-            if j in own:
-                _, own_r, own_l = own[j]
-                found[j][0].append(x)
-                if lx == own_l and rx == own_r:
-                    found[j][1].append(x)
-                elif lx == own_l or rx == own_r:
-                    lowest.setdefault((0, rx) if lx == own_l else (1, lx), x)
-        for (side, _), x in sorted(lowest.items()):  # the classes of e first, then by id
-            found[js[x]][2 + side].append(x)
-        out = {}
-        for j, (members, group, r_list, q_list) in found.items():
-            if len(r_list) * len(q_list) * len(group) != len(members):
-                raise NotRegular(f"regular J-class {j} has an empty H-class")
-            both = np.array(r_list + q_list)
-            both.setflags(write=False)
-            out[j] = (r_list[0], both[: len(r_list)], both[len(r_list) :]), group, members
-        object.__setattr__(g, "_regular", out)
-    return g._regular
-
-
 def schutzenberger_reps(g: GreensStructure, j: int) -> tuple[int, np.ndarray, np.ndarray]:
     """e = e_J and the H-class representatives r_a in L_e and q_b in R_e.
 
@@ -591,11 +593,11 @@ def schutzenberger_reps(g: GreensStructure, j: int) -> tuple[int, np.ndarray, np
     ``q_reps[b]`` the lowest element of R_e in the b-th L-class of J.  The
     classes of e come first with r_0 = q_0 = e; the others follow in class-id
     order.  Every x in J is r_a h q_b for exactly one (a, h, b) with h in H_e.
-    Computed for every regular J-class at once and kept on ``g``.
+    Read from ``g.regular_classes``, which ``greens`` fills.
     """
     if not g.regular[j]:
         raise NotRegular(f"J-class {j} contains no idempotent")
-    return _regular_classes(g)[j][0]
+    return g.regular_classes[j][0]
 
 
 def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoordinatization:
@@ -608,7 +610,7 @@ def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoo
     """
     t = s.table
     e, r_reps, q_reps = schutzenberger_reps(g, j)
-    _, h_e, members = _regular_classes(g)[j]
+    _, h_e, members = g.regular_classes[j]
     group = np.array([e] + [x for x in h_e if x != e])
     m = len(group)
     # gpos[x] = position of x in group (-1 outside it)

@@ -31,6 +31,7 @@ from sgmindeg.core import (
     PartialMap,
     ReesCoordinatization,
     _partition_from_keys,
+    _regular_classes,
     check_associativity,
     closure_mask,
     compose_maps,
@@ -262,6 +263,7 @@ def greens_by_ideal_matrices(s: FiniteSemigroup) -> GreensStructure:
 
     jorder_lt.setflags(write=False)
     regular.setflags(write=False)
+    idempotents = tuple(int(e) for e in idem)
     return GreensStructure(
         rclass_of=rclass_of,
         lclass_of=lclass_of,
@@ -269,7 +271,8 @@ def greens_by_ideal_matrices(s: FiniteSemigroup) -> GreensStructure:
         hclass_of=hclass_of,
         jorder_lt=jorder_lt,
         regular=regular,
-        idempotents=tuple(int(e) for e in idem),
+        idempotents=idempotents,
+        regular_classes=_regular_classes(jclass_of, rclass_of, lclass_of, idempotents),
     )
 
 
@@ -359,6 +362,48 @@ def faithful_by_rows(s: FiniteSemigroup, omega: PartialAction) -> tuple[bool, tu
     return True, None
 
 
+def minimal_acting_jclasses_by_pairs(
+    g: GreensStructure, omega: PartialAction, points: tuple[int, ...]
+) -> list[int]:
+    """The J-classes acting within the orbit ``points`` that lie above no other
+    acting class, by a scan over pairs of acting classes: ``[apex]`` for a
+    transitive orbit of ``action.orbits``."""
+    pts = np.asarray(points)
+    member = np.zeros(omega.degree + 1, dtype=bool)
+    member[pts] = True
+    sub = omega.maps[:, pts]
+    acting = np.flatnonzero(((sub >= 0) & member[sub]).any(axis=1))
+    jset = sorted(set(int(j) for j in g.jclass_of[acting]))
+    return [j for j in jset if not any(g.jorder_lt[j2, j] for j2 in jset if j2 != j)]
+
+
+def faithful_by_criterion_by_loop(
+    s: FiniteSemigroup, omega: PartialAction, g: GreensStructure, report: IrreducibilityReport
+) -> bool:
+    """``action.faithful_by_criterion`` with one M_J element at a time: each
+    nontrivial element must act totally on the e_J-image of the apex-J points
+    and move some point of it."""
+    dec = orbits(s, omega, g)
+    for j in report.irreducible_ids():
+        row = report.per_class[j]
+        pts = [p for o in dec.orbits if o.apex == j for p in o.points]
+        if not pts:
+            return False
+        imgs = omega.maps[row.e, pts]
+        fixed = np.zeros(omega.degree, dtype=bool)
+        fixed[imgs[imgs >= 0]] = True
+        fixed = np.flatnonzero(fixed)
+        for m in row.mj:
+            if m == row.e:
+                continue
+            moved = omega.maps[m, fixed]
+            if not (moved >= 0).all():
+                raise InvariantViolated("group element must act totally on the e_J-image")
+            if (moved == fixed).all():
+                return False
+    return True
+
+
 def schutzenberger_right(
     s: FiniteSemigroup, r: ReesCoordinatization
 ) -> tuple[PartialAction, tuple[int, ...]]:
@@ -371,9 +416,7 @@ def schutzenberger_right(
     return PartialAction(degree=len(points), maps=maps), tuple(int(x) for x in points)
 
 
-def semisimplify(
-    s: FiniteSemigroup, omega: PartialAction, g: GreensStructure | None = None
-) -> PartialAction:
+def semisimplify(s: FiniteSemigroup, omega: PartialAction, g: GreensStructure) -> PartialAction:
     """Keep the points lying in transitive strong orbits and restrict the
     action within each orbit; images leaving the orbit become undefined."""
     dec = orbits(s, omega, g)
@@ -737,7 +780,7 @@ def group_table(table: np.ndarray | list, validate: bool = True) -> GroupTable:
     arr = np.array(table, dtype=np.int32)
     m = arr.shape[0]
     if validate:
-        check_associativity(arr)
+        check_associativity(arr, small_generating_set(arr))
         if not (np.array_equal(arr[0], np.arange(m)) and np.array_equal(arr[:, 0], np.arange(m))):
             raise NotSubgroup("identity must sit at index 0")
     inv = np.empty(m, dtype=np.int32)

@@ -180,7 +180,7 @@ def test_criterion_7_non_semisimple_by_oracle():
     assert oracle_partial(pt2op, 4) == 3  # 2^2 - 1
     # these semigroups are outside the semisimple theory
     for s in (t2op, s2rb):
-        assert not is_rhodes_semisimple(s)[0]
+        assert not is_rhodes_semisimple(s, greens(s))[0]
     report("criterion 7 PASS: mu(RB(2,2)) = 4, mu(S_2 x RB(2,2)) = 4, mu(T_2^op) = 4, m(PT_2^op) = 3 by oracle")
 
 

@@ -9,6 +9,7 @@ from reference import (
     check_compatibility,
     faithful_by_rows,
     greens_congruence_fixpoint,
+    minimal_acting_jclasses_by_pairs,
     rm_meet,
     schutzenberger_right,
     semisimplify,
@@ -80,7 +81,7 @@ def test_schutzenberger_simple_total_degree12():
 def test_orbits_group_on_itself():
     s = builders.cyclic(4).semigroup
     act = PartialAction(degree=4, maps=s.table.T.copy())
-    dec = orbits(s, act)
+    dec = orbits(s, act, greens(s))
     assert len(dec.orbits) == 1
     o = dec.orbits[0]
     assert o.kind == "transitive" and o.apex == 0 and o.invariant
@@ -90,11 +91,11 @@ def test_orbits_null_vs_fixed_point():
     s = from_table(NULL2)
     # trivial total action on one point: a transitive singleton
     total = PartialAction(degree=1, maps=np.zeros((2, 1), dtype=np.int32))
-    dec = orbits(s, total)
+    dec = orbits(s, total, greens(s))
     assert dec.orbits[0].kind == "transitive"
     # everything undefined: a null orbit
     empty = PartialAction(degree=1, maps=np.full((2, 1), -1, dtype=np.int32))
-    dec2 = orbits(s, empty)
+    dec2 = orbits(s, empty, greens(s))
     assert dec2.orbits[0].kind == "null" and dec2.orbits[0].apex is None
 
 
@@ -110,7 +111,7 @@ def test_orbits_t2op_inverse_image():
             maps[el, x] = (((x >> f[0]) & 1) << 0) | (((x >> f[1]) & 1) << 1)
     act = PartialAction(degree=4, maps=maps)
     assert check_compatibility(s, act)
-    dec = orbits(s, act)
+    dec = orbits(s, act, greens(s))
     kinds = sorted((len(o.points), o.kind) for o in dec.orbits)
     # {empty set} is an invariant fixed point, {full set} likewise, {1},{2} merge
     assert kinds == [(1, "transitive"), (1, "transitive"), (2, "transitive")]
@@ -128,7 +129,7 @@ def test_semisimplify_idempotent_on_semisimple(sim2):
 
 def test_semisimplify_t2_natural_unchanged(t2):
     nat = builders.full_transformation(2).natural_action
-    ss = semisimplify(t2, nat)
+    ss = semisimplify(t2, nat, greens(t2))
     assert ss.degree == 2
     assert np.array_equal(ss.maps, nat.maps)
 
@@ -138,7 +139,7 @@ def test_semisimplify_chain_cayley_preserves_faithfulness():
     act = PartialAction(degree=3, maps=s.table.T.copy())
     assert is_faithful(s, act)[0]
     assert rm_meet(s).is_equality()
-    ss = semisimplify(s, act)
+    ss = semisimplify(s, act, greens(s))
     assert ss.degree == 3
     assert is_faithful(s, ss)[0]
     assert not ss.is_total()
@@ -175,11 +176,28 @@ def test_orbits_and_faithfulness_match_references(random_corpus, builder_corpus)
     assert any(not faithful_by_rows(s, a)[0] for s, a in cases)
     for s, act in cases:
         assert is_faithful(s, act) == faithful_by_rows(s, act)
-        dec = orbits(s, act)
+        g = greens(s)
+        dec = orbits(s, act, g)
         assert dec.orbit_of.tolist() == strong_orbits_by_reachability(act).tolist()
         assert [o.points for o in dec.orbits] == [
             tuple(np.flatnonzero(dec.orbit_of == k).tolist()) for k in range(len(dec.orbits))
         ]
+        for o in dec.orbits:
+            if o.kind == "transitive":
+                assert minimal_acting_jclasses_by_pairs(g, act, o.points) == [o.apex]
+
+
+def test_criterion_rejects_mj_undefined_on_the_e_image():
+    # C_2 = {e, a} is one irreducible J-class with M_J = C_2; a map of a that
+    # leaves a point of the e-image undefined cannot come from an action
+    s = builders.cyclic(2).semigroup
+    g = greens(s)
+    e, a = s.identity, 1 - s.identity
+    maps = np.empty((2, 3), dtype=np.int32)
+    maps[e] = [0, 1, 2]
+    maps[a] = [-1, 2, 1]
+    with pytest.raises(InvariantViolated, match="act totally"):
+        faithful_by_criterion(s, PartialAction(degree=3, maps=maps), g, rm_irreducible_classes(s, g))
 
 
 def test_criterion_on_schutzenberger_coproduct(sim2):

@@ -90,12 +90,12 @@ def test_rm_subset_of_ggm(random_corpus):
 
 
 def test_rhodes_semisimple_inverse(sim2):
-    ok, _ = is_rhodes_semisimple(sim2)
+    ok, _ = is_rhodes_semisimple(sim2, greens(sim2))
     assert ok
 
 
 def test_rhodes_semisimple_t2_false(t2):
-    ok, cong = is_rhodes_semisimple(t2)
+    ok, cong = is_rhodes_semisimple(t2, greens(t2))
     assert not ok
     # the congruence identifies exactly the two constant maps
     big = [c for c in class_members(cong.class_of) if len(c) > 1]
@@ -104,12 +104,12 @@ def test_rhodes_semisimple_t2_false(t2):
 
 def test_rhodes_semisimple_ones_sandwich_false():
     s = builders.sigma_square(3, (0, 1, 2)).semigroup  # C = [[1,1],[1,1]]
-    ok, _ = is_rhodes_semisimple(s)
+    ok, _ = is_rhodes_semisimple(s, greens(s))
     assert not ok
 
 
 def test_irreducible_m2f2(m2f2):
-    rep = rm_irreducible_classes(m2f2)
+    rep = rm_irreducible_classes(m2f2, greens(m2f2))
     assert rep.irreducible_ids() == [1]
     row = rep.per_class[1]
     assert len(row.mj) == 1  # G_J is trivial
@@ -118,13 +118,13 @@ def test_irreducible_m2f2(m2f2):
 
 
 def test_irreducible_sim2(sim2):
-    rep = rm_irreducible_classes(sim2)
+    rep = rm_irreducible_classes(sim2, greens(sim2))
     assert rep.irreducible_ids() == [1]  # the rank-1 class only
 
 
 def test_irreducible_simple_semigroup():
     b = builders.sigma_square(3, (1, 0, 2))
-    rep = rm_irreducible_classes(b.semigroup)
+    rep = rm_irreducible_classes(b.semigroup, greens(b.semigroup))
     g = greens(b.semigroup)
     assert rep.irreducible_ids() == [0]
     row = rep.per_class[0]
@@ -163,7 +163,7 @@ def test_schein_chain():
 
 def test_schein_matches_rm_on_sim2(sim2):
     rows = schein_irreducibility_check(sim2)
-    rep = rm_irreducible_classes(sim2)
+    rep = rm_irreducible_classes(sim2, greens(sim2))
     for j, row in rep.per_class.items():
         assert rows[j].join_irreducible == row.rm_irreducible
         assert set(rows[j].mj) == set(row.mj)
@@ -255,7 +255,7 @@ def test_proportionality_aggm_example():
 def test_rm_meet_trivial_iff_faithful_schutz_union(sim2, t2):
     assert rm_meet(sim2).is_equality()
     assert rm_meet(t2).is_equality()  # T_n is right mapping
-    ok, _ = is_rhodes_semisimple(t2)
+    ok, _ = is_rhodes_semisimple(t2, greens(t2))
     assert not ok  # right mapping but not GGM
 
 
@@ -264,9 +264,12 @@ def test_rhodes_semisimplicity_is_self_dual(random_corpus, all_tiny_semigroups, 
     # are semisimple together; mindeg.left_degrees relies on this
     corpus = [s for s, _ in random_corpus[:60]] + all_tiny_semigroups
     corpus += [b.semigroup for b in builder_corpus.values()]
+    def semisimple(s):
+        return is_rhodes_semisimple(s, greens(s))[0]
+
     for s in corpus:
-        assert is_rhodes_semisimple(s)[0] == is_rhodes_semisimple(opposite(s))[0]
-    assert len({is_rhodes_semisimple(s)[0] for s in corpus}) == 2  # both answers occur
+        assert semisimple(s) == semisimple(opposite(s))
+    assert len({semisimple(s) for s in corpus}) == 2  # both answers occur
 
 
 def test_congruences_require_regular_class():

@@ -15,7 +15,7 @@ import pytest
 
 from reference import associative_tables, canonical_form
 from sgmindeg.congruence import is_rhodes_semisimple
-from sgmindeg.core import from_table
+from sgmindeg.core import from_table, greens
 from sgmindeg.errors import NotRhodesSemisimple
 from sgmindeg.mindeg import MinDegReport, min_partial_degree
 from sgmindeg.oracle import OracleQuery, brute_min_degree
@@ -24,7 +24,7 @@ from sgmindeg.oracle import OracleQuery, brute_min_degree
 def theory_matches_oracle(s) -> MinDegReport | None:
     """The theory's report on s, checked against the oracle, or None when s is
     not Rhodes semisimple and the theory refuses it."""
-    ok, _ = is_rhodes_semisimple(s)
+    ok, _ = is_rhodes_semisimple(s, greens(s))
     if not ok:
         with pytest.raises(NotRhodesSemisimple):
             min_partial_degree(s)

@@ -16,10 +16,12 @@ from reference import (
     cayley_extended,
     check_compatibility,
     class_members,
+    faithful_by_criterion_by_loop,
     ggm_congruence_at,
     greens_congruence_fixpoint,
     is_compatible,
     meet,
+    minimal_acting_jclasses_by_pairs,
     orbit_reps,
     rm_meet,
     schutzenberger_right,
@@ -42,7 +44,7 @@ from sgmindeg.congruence import (
     rm_irreducible_classes,
     universal_congruence,
 )
-from sgmindeg.core import check_associativity, greens, rees_coordinatize
+from sgmindeg.core import check_associativity, greens, rees_coordinatize, small_generating_set
 from sgmindeg.errors import NonAssociative
 from sgmindeg.grouptheory import (
     GroupAction,
@@ -60,7 +62,7 @@ from sgmindeg.mindeg import tensor_pair_classes
 
 def battery_associativity(corpus):
     for s, _ in corpus:
-        check_associativity(s.table)  # raises on violation
+        check_associativity(s.table, small_generating_set(s.table))  # raises on violation
 
 
 def battery_rm_refines_ggm(corpus):
@@ -142,6 +144,7 @@ def battery_apex_surjection(corpus):
             for o in dec.orbits:
                 if o.kind != "transitive":
                     continue
+                assert minimal_acting_jclasses_by_pairs(g, omega, o.points) == [o.apex]
                 _check_one_apex_surjection(s, g, omega, o)
 
 
@@ -171,11 +174,11 @@ def battery_gotosemisimple(corpus):
             continue
         omega = cayley_extended(s)
         assert is_faithful(s, omega)[0]
-        ss = semisimplify(s, omega)
+        ss = semisimplify(s, omega, greens(s))
         assert is_faithful(s, ss)[0]
         assert ss.degree <= omega.degree
         if act is not None and is_faithful(s, act)[0]:
-            assert is_faithful(s, semisimplify(s, act))[0]
+            assert is_faithful(s, semisimplify(s, act, greens(s)))[0]
 
 
 def random_rees_inputs(count, seed=4242):
@@ -269,9 +272,9 @@ def battery_criterion_vs_direct(corpus):
         ]
         for chosen in subsets:
             omega = coproduct_actions([blocks[j] for j in chosen])
-            assert faithful_by_criterion(s, omega, g, rep) == (
-                is_faithful(s, omega)[0]
-            )
+            got = faithful_by_criterion(s, omega, g, rep)
+            assert got == is_faithful(s, omega)[0]
+            assert got == faithful_by_criterion_by_loop(s, omega, g, rep)
 
 
 def battery_compatibility(corpus):
@@ -377,7 +380,7 @@ def test_associativity_rejects_mutation(random_corpus):
         i, j = rng.integers(0, s.size, 2)
         t2[i, j] = (t2[i, j] + 1) % s.size
         try:
-            check_associativity(t2)
+            check_associativity(t2, small_generating_set(t2))
         except NonAssociative:
             return
     pytest.skip("no mutation broke associativity (unlikely)")
