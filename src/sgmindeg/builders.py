@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import PartialAction
-from .core import MAX_ELEMENTS, FiniteSemigroup, PartialMap, _adopt_table, from_table, rees_law
+from .core import (
+    MAX_ELEMENTS,
+    FiniteSemigroup,
+    PartialMap,
+    _adopt_table,
+    check_associativity,
+    from_table,
+    rees_law,
+)
 from .errors import BadParameters, InvariantViolated, SizeLimitExceeded
 
 
@@ -180,11 +188,14 @@ def matrix_monoid(n: int, q: int) -> BuiltSemigroup:
 
 
 def _as_group(g: FiniteSemigroup) -> np.ndarray:
+    """The table of g, checked to be a group: an identity, every row a
+    permutation (so every element has a right inverse) and Light's test."""
     if g.identity is None:
         raise BadParameters("Rees construction needs a group; no identity found")
     t = g.table
     if not (np.sort(t, axis=1) == np.arange(g.size)).all():  # every row a permutation
         raise BadParameters("Rees construction needs a group; an element is not invertible")
+    check_associativity(t, g.generators())
     return t
 
 
@@ -223,7 +234,8 @@ def rees_matrix(
     table = np.zeros((size, size), dtype=np.int32)
     table[z:, z:] = prods
     label = f"M{'0' if adjoin_zero else ''}(|G|={m},{na}x{nb})"
-    return BuiltSemigroup(semigroup=_adopt_table(table), natural_action=None, label=label)
+    s = _adopt_table(table, validate=False)  # M0(G, A, B, C) is associative for every C
+    return BuiltSemigroup(semigroup=s, natural_action=None, label=label)
 
 
 def sigma_square(n: int, sigma: tuple[int, ...]) -> BuiltSemigroup:

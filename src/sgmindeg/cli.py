@@ -20,7 +20,7 @@ from .congruence import (
     is_rhodes_semisimple,
     rm_irreducible_classes,
 )
-from .core import class_members, greens, rees_coordinatize
+from .core import class_members, greens
 from .errors import NotRhodesSemisimple, SemigroupError
 from .fileio import dump_sgt, read_semigroup
 from .mindeg import left_degrees, min_partial_degree
@@ -57,12 +57,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if not g.regular[j]:
             print(f"J{j}: size={size} non-regular")
             continue
-        r = rees_coordinatize(s, g, j)
+        (e, r_reps, q_reps), h_e, _ = g.regular_classes[j]
         row = report.per_class[j]
         flag = "irreducible" if row.rm_irreducible else "reducible"
         print(
-            f"J{j}: size={size} regular e={r.e} |G|={r.group_order} "
-            f"A={r.a_count} B={r.b_count} {flag} |M_J|={len(row.mj)}"
+            f"J{j}: size={size} regular e={e} |G|={len(h_e)} "
+            f"A={len(r_reps)} B={len(q_reps)} {flag} |M_J|={len(row.mj)}"
         )
     print(f"rhodes_semisimple: {'yes' if ok else 'no'}")
     if not ok:
@@ -102,13 +102,7 @@ def _cmd_mindeg(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: use the oracle subcommand for non-Rhodes-semisimple semigroups", file=sys.stderr)
         return 2
-    left = None
-    if args.left:
-        try:
-            left = left_degrees(s, rep.m)
-        except NotRhodesSemisimple as exc:
-            print(f"error computing left degrees: {exc}", file=sys.stderr)
-            return 2
+    left = left_degrees(s, rep.m) if args.left else None
     if args.json:
         doc = rep.to_dict()
         if left is not None:

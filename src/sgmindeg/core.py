@@ -331,11 +331,9 @@ def from_partial_maps(
 
 
 def opposite(s: FiniteSemigroup) -> FiniteSemigroup:
-    """The opposite semigroup: table transposed; identity, zero and a known
-    generating set preserved."""
-    t = s.table.T.copy()
-    t.setflags(write=False)
-    return FiniteSemigroup(table=t, identity=s.identity, zero=s.zero, gens=s.gens)
+    """The opposite semigroup: its table a transposed view of the read-only
+    table of s, not a copy; identity, zero and a known generating set preserved."""
+    return FiniteSemigroup(table=s.table.T, identity=s.identity, zero=s.zero, gens=s.gens)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@ For a Rhodes semisimple semigroup the minimal degree is the sum over the
 RM-irreducible regular J-classes of the smallest Green's-quotient size of a
 tensor X (x) R_J, where X ranges over G_J-sets faithful on the invisible
 subgroup with pairwise non-isomorphic orbits.  The witness action is always
-assembled and re-checked for faithfulness; fast-path formulas are never
-trusted blindly.
+assembled from the G_J-sets that priced it and re-checked for faithfulness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +53,8 @@ class DjResult:
     d: int
     witness_classes: tuple[int, ...]  # positions in the subgroup lattice
     fast_path: str  # "aggm" | "column_condition" | "general_search"
+    # the coset action of each witness class, as priced
+    witness_gsets: tuple[GroupAction, ...] = field(default=(), compare=False, repr=False)
 
 
 def tensor_pair_classes(x: GroupAction, r: ReesCoordinatization) -> np.ndarray:
@@ -78,14 +79,14 @@ def dj(r: ReesCoordinatization, report: IrreducibilityReport, lattice: SubgroupL
     """Minimum Green's-quotient size over admissible G_J-sets for one
     RM-irreducible J-class, given the subgroup lattice of G_J.
 
-    Under the row-separation (column) condition the quotient size is b_count
-    times the number of points of the G_J-set, so the search runs on subgroup
-    indices; otherwise each orbit costs its own tensor quotient size.  That
-    size is at least the orbit's index [G:H]: the points (p, b_0) of X (x) R_J
-    stay apart in the quotient, as C[b_0][a_0] is the identity.  So
-    ``min_degree_faithful_on`` prices classes in order of index, whether M_J
-    is trivial or not, and only while the index is at most the best cost
-    found."""
+    Each orbit costs the tensor quotient size of its coset action, which is
+    at least the orbit's index [G:H]: the points (p, b_0) of X (x) R_J stay
+    apart in the quotient, as C[b_0][a_0] is the identity.  So
+    ``min_degree_faithful_on`` prices classes in order of index, and only
+    while the index is at most the best cost found.  The coset actions of the
+    witness classes are returned with the result.  ``fast_path`` names the
+    paper's case for J: under the column condition the quotient size is
+    b_count times the number of points, and with a trivial G_J that is AGGM."""
     j = r.jclass
     row = report.per_class[j]
     if not row.rm_irreducible:
@@ -93,22 +94,18 @@ def dj(r: ReesCoordinatization, report: IrreducibilityReport, lattice: SubgroupL
     gt = lattice.group
     gpos = {el: i for i, el in enumerate(r.group)}
     mj_pos = tuple(sorted(gpos[el] for el in row.mj))
-    if column_condition(r):
-        scale = r.b_count
-        fast_path = "aggm" if gt.order == 1 else "column_condition"
+    gsets: dict[int, GroupAction] = {}
 
-        def cost(ci: int) -> int:
-            return lattice.classes[ci].index
-
-    else:
-        scale = 1
-        fast_path = "general_search"
-
-        def cost(ci: int) -> int:
-            return tensor_quotient_size(coset_action(gt, lattice.classes[ci].rep), r)
+    def cost(ci: int) -> int:
+        gsets[ci] = coset_action(gt, lattice.classes[ci].rep)
+        return tensor_quotient_size(gsets[ci], r)
 
     d, wit = min_degree_faithful_on(gt, mj_pos, lattice, cost)
-    return DjResult(d=scale * d, witness_classes=wit, fast_path=fast_path)
+    if not column_condition(r):
+        fast_path = "general_search"
+    else:
+        fast_path = "aggm" if gt.order == 1 else "column_condition"
+    return DjResult(d, wit, fast_path, witness_gsets=tuple(gsets[ci] for ci in wit))
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +227,9 @@ def min_partial_degree(
     per, blocks = [], []
     for j in report.irreducible_ids():
         r = rees_coordinatize(s, g, j)
-        gt = GroupTable.of_rees(r)
-        lattice = subgroup_classes(gt)
+        lattice = subgroup_classes(GroupTable.of_rees(r))
         res = dj(r, report, lattice)
-        x = coproduct_group_actions(
-            [coset_action(gt, lattice.classes[ci].rep) for ci in res.witness_classes]
-        )
-        tens = tensor_action(x, r)
+        tens = tensor_action(coproduct_group_actions(list(res.witness_gsets)), r)
         quot, _ = greens_quotient(s, tens, r.e)
         if quot.degree != res.d:
             raise InvariantViolated(

@@ -755,7 +755,10 @@ def dj_pricing_every_class(
     r: ReesCoordinatization, report: IrreducibilityReport, lattice: SubgroupLattice
 ) -> DjResult:
     """``mindeg.dj`` with every subgroup class priced up front and searched,
-    a trivial M_J included."""
+    a trivial M_J included.  Under the column condition (pairwise distinct
+    zero patterns of the sandwich rows) a class is priced by the paper's
+    formula |B| [G:H] instead of by its tensor quotient, so comparing the two
+    tests that formula."""
     row = report.per_class[r.jclass]
     gt = lattice.group
     gpos = {el: i for i, el in enumerate(r.group)}

@@ -16,8 +16,15 @@ from reference import (
 )
 from sgmindeg import builders
 from sgmindeg.builders import FamilySpec, build
-from sgmindeg.core import check_associativity, greens, opposite, rees_coordinatize, small_generating_set
-from sgmindeg.errors import BadParameters, InvariantViolated, SizeLimitExceeded
+from sgmindeg.core import (
+    FiniteSemigroup,
+    check_associativity,
+    greens,
+    opposite,
+    rees_coordinatize,
+    small_generating_set,
+)
+from sgmindeg.errors import BadParameters, InvariantViolated, NonAssociative, SizeLimitExceeded
 
 
 def test_sizes():
@@ -101,6 +108,19 @@ def test_rees_validation():
     trivial = builders.cyclic(1).semigroup
     with pytest.raises(SizeLimitExceeded, match="10201 elements exceeds the limit of 10000"):
         builders.rees_matrix(trivial, np.ones((101, 101)), False)  # checked before any allocation
+
+
+def test_rees_matrix_checks_the_group_not_the_product():
+    # M0(G, A, B, C) is associative for every sandwich once G is a group, so
+    # Light's test runs on G's table: a loop (a Latin square with an identity
+    # that is not associative) is refused, and the product table of a group's
+    # Rees matrix semigroup passes a test over every element
+    loop = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    with pytest.raises(NonAssociative):
+        builders.rees_matrix(FiniteSemigroup(table=loop, identity=0, zero=None), [[1, 1], [1, 2]], False)
+    s = builders.rees_matrix(builders.symmetric_group(3).semigroup, [[1, 0], [2, 4]], True).semigroup
+    check_associativity(s.table, range(s.size))
+    assert s.generators() == tuple(small_generating_set(s.table))  # found when first asked
 
 
 def _rees_table_by_rows(group, sandwich, adjoin_zero):

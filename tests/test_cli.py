@@ -144,6 +144,20 @@ def test_analyze(tmp_path, capsys):
     assert "irreducible" in out
 
 
+def test_analyze_reads_the_rees_sizes_of_greens(tmp_path, capsys, builder_corpus):
+    # e, |G|, A and B are printed from the Green's analysis; they are those of
+    # the verified Rees coordinates of each regular class
+    for k, b in enumerate(builder_corpus.values()):
+        s = b.semigroup
+        assert main(["analyze", write_sgt(tmp_path, b, f"{k}.sgt")]) == 0
+        out = capsys.readouterr().out
+        g = core.greens(s)
+        for j in g.regular_jclasses():
+            r = core.rees_coordinatize(s, g, j)
+            sizes = f"e={r.e} |G|={r.group_order} A={r.a_count} B={r.b_count}"
+            assert f"J{j}: size={r.triple_to_elem.size} regular {sizes} " in out
+
+
 def test_analyze_non_regular_class(tmp_path, capsys):
     from sgmindeg.core import from_table
     from sgmindeg.fileio import dump_sgt as _dump

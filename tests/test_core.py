@@ -246,6 +246,8 @@ def test_opposite_involution_and_identity():
     assert np.array_equal(opposite(opposite(s)).table, s.table)
     op = opposite(s)
     assert op.identity == s.identity and op.zero == s.zero
+    # a read-only transposed view of the table, not a second copy
+    assert np.shares_memory(op.table, s.table) and not op.table.flags.writeable
 
 
 def test_opposite_commutative_fixed():

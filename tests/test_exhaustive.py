@@ -5,17 +5,23 @@ There are 1 + 8 + 113 associative tables on 1..3 elements, and 3492 on 4
 elements in 188 isomorphism classes (OEIS A023814 and A027851).  For each one
 the theory value must match the brute-force oracle whenever the semigroup is
 Rhodes semisimple, the total-degree bracket must contain the oracle's total
-answer, and the non-semisimple ones must be refused with a diagnostic.
+answer, and the non-semisimple ones must be refused with a diagnostic.  The
+subsemigroups of PT_3 generated by one or two maps, and their opposites, are
+checked against the oracle at m - 1 and m.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from reference import associative_tables, canonical_form
+from sgmindeg import builders
 from sgmindeg.congruence import is_rhodes_semisimple
-from sgmindeg.core import from_table, greens
+from sgmindeg.core import from_partial_maps, from_table, greens, opposite
 from sgmindeg.errors import NotRhodesSemisimple
 from sgmindeg.mindeg import MinDegReport, min_partial_degree
 from sgmindeg.oracle import OracleQuery, brute_min_degree
@@ -62,7 +68,9 @@ def test_oracle_resolves_every_tiny_semigroup(all_tiny_semigroups):
         oracle_resolves(s)
 
 
-def test_theory_matches_oracle_at_order_4():
+def test_theory_matches_oracle_at_order_4(monkeypatch):
+    from test_mindeg import _dj_lazy_and_eager
+
     tables = associative_tables(4)
     classes = sorted({canonical_form(t) for t in tables})
     assert (len(tables), len(classes)) == (3492, 188)
@@ -76,9 +84,46 @@ def test_theory_matches_oracle_at_order_4():
                 oracle_resolves(s)
             else:
                 reports.append(rep)
+                for lazy, eager, _, _ in _dj_lazy_and_eager(monkeypatch, s):
+                    assert lazy == eager
     assert len(reports) == 32
     # a trivial M_J is priced by the same search as any other
     assert sum(any(c.mj_order == 1 for c in rep.per_class) for rep in reports) == 24
+
+
+def pt3_subsemigroups() -> list:
+    """The distinct subsemigroups of PT_3 generated by one or two maps."""
+    maps = [tuple(m) for m in builders.partial_transformation(3).natural_action.maps.tolist()]
+    found = {}
+    for a, b in itertools.combinations_with_replacement(maps, 2):
+        s, elems = from_partial_maps(3, [a] if a == b else [a, b])
+        found.setdefault(frozenset(elems), s)
+    return list(found.values())
+
+
+def test_theory_matches_oracle_on_small_subsemigroups_of_pt3(monkeypatch):
+    # every irreducible class here has the column condition, a trivial or a
+    # nontrivial G_J: dj prices it by its Green's quotient, the reference by
+    # b_count * [G:H], and the oracle refutes m - 1 and finds m on both sides
+    from test_mindeg import _dj_lazy_and_eager
+
+    subs = pt3_subsemigroups()
+    assert len(subs) == 1623
+    for side in (subs, [opposite(s) for s in subs]):
+        semisimple, paths = 0, Counter()
+        for s in side:
+            try:
+                m = min_partial_degree(s).m
+            except NotRhodesSemisimple:
+                continue
+            semisimple += 1
+            for lazy, eager, _, _ in _dj_lazy_and_eager(monkeypatch, s):
+                assert lazy == eager
+                paths[lazy.fast_path] += 1
+            res = brute_min_degree(OracleQuery(semigroup=s, mode="partial", min_n=max(m - 1, 0), max_n=m))
+            assert res.status == "found" and res.degree == m
+        assert semisimple == 430
+        assert paths == {"aggm": 440, "column_condition": 51}
 
 
 def test_structural_batteries_exhaustively(all_tiny_semigroups):

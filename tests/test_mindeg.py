@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from reference import (
     restriction_is_injective,
 )
 from sgmindeg import builders
-from sgmindeg.congruence import rm_irreducible_classes
+from sgmindeg.congruence import column_condition, rm_irreducible_classes
 from sgmindeg.core import from_table, greens, rees_coordinatize
 from sgmindeg.errors import InvariantViolated, NotIrreducible, NotRhodesSemisimple
 from sgmindeg.grouptheory import (
@@ -66,36 +67,28 @@ def test_dj_rejects_reducible(sim2):
         dj(r, rep, subgroup_classes(GroupTable.of_rees(r)))
 
 
-def general_search_d(r, report):
-    """d_J with every subgroup class costed by its tensor quotient size, a
-    trivial M_J included."""
-    gt = GroupTable.of_rees(r)
-    lat = subgroup_classes(gt)
-    gpos = {el: i for i, el in enumerate(r.group)}
-    mj_pos = tuple(sorted(gpos[el] for el in report.per_class[r.jclass].mj))
-
-    def cost(ci):
-        return tensor_quotient_size(coset_action(gt, lat.classes[ci].rep), r)
-
-    return min_degree_faithful_on(gt, mj_pos, lat, cost=cost)[0]
-
-
 def test_fast_path_consistency_with_general_search():
+    # the column condition's formula, class by class: the Green's quotient of
+    # X (x) R_J has b_count * [G:H] points for every coset action X of G_J,
+    # which is what dj_pricing_every_class prices such a class by
     cases = [
         builders.binary_relations(2).semigroup,
         builders.matrix_monoid(2, 2).semigroup,
         builders.matrix_monoid(2, 3).semigroup,
         builders.symmetric_inverse(2).semigroup,
         builders.symmetric_inverse(3).semigroup,
+        builders.rees_matrix(builders.symmetric_group(3).semigroup, np.eye(3, dtype=int), True).semigroup,
     ]
     for s in cases:
         g = greens(s)
         rep = rm_irreducible_classes(s, g)
         for j in rep.irreducible_ids():
             r = rees_coordinatize(s, g, j)
-            fast = dj(r, rep, subgroup_classes(GroupTable.of_rees(r)))
-            assert fast.fast_path in ("aggm", "column_condition")
-            assert fast.d == general_search_d(r, rep)
+            lat = subgroup_classes(GroupTable.of_rees(r))
+            assert column_condition(r)
+            assert dj(r, rep, lat).fast_path == ("aggm" if r.group_order == 1 else "column_condition")
+            for c in lat.classes:
+                assert tensor_quotient_size(coset_action(lat.group, c.rep), r) == r.b_count * c.index
 
 
 def test_dj_matches_multiset_search_on_tiny_instances():
@@ -234,7 +227,9 @@ def _dj_lazy_and_eager(monkeypatch, s):
 
 
 def test_lazy_pricing_matches_pricing_every_class(monkeypatch, builder_corpus, random_corpus):
-    # the same d_J, witness and fast path, and no class priced below its index
+    # the same d_J, witness and fast path, and no class priced below its
+    # index; on the column-condition path the reference prices each class by
+    # the formula b_count * [G:H], and dj by the Green's quotient it builds
     pinned = [
         builders.binary_relations(3),
         builders.matrix_monoid(3, 2),
@@ -246,13 +241,51 @@ def test_lazy_pricing_matches_pricing_every_class(monkeypatch, builder_corpus, r
     semigroups += [s for s, _ in random_corpus]
     semigroups += [builders.sigma_square(n, p).semigroup for n in (4, 5) for p in _cycle_type_sigmas(n)]
     assert len(_cycle_type_sigmas(4)) == 5 and len(_cycle_type_sigmas(5)) == 7
-    general = 0
+    paths = Counter()
     for s in semigroups:
         for lazy, eager, priced, _ in _dj_lazy_and_eager(monkeypatch, s):
             assert lazy == eager
             assert all(size >= index for index, size in priced)
-            general += lazy.fast_path == "general_search"
-    assert general >= 10
+            paths[lazy.fast_path] += 1
+    assert paths == {"aggm": 90, "column_condition": 40, "general_search": 27}
+
+
+def test_each_priced_class_builds_its_coset_action_once(monkeypatch, builder_corpus):
+    # dj prices the very G-set it builds, builds it once per class and J-class,
+    # and min_partial_degree assembles each J-block from the witnesses' G-sets
+    # without building any again
+    import sgmindeg.mindeg as md
+
+    built, priced = [], []
+    true_coset, true_size = md.coset_action, md.tensor_quotient_size
+
+    def coset(g, rep):
+        built.append((tuple(rep), true_coset(g, rep)))
+        return built[-1][1]
+
+    def size(x, r):
+        priced.append((r.jclass, x))
+        return true_size(x, r)
+
+    monkeypatch.setattr(md, "coset_action", coset)
+    monkeypatch.setattr(md, "tensor_quotient_size", size)
+    cases = [b.semigroup for b in builder_corpus.values()]
+    cases += [builders.sigma_square(4, p).semigroup for p in _cycle_type_sigmas(4)]
+    jclasses = 0
+    for s in cases:
+        built.clear()
+        priced.clear()
+        try:
+            rep = min_partial_degree(s)
+        except NotRhodesSemisimple:
+            continue
+        assert len(built) == len(priced)
+        assert all(x is y for (_, x), (_, y) in zip(built, priced))
+        keys = [(j, sub) for (j, _), (sub, _) in zip(priced, built)]
+        assert len(set(keys)) == len(keys)
+        assert {j for j, _ in keys} == {c.jclass for c in rep.per_class}
+        jclasses += len(rep.per_class)
+    assert jclasses == 20
 
 
 def test_lazy_pricing_on_s6_prices_only_classes_within_d(monkeypatch):
