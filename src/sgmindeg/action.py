@@ -19,7 +19,7 @@ from .core import (
     _strong_components,
     class_members,
 )
-from .errors import InvariantViolated, NotIdempotent, NotSemisimpleAction
+from .errors import InvariantViolated, NotSemisimpleAction
 from .grouptheory import GroupAction
 
 UNDEF = -1
@@ -211,47 +211,23 @@ def tensor_action(x: GroupAction, r: ReesCoordinatization) -> PartialAction:
 
 
 # ---------------------------------------------------------------------------
-# Green's congruence and quotient
+# Green's quotient
 
 
-def greens_congruence_classes(s: FiniteSemigroup, omega: PartialAction, e: int) -> np.ndarray:
-    """Per-point class ids of the largest congruence restricting to equality
-    on the e-image, or -1 for points equivalent to the undefined sink.
+def greens_quotient(omega: PartialAction, class_of: np.ndarray) -> PartialAction:
+    """Quotient of the action by a Green's congruence given as per-point class
+    ids, numbered by first occurrence, with -1 for points collapsed into the
+    undefined sink.
 
-    Two points are equivalent when every t in S^1 e sends them to the same
-    point (or leaves both undefined); class ids follow first occurrence.  A
-    point all of whose se-translates are undefined is identified with the sink
-    (the quotient deletes it); such points never occur in tensor actions.
-    """
-    if not s.is_idempotent(e):
-        raise NotIdempotent(f"element {e} is not idempotent")
-    translators = np.zeros(s.size, dtype=bool)
-    translators[s.table[:, e]] = True
-    translators[e] = True
-    translators = np.flatnonzero(translators)
-    sig = omega.maps[translators, :].T  # point rows over t in S^1 e
-    class_of, _ = _partition_from_keys(sig)
-    sink = (sig < 0).all(axis=1)  # these points form one class; drop its id
-    sink_id = class_of[np.argmax(sink)] if sink.any() else omega.degree
-    return np.where(sink, -1, class_of - (class_of > sink_id))
-
-
-def greens_quotient(
-    s: FiniteSemigroup, omega: PartialAction, e: int
-) -> tuple[PartialAction, np.ndarray]:
-    """Quotient of the action by the Green's congruence at the idempotent e.
-
-    Returns the quotient action and the point -> class map (-1 for points
-    collapsed into the sink).  The restriction to the e-image embeds
-    injectively into the quotient."""
-    class_of = greens_congruence_classes(s, omega, e)
+    The classes are checked to be an action congruence: every point of a
+    class must move with its representative."""
     # class ids follow first occurrence: a representative's id exceeds every earlier one
     reps = np.flatnonzero(class_of > np.maximum.accumulate(np.append(-1, class_of[:-1])))
     ext = np.append(class_of, UNDEF)  # index -1 lands on the appended sink slot
     qmaps = ext[omega.maps[:, reps]].astype(np.int32)
     # well-definedness: every point of a class must track its representative,
     # and a point collapsed into the sink the appended UNDEF column
-    qext = np.append(qmaps, np.full((s.size, 1), UNDEF, dtype=np.int32), axis=1)
+    qext = np.append(qmaps, np.full((len(qmaps), 1), UNDEF, dtype=np.int32), axis=1)
     if not np.array_equal(ext[omega.maps], qext[:, class_of]):
         raise InvariantViolated("Green's congruence is not an action congruence")
-    return PartialAction(degree=len(reps), maps=qmaps), class_of
+    return PartialAction(degree=len(reps), maps=qmaps)

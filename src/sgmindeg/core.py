@@ -26,12 +26,11 @@ PartialMap = tuple[int, ...]  # length = degree, entries are points or -1 for un
 # Largest element count accepted from any input: the dense tables are n x n.
 MAX_ELEMENTS = 10_000
 
-# Rows per block when a whole table, or J against the Rees check's generators,
-# is scanned, so the temporaries stay small.
+# Rows per block when a whole table is scanned, so the temporaries stay small.
 _BLOCK_ROWS = 512
 
-# Entries per block of Light's test: its two int32 gathers and their
-# comparison then take about 300 KB, and B_3 (512 elements) has 8 blocks.
+# Entries per block of Light's test and of the Rees check: Light's two int32
+# gathers and their comparison then take about 300 KB; B_3 has 8 blocks.
 _LIGHT_BLOCK_ENTRIES = 1 << 15
 
 
@@ -153,7 +152,7 @@ def _greedy_generators(table: np.ndarray, covered: np.ndarray) -> list[int]:
 
 
 def _light_block_rows(n: int) -> int:
-    """Rows per block of Light's test on an n-element table."""
+    """Rows per block of n columns in Light's test and the Rees check."""
     return max(1, _LIGHT_BLOCK_ENTRIES // n)
 
 
@@ -646,40 +645,36 @@ def rees_coordinatize(s: FiniteSemigroup, g: GreensStructure, j: int) -> ReesCoo
 def _verify_rees_multiplication(
     s: FiniteSemigroup, g: GreensStructure, rc: ReesCoordinatization
 ) -> None:
-    """Check the table against the Rees law on J x Y, a block of rows of J at a time.
+    """Check the table against the Rees law on Y x J, a block of rows of Y at a time.
 
     Y is the r_a, the q_b and a greedy generating set of H_e, and psi maps J
     to its coordinates in M0(G, A, B, C) and products that leave J to 0.  The
-    check gives psi(x y) = psi(x) psi(y) for x in J and y in Y, and that is
-    the law on J x J.  As C[0][0] is the identity, each y = (a, h_1 ... h_k, b)
-    in J is the left-normed word r_a h_1 ... h_k q_b over Y, whose partial
-    products stay in J and follow the law.  For x in J, associativity gives
-    x y = (...(x y_1) ...) y_k; by induction each step is a J x Y product, or
-    starts from a product that has left J and stays out, being J-below it.
-    So psi(x y) = psi(x) psi(y_1) ... psi(y_k) = psi(x) psi(y), as M0 is
-    associative.  The table's associativity is proved by Light's test when it
-    is loaded, or guaranteed by the builder that made it.
+    check gives psi(y z) = psi(y) psi(z) for y in Y and z in J, and that is
+    the law on J x J.  As C[0][0] is the identity, each x = (a, h_1 ... h_k, b)
+    in J is the right-normed word r_a (h_1 (... (h_k q_b))) over Y, with q_0 =
+    e = r_0, whose suffix products stay in J and follow the law.  For z in J,
+    associativity gives x z = y_1 (... (y_k z)); by induction each step is a
+    Y x J product, or multiplies a product that has left J and stays out,
+    being J-below it.  So psi(x z) = psi(y_1) ... psi(y_k) psi(z) = psi(x)
+    psi(z), as M0 is associative.  The table's associativity is proved by
+    Light's test when it is loaded, or guaranteed by the builder that made it.
     """
-    nb, na = rc.sandwich.shape
+    nb = rc.b_count
     m = rc.group_order
     hgens = _greedy_generators(rc.group_mul, np.arange(m) == 0)  # H_e's identity is in Y as e
-    # Y in coordinates, the identity of H_e at position 0: r_a = (a, 0, 0), then
-    # q_b = (0, 0, b) for b >= 1, then (0, h, 0) for the generators h
-    ya = np.array([*range(na), *[0] * (nb - 1 + len(hgens))])
-    yh = np.array([*[0] * (na + nb - 1), *hgens])
-    yb = np.array([*[0] * na, *range(1, nb), *[0] * len(hgens)])
-    ys = rc.triple_to_elem[ya, yh, yb]
-    c = rc.sandwich[:, ya]  # (b, y) -> C[b, a_y]
+    # Y as flat triples (a |G| + h) B + b: r_a = (a, 0, 0), then q_b = (0, 0, b)
+    # for b >= 1, then (0, h, 0) for the generators h
+    ys = np.array(
+        [a * m * nb for a in range(rc.a_count)] + list(range(1, nb)) + [h * nb for h in hgens]
+    )
     elems = rc.triple_to_elem.ravel()
-    for lo in range(0, len(elems), _BLOCK_ROWS):
-        rows = np.arange(lo, min(lo + _BLOCK_ROWS, len(elems)))
-        a, h, b = np.unravel_index(rows, (na, m, nb))
-        cb = c[b]
-        # (a, h, b)(a_y, h_y, b_y) = (a, h C[b, a_y] h_y, b_y), or 0 where C[b, a_y] = 0
-        law = rc.triple_to_elem[a[:, None], rc.group_mul[rc.group_mul[h[:, None], cb - 1], yh], yb]
-        prods = s.table[elems[rows][:, None], ys]
-        zero = cb == 0
-        if ((law != prods) & ~zero).any():
+    rows = _light_block_rows(len(elems))
+    for lo in range(0, len(ys), rows):
+        block = ys[lo : lo + rows]
+        law = rees_law(rc.group_mul, rc.sandwich, block)
+        prods = s.table[elems[block]][:, elems]
+        zero = law < 0
+        if ((elems[law] != prods) & ~zero).any():
             raise InvariantViolated("Rees law: coordinate product disagrees with the table")
         if (g.jclass_of[prods[zero]] == rc.jclass).any():
             raise InvariantViolated("Rees law: product with zero sandwich entry stayed in J")

@@ -32,10 +32,6 @@ class NotRegular(SemigroupError):
     """The requested J-class contains no idempotent."""
 
 
-class NotIdempotent(SemigroupError):
-    """The designated element is not an idempotent."""
-
-
 class NotSubgroup(SemigroupError):
     """The given subset is not a subgroup."""
 

@@ -84,7 +84,9 @@ def subgroup_classes(g: GroupTable) -> SubgroupLattice:
         core = np.flatnonzero(conj_masks.all(axis=0))  # intersection of all conjugates
         rep = tuple(conj[least].tolist())
         classes.append(SubgroupClass(rep=rep, index=m // len(rep), core=tuple(core.tolist())))
-        queue.append((conj_masks[least], t[t[g.inv[least], gens], least]))  # least^-1 gens least
+        # a copy, as a row view would keep the whole m x m array alive in the
+        # queue; the generators are least^-1 gens least
+        queue.append((conj_masks[least].copy(), t[t[g.inv[least], gens], least]))
 
     register(ident == 0, np.empty(0, dtype=np.int64))  # the trivial group, no generators
     for in_h, gens in queue:  # register() appends to the queue while it is walked

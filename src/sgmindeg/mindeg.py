@@ -4,7 +4,8 @@ For a Rhodes semisimple semigroup the minimal degree is the sum over the
 RM-irreducible regular J-classes of the smallest Green's-quotient size of a
 tensor X (x) R_J, where X ranges over G_J-sets faithful on the invisible
 subgroup with pairwise non-isomorphic orbits.  The witness action is always
-assembled from the G_J-sets that priced it and re-checked for faithfulness.
+assembled from the G_J-sets and the pair classes that priced it and re-checked
+for faithfulness.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class DjResult:
 def tensor_pair_classes(x: GroupAction, r: ReesCoordinatization) -> np.ndarray:
     """Green's congruence classes of X (x) R_J via the coordinate pair rule:
     (p, b) ~ (p', b') iff p.C[b][a] = p'.C[b'][a] for every a, with a zero
-    sandwich entry annihilating.  Class ids ordered by first occurrence, so
-    they match greens_quotient on the tensor action."""
+    sandwich entry annihilating.  Class ids follow first occurrence and no
+    point falls into the sink, as greens_quotient takes them."""
     from .core import _partition_from_keys
 
     c = r.sandwich
@@ -229,8 +230,8 @@ def min_partial_degree(
         r = rees_coordinatize(s, g, j)
         lattice = subgroup_classes(GroupTable.of_rees(r))
         res = dj(r, report, lattice)
-        tens = tensor_action(coproduct_group_actions(list(res.witness_gsets)), r)
-        quot, _ = greens_quotient(s, tens, r.e)
+        x = coproduct_group_actions(list(res.witness_gsets))
+        quot = greens_quotient(tensor_action(x, r), tensor_pair_classes(x, r))
         if quot.degree != res.d:
             raise InvariantViolated(
                 f"J-class {j}: d_J = {res.d} but the assembled quotient has degree {quot.degree}"

@@ -438,13 +438,34 @@ def semisimplify(s: FiniteSemigroup, omega: PartialAction, g: GreensStructure) -
     return PartialAction(degree=len(keep), maps=maps)
 
 
+def greens_congruence_classes(s: FiniteSemigroup, omega: PartialAction, e: int) -> np.ndarray:
+    """Green's congruence classes at the idempotent e by a scan over the
+    translators S^1 e: per-point class ids, or -1 for points equivalent to the
+    undefined sink.
+
+    Two points are equivalent when every t in S^1 e sends them to the same
+    point (or leaves both undefined); class ids follow first occurrence, as
+    ``action.greens_quotient`` takes them.  A point all of whose
+    se-translates are undefined is identified with the sink.
+    """
+    translators = np.zeros(s.size, dtype=bool)
+    translators[s.table[:, e]] = True
+    translators[e] = True
+    translators = np.flatnonzero(translators)
+    sig = omega.maps[translators, :].T  # point rows over t in S^1 e
+    class_of, _ = _partition_from_keys(sig)
+    sink = (sig < 0).all(axis=1)  # these points form one class; drop its id
+    sink_id = class_of[np.argmax(sink)] if sink.any() else omega.degree
+    return np.where(sink, -1, class_of - (class_of > sink_id))
+
+
 def greens_congruence_fixpoint(s: FiniteSemigroup, omega: PartialAction, e: int) -> np.ndarray:
     """Green's congruence classes at e by Moore-style refinement over a
     generating set, with an explicit sink point.
 
     Start from the partition by the value of p.e and refine until stable under
     every generator; the class containing the sink maps to -1 and the other
-    class ids follow first occurrence, as in ``action.greens_congruence_classes``.
+    class ids follow first occurrence, as in ``greens_congruence_classes``.
     """
     d = omega.degree
     gens = small_generating_set(s.table)
@@ -722,7 +743,7 @@ def column_condition_by_pairs(sandwich: np.ndarray) -> bool:
 def verify_rees_multiplication_over_j(
     s: FiniteSemigroup, g: GreensStructure, rc: ReesCoordinatization
 ) -> None:
-    """``core._verify_rees_multiplication`` on all of J x J rather than J x Y:
+    """``core._verify_rees_multiplication`` on all of J x J rather than Y x J:
     the table against ``rees_law``, a block of rows at a time."""
     elems = rc.triple_to_elem.ravel()
     for lo in range(0, len(elems), 512):

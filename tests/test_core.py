@@ -494,8 +494,8 @@ def test_rees_law_rejects_dropped_sandwich_entry():
 
 
 def test_rees_law_rejects_swap_outside_generators():
-    # (a, h, b) with a >= 1 and b >= 1 is none of the checked columns r_a =
-    # (a, 1, 0), q_b = (0, 1, b) and (0, h, 0): the rows of J catch the swap
+    # (a, h, b) with a >= 1 and b >= 1 is none of the checked rows r_a =
+    # (a, 1, 0), q_b = (0, 1, b) and (0, h, 0): the columns of J catch the swap
     for s, g, rc in _corruptible_rees_classes():
         triples = rc.triple_to_elem.copy()
         p, q = (1, 0, 1), (rc.a_count - 1, rc.group_order - 1, rc.b_count - 1)
@@ -544,7 +544,7 @@ def _accepts(check, *args) -> bool:
 
 
 def test_rees_check_on_generators_agrees_with_whole_j(builder_corpus, random_corpus):
-    # J x Y accepts exactly what J x J accepts, on sound coordinates and on
+    # Y x J accepts exactly what J x J accepts, on sound coordinates and on
     # corrupted ones that keep C[0][0] = 1 and the coordinates a bijection
     golden = [
         builders.binary_relations(2),

@@ -7,12 +7,14 @@ the theory value must match the brute-force oracle whenever the semigroup is
 Rhodes semisimple, the total-degree bracket must contain the oracle's total
 answer, and the non-semisimple ones must be refused with a diagnostic.  The
 subsemigroups of PT_3 generated by one or two maps, and their opposites, are
-checked against the oracle at m - 1 and m.
+checked against the oracle at m - 1 and m, and so are random Rees matrix
+semigroups whose classes take the general search.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 
 import numpy as np
@@ -124,6 +126,72 @@ def test_theory_matches_oracle_on_small_subsemigroups_of_pt3(monkeypatch):
             assert res.status == "found" and res.degree == m
         assert semisimple == 430
         assert paths == {"aggm": 440, "column_condition": 51}
+
+
+def rees_draws() -> list:
+    """The distinct Rees matrix semigroups M0[G; A, B; C] of 400 seeded draws:
+    G one of C_2, C_3, C_4, S_3 and C_2 x C_2, |A|, |B| <= 3, and each
+    sandwich entry zero with probability 0.3; a draw with a zero row or
+    column is skipped, and a zero is adjoined iff some entry is zero."""
+    rng = random.Random(1)
+    c2 = builders.cyclic(2).semigroup
+    groups = [
+        c2,
+        builders.cyclic(3).semigroup,
+        builders.cyclic(4).semigroup,
+        builders.symmetric_group(3).semigroup,
+        builders.direct_product(c2, c2),
+    ]
+    found = {}
+    for _ in range(400):
+        grp = rng.choice(groups)
+        m = grp.size
+        na, nb = rng.randint(1, 3), rng.randint(1, 3)
+        c = np.array(
+            [[rng.randint(1, m) if rng.random() > 0.3 else 0 for _ in range(na)] for _ in range(nb)]
+        )
+        if not (c.any(axis=0).all() and c.any(axis=1).all()):
+            continue
+        s = builders.rees_matrix(grp, c, adjoin_zero=bool((c == 0).any())).semigroup
+        found.setdefault(s.table.tobytes(), s)
+    return list(found.values())
+
+
+def test_theory_matches_oracle_where_the_general_search_runs(monkeypatch):
+    # the classes where the pair rule merges tensor points: on every side
+    # with m <= 7 the oracle finds m and refutes m - 1, and dj agrees with the
+    # reference that prices every class; the sides with m >= 8 are beyond
+    # the oracle's reach in tier-1
+    from test_mindeg import _dj_lazy_and_eager
+
+    draws = rees_draws()
+    assert len(draws) == 206
+    kept = sides = general = below = 0
+    for s in draws:
+        try:
+            reps = [(x, min_partial_degree(x)) for x in (s, opposite(s))]
+        except NotRhodesSemisimple:
+            continue
+        if not any(c.fast_path == "general_search" for _, rep in reps for c in rep.per_class):
+            continue
+        kept += 1
+        for x, rep in reps:
+            if rep.m > 7:
+                continue
+            sides += 1
+            for c in rep.per_class:
+                if c.fast_path == "general_search":
+                    general += 1
+                    below += c.d < c.l_count * sum(w.index for w in c.witness_subgroups)
+            for lazy, eager, _, _ in _dj_lazy_and_eager(monkeypatch, x):
+                assert lazy == eager
+            res = brute_min_degree(
+                OracleQuery(semigroup=x, mode="partial", min_n=max(rep.m - 1, 0), max_n=rep.m)
+            )
+            assert res.status == "found" and res.degree == rep.m
+    assert (kept, sides) == (34, 22)
+    # general-search classes, and those priced below |B| times their summed index
+    assert (general, below) == (14, 7)
 
 
 def test_structural_batteries_exhaustively(all_tiny_semigroups):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -105,6 +106,19 @@ def test_symmetric_group_lattice_pinned(n, count, digest):
     assert len(classes) == count
     rows = repr([(c.rep, c.index, c.core) for c in classes])
     assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
+
+def test_subgroup_classes_of_s6_peak_memory():
+    # a queued class keeps only its own mask, not the m x m array of its
+    # conjugates' masks: about 7 MB at the peak on S_6
+    g = group_table(builders.symmetric_group(6).semigroup.table, validate=False)
+    tracemalloc.start()
+    try:
+        subgroup_classes(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
 
 
 C2 = builders.cyclic(2).semigroup

@@ -12,10 +12,11 @@ from reference import (
     dj_pricing_every_class,
     is_inverse_semigroup,
     restriction_is_injective,
+    schein_irreducibility_check,
 )
 from sgmindeg import builders
 from sgmindeg.congruence import column_condition, rm_irreducible_classes
-from sgmindeg.core import from_table, greens, rees_coordinatize
+from sgmindeg.core import from_partial_maps, from_table, greens, rees_coordinatize
 from sgmindeg.errors import InvariantViolated, NotIrreducible, NotRhodesSemisimple
 from sgmindeg.grouptheory import (
     GroupTable,
@@ -484,3 +485,25 @@ def test_monotone_sanity_group_bound(builder_corpus):
                 gt, tuple(range(gt.order)), lat, lambda ci: lat.classes[ci].index
             )
             assert rep.m >= deg
+
+
+def test_closed_forms_beyond_the_oracle():
+    # sizes the oracle cannot reach, each with many regular J-classes: the
+    # symmetric inverse monoid I_5, closed from its generators (make stops at
+    # n = 4), the free semilattice on 8 generators (its nonempty subsets
+    # under union) and a 64-element chain; on the inverse semigroups the
+    # RM-irreducible classes and M_J are those of Schein's criterion
+    i5, _ = from_partial_maps(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0), (-1, 1, 2, 3, 4)])
+    assert i5.size == 1546
+    subsets = np.arange(1, 256)
+    free8 = from_table((subsets[:, None] | subsets) - 1)
+    for s, m in ((i5, 5), (free8, 8), (builders.chain_semilattice(64).semigroup, 63)):
+        assert min_partial_degree(s).m == m
+    for s in (i5, builders.symmetric_inverse(4).semigroup):
+        g = greens(s)
+        rep = rm_irreducible_classes(s, g)
+        schein = schein_irreducibility_check(s, g)
+        assert sorted(rep.per_class) == g.regular_jclasses()
+        for j, row in rep.per_class.items():
+            assert schein[j].join_irreducible == row.rm_irreducible
+            assert set(schein[j].mj) == set(row.mj)

@@ -18,6 +18,7 @@ from reference import (
     class_members,
     faithful_by_criterion_by_loop,
     ggm_congruence_at,
+    greens_congruence_classes,
     greens_congruence_fixpoint,
     is_compatible,
     meet,
@@ -216,10 +217,16 @@ def random_rees_inputs(count, seed=4242):
     return out
 
 
+def quotient_by_translators(s, t, e):
+    """The Green's quotient of t at e by the translator rule, and its classes."""
+    class_of = greens_congruence_classes(s, t, e)
+    return greens_quotient(t, class_of), class_of
+
+
 def battery_pair_rule(rees_inputs):
     for s, r, gt, lat, x, _ in rees_inputs:
         t = tensor_action(x, r)
-        quot, class_of = greens_quotient(s, t, r.e)
+        quot, class_of = quotient_by_translators(s, t, r.e)
         assert (class_of >= 0).all(), "tensor actions have no sink points"
         pair = tensor_pair_classes(x, r)
         assert np.array_equal(class_of, pair)
@@ -235,9 +242,9 @@ def battery_quotient_additivity(rees_inputs):
             continue
         x1 = coset_action(gt, lat.classes[0].rep)
         x2 = coset_action(gt, lat.classes[-1].rep)
-        q1 = greens_quotient(s, tensor_action(x1, r), r.e)[0].degree
-        q2 = greens_quotient(s, tensor_action(x2, r), r.e)[0].degree
-        q12 = greens_quotient(
+        q1 = quotient_by_translators(s, tensor_action(x1, r), r.e)[0].degree
+        q2 = quotient_by_translators(s, tensor_action(x2, r), r.e)[0].degree
+        q12 = quotient_by_translators(
             s, tensor_action(coproduct_group_actions([x1, x2]), r), r.e
         )[0].degree
         assert q12 == q1 + q2
@@ -250,7 +257,7 @@ def battery_column_condition_trivial_quotient(rees_inputs):
             continue
         seen += 1
         t = tensor_action(x, r)
-        quot, class_of = greens_quotient(s, t, r.e)
+        quot, class_of = quotient_by_translators(s, t, r.e)
         assert quot.degree == t.degree
         assert np.array_equal(class_of, np.arange(t.degree))
     return seen
@@ -328,10 +335,10 @@ def battery_left_degree_bound(corpus, limit=25):
 def battery_quotient_of_tensor(rees_inputs):
     for s, r, gt, lat, x, _ in rees_inputs:
         # a semisimple action with all orbits of apex J
-        omega = greens_quotient(s, tensor_action(x, r), r.e)[0]
+        omega = quotient_by_translators(s, tensor_action(x, r), r.e)[0]
         fixed = _e_restriction_gset(s, r, gt, omega)
         t2 = tensor_action(fixed, r)
-        quot2 = greens_quotient(s, t2, r.e)[0]
+        quot2 = quotient_by_translators(s, t2, r.e)[0]
         assert quot2.degree <= omega.degree
         assert _gset_isomorphic(fixed, _e_restriction_gset(s, r, gt, quot2))
 
@@ -450,5 +457,6 @@ def test_left_degree_bound_slice(random_corpus):
 def test_quotient_methods_agree_on_random_tensors(rees_inputs):
     for s, r, gt, lat, x, _ in rees_inputs[:8]:
         t = tensor_action(x, r)
-        _, class_of = greens_quotient(s, t, r.e)
+        _, class_of = quotient_by_translators(s, t, r.e)
+        assert np.array_equal(class_of, tensor_pair_classes(x, r))
         assert np.array_equal(class_of, greens_congruence_fixpoint(s, t, r.e))
